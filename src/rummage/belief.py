@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import DescentSchedule, DiscrepancyParams, discrepancies, refine_pose, total_discrepancy
+from .discrepancy import DescentSchedule, DiscrepancyParams, discrepancies, refine_pose
+from .discrepancy import total_discrepancy  # noqa: F401  (loopbench/tracing.py wraps belief.total_discrepancy)
 from .geometry import Pose, Shape
 from .semantics import SemanticCloud, merge_observations
 
@@ -126,10 +127,7 @@ def resample(
         base = particles.poses[int(i)]
         noise = perturb(rng, params.sigma_t, params.sigma_r, params.planar)
         new_poses.append(noise.compose(base))
-    refined = [
-        refine_pose(disc, shape, cloud, T, params.k_opt, params.schedule, params.planar)
-        for T in new_poses
-    ]
+    refined = refine_pose(disc, shape, cloud, new_poses, params.k_opt, params.schedule, params.planar)
     return ParticleSet.uniform(refined)
 
 
@@ -141,6 +139,7 @@ def estimate_movement(
     shape: Shape,
     disc: DiscrepancyParams,
     params: BeliefParams,
+    prior_w: Pose | None = None,
 ) -> tuple[Pose, Pose]:
     """Estimate the object's pose delta from the newest observations.
 
@@ -151,12 +150,19 @@ def estimate_movement(
     ``dT_w`` is the world-frame point motion consistent with it:
     ``dT_w = T_i^-1 dT^-1 T_i``, which makes
     ``(dT T_i)(dT_w x) == T_i x`` hold exactly.
+
+    ``prior_w``, when given, is the world-frame motion of the contact (the
+    paddle's displacement) and replaces ``dT_robot``: the prior is built
+    through the same representative particle it is composed onto, so the
+    world motion it implies is ``prior_w`` whatever that particle's yaw.
     """
     if len(new_cloud.surface) == 0:
         return Pose.identity(), Pose.identity()
     d = discrepancies(disc, shape, prev_cloud, particles)
     i = int(np.argmin(d))
     T_i = particles.poses[i]
+    if prior_w is not None:
+        dT_robot = T_i.compose(prior_w.inverse()).compose(T_i.inverse())
     composed = dT_robot.compose(T_i)
     composed = refine_pose(disc, shape, new_cloud, composed, params.k_opt, params.schedule, params.planar)
     dT = composed.compose(T_i.inverse())
@@ -191,6 +197,7 @@ def update_step(
     rng: np.random.Generator,
     movement_known: bool = False,
     dT_w_known: Pose | None = None,
+    prior_w: Pose | None = None,
 ) -> BeliefState:
     """One posterior update: estimate object motion, predict particles,
     merge observations, then resample or reweigh.
@@ -200,7 +207,8 @@ def update_step(
     ``dT_w_known`` can supply the matching world-frame point motion; when
     omitted it is derived through the lowest-discrepancy particle.  Without
     ``movement_known`` the delta is only the sticking prior for the
-    movement optimization.
+    movement optimization; ``prior_w`` gives that prior as the contact's
+    world-frame motion instead (see :func:`estimate_movement`).
     """
     p = cfg.params
     if movement_known:
@@ -216,7 +224,7 @@ def update_step(
             dT_w = T_i.inverse().compose(dT.inverse()).compose(T_i)
     else:
         dT, dT_w = estimate_movement(
-            state.cloud, new_cloud, state.particles, dT_robot, cfg.shape, cfg.disc, p
+            state.cloud, new_cloud, state.particles, dT_robot, cfg.shape, cfg.disc, p, prior_w
         )
 
     particles = state.particles
@@ -261,11 +269,8 @@ def initialize_particles(
             raise ValueError("need at least n_particles prior poses")
         return ParticleSet.uniform(list(prior_poses[:n]))
 
-    refined = [
-        refine_pose(disc, shape, cloud, T, params.k_opt, params.schedule, params.planar)
-        for T in prior_poses
-    ]
-    costs = np.array([total_discrepancy(disc, shape, cloud, T) for T in refined])
+    refined = refine_pose(disc, shape, cloud, prior_poses, params.k_opt, params.schedule, params.planar)
+    costs = discrepancies(disc, shape, cloud, refined)
 
     elites: dict[int, tuple[float, Pose]] = {}
     for T, c in zip(refined, costs):

@@ -10,15 +10,44 @@ The per-point descent directions are built from the *normalized* distance
 gradient, so they are parallel to, but not equal to, the analytic cost
 gradients; what is guaranteed (and tested) is that a small step against
 them does not increase the cost.
+
+Costs, descent steps and refinement take a whole sequence of poses and
+evaluate it in one pass per descent iteration: the (pose, point) pairs are
+stacked, one ``shape.sdf`` and one ``shape.gradient`` call cover them, and
+per-pose sums are sequential in cloud order (``np.bincount`` adds in index
+order), so a batch gives bit for bit what each pose gives alone.
+
+Cull invariant: a free point farther from a pose's object origin than the
+shape's support radius plus ``max(epsilon, 0)`` has signed distance of at
+least ``epsilon``, so its cost and its descent direction are exactly zero;
+such pairs are dropped before the distance is evaluated.  Dropping an
+exact 0.0 from a sequential sum leaves the sum unchanged.  The radius rests
+on the contract that ``bounding_box()`` encloses every point with sdf <= 0
+and that the distance outside it is at least the distance to the box;
+:class:`~rummage.geometry.Complement` (no cull) and
+:class:`~rummage.geometry.VoxelizedShape` (radius widened by a voxel
+diagonal) are the exceptions, see :func:`~rummage.geometry.support_radius`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, Shape, orthonormalize, rotation_about_axis
+from .geometry import (
+    Pose,
+    Shape,
+    object_origins,
+    orthonormalize,
+    pairs_within,
+    pose_groups,
+    rotation_about_axis,
+    stack_poses,
+    support_radius,
+    transform_pairs,
+)
 from .semantics import SemanticCloud, Semantics
 
 
@@ -45,31 +74,134 @@ def point_cost(params: DiscrepancyParams, shape: Shape, x_obj, s: Semantics) -> 
     return float(_class_costs(params, v, int(s)))
 
 
-def cost_array(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, T: Pose) -> np.ndarray:
-    """Per-point costs in the cloud's storage order."""
-    if len(cloud) == 0:
-        return np.zeros(0)
-    v = shape.sdf(T.transform(cloud.positions))
-    costs = np.empty(len(cloud), dtype=np.float64)
+def _costs(params: DiscrepancyParams, v: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    costs = np.empty(len(v), dtype=np.float64)
     for sem in (Semantics.FREE, Semantics.OCCUPIED, Semantics.SURFACE):
-        mask = cloud.labels == int(sem)
+        mask = labels == int(sem)
         if mask.any():
             costs[mask] = _class_costs(params, v[mask], int(sem))
     return costs
 
 
-def total_discrepancy(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, T: Pose) -> float:
-    """Sum of point costs, accumulated sequentially in storage order."""
-    costs = cost_array(params, shape, cloud, T)
-    if len(costs) == 0:
-        return 0.0
-    return float(np.cumsum(costs)[-1])
+def cost_array(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, T: Pose) -> np.ndarray:
+    """Per-point costs in the cloud's storage order (every point evaluated)."""
+    if len(cloud) == 0:
+        return np.zeros(0)
+    return _costs(params, shape.sdf(T.transform(cloud.positions)), cloud.labels)
+
+
+class _CloudKernel:
+    """Evaluates one cloud against stacks of poses, one pass per call.
+
+    Lists the (pose, point) pairs that can cost: free points farther than
+    the cull radius from a pose's origin are left out.  A refinement moves
+    each origin by at most the sum of its step caps (``travel``), so the
+    pairs within the radius plus that travel of the first origins are
+    listed once and every pass keeps those within the radius of the current
+    origins; an origin that strays farther gets its pairs listed again.
+    """
+
+    def __init__(self, params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, travel: float = 0.0):
+        self.params = params
+        self.shape = shape
+        self.points = cloud.positions
+        self.labels = cloud.labels
+        self.always = cloud.labels != int(Semantics.FREE)
+        self.radius = support_radius(shape) + max(params.epsilon, 0.0)
+        self.travel = travel * (1.0 + 1e-6)
+        self._origins = None
+        self._pairs = None
+
+    def _live(self, rotations: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        origins = object_origins(rotations, translations)
+        if self._origins is None or np.any(np.sum((origins - self._origins) ** 2, axis=1) > self.travel**2):
+            self._origins = origins
+            self._pairs = pairs_within(self.points, origins, self.radius + self.travel, self.always)
+        ii, pp = self._pairs
+        if self.travel > 0.0 and math.isfinite(self.radius):
+            d = self.points[pp] - origins[ii]
+            near = ~(np.einsum("ij,ij->i", d, d) > (self.radius * (1.0 + 1e-9)) ** 2)
+            keep = self.always[pp] | near
+            ii, pp = ii[keep], pp[keep]
+        return ii, pp
+
+    def passes(self, rotations: np.ndarray, translations: np.ndarray):
+        """Yield ``(lo, hi, pose_idx, x_obj, labels, v, costs)`` for runs of
+        whole poses ``[lo, hi)``; ``pose_idx`` counts from ``lo``."""
+        ii, pp = self._live(rotations, translations)
+        for lo, hi, start, end in pose_groups(ii, len(rotations)):
+            i, p = ii[start:end], pp[start:end]
+            x_obj = transform_pairs(rotations, translations, i, self.points[p])
+            labels = self.labels[p]
+            v = self.shape.sdf(x_obj)
+            yield lo, hi, i - lo, x_obj, labels, v, _costs(self.params, v, labels)
+
+    def totals(self, poses: list[Pose]) -> np.ndarray:
+        out = np.zeros(len(poses))
+        for lo, hi, ii, _, _, _, costs in self.passes(*stack_poses(poses)):
+            out[lo:hi] = np.bincount(ii, weights=costs, minlength=hi - lo)
+        return out
+
+    def descent_steps(self, poses: list[Pose], step_t: float, step_r: float, planar: bool) -> tuple[list[Pose], np.ndarray]:
+        """One descent step for every pose; also returns the costs at the
+        incoming poses (from the same distance evaluation, so refinement
+        needs one pass per step)."""
+        n = len(poses)
+        cost = np.zeros(n)
+        count = np.zeros(n, dtype=np.intp)
+        dir_sum = np.zeros((n, 3))
+        torque_sum = np.zeros((n, 3))
+        lever_sq = np.zeros(n)
+        for lo, hi, ii, x_obj, labels, v, costs in self.passes(*stack_poses(poses)):
+            m = hi - lo
+            cost[lo:hi] = np.bincount(ii, weights=costs, minlength=m)
+            # aggregate over active points only: satisfied points carry no
+            # error signal and would otherwise dilute the step magnitude
+            active = costs > 0
+            if not active.any():
+                continue
+            ia = ii[active]
+            x_act = x_obj[active]
+            d_act = _scaled_gradient(self.shape, x_act, labels[active], costs[active], v[active])
+            cross = np.cross(x_act, d_act)
+            for j in range(3):
+                dir_sum[lo:hi, j] = np.bincount(ia, weights=d_act[:, j], minlength=m)
+                torque_sum[lo:hi, j] = np.bincount(ia, weights=cross[:, j], minlength=m)
+            k = np.bincount(ia, minlength=m)
+            count[lo:hi] = k
+            # np.mean of a 1-D array sums pairwise, so each pose's mean runs
+            # on its own compacted active points, as a lone pose's does
+            lever = np.sum(x_act**2, axis=-1)
+            ends = np.cumsum(k)
+            for i in np.flatnonzero(k):
+                lever_sq[lo + i] = np.mean(lever[ends[i] - k[i]:ends[i]])
+
+        # bincount adds in index order: the sequential column sums of a
+        # lone pose's mean(axis=0)
+        g_mean = dir_sum / np.maximum(count, 1)[:, None]
+        torque = torque_sum / np.maximum(count, 1)[:, None] / np.maximum(lever_sq, 1e-12)[:, None]
+        if planar:
+            g_mean[:, 2] = 0.0
+            torque[:, :2] = 0.0
+        stepped = [
+            _step_pose(T, g_mean[i], torque[i], step_t, step_r) if count[i] else T
+            for i, T in enumerate(poses)
+        ]
+        return stepped, cost
 
 
 def discrepancies(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, poses) -> np.ndarray:
-    """total_discrepancy for each pose in a sequence (or ParticleSet)."""
-    ps = getattr(poses, "poses", poses)
-    return np.array([total_discrepancy(params, shape, cloud, T) for T in ps])
+    """Total discrepancy of each pose in a sequence (or ParticleSet), each
+    accumulated sequentially in the cloud's storage order."""
+    ps = list(getattr(poses, "poses", poses))
+    if len(cloud) == 0 or not ps:
+        return np.zeros(len(ps))
+    return _CloudKernel(params, shape, cloud).totals(ps)
+
+
+def total_discrepancy(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, T: Pose) -> float:
+    """Sum of point costs, accumulated sequentially in storage order."""
+    return float(discrepancies(params, shape, cloud, [T])[0])
 
 
 def descent_directions(params: DiscrepancyParams, shape: Shape, x_obj: np.ndarray, labels: np.ndarray):
@@ -80,24 +212,22 @@ def descent_directions(params: DiscrepancyParams, shape: Shape, x_obj: np.ndarra
     evaluated only where the cost is active.
     """
     v = shape.sdf(x_obj)
-    n = len(x_obj)
-    dirs = np.zeros((n, 3))
-    costs = np.zeros(n)
-    for sem in (Semantics.FREE, Semantics.OCCUPIED, Semantics.SURFACE):
-        mask = labels == int(sem)
-        if mask.any():
-            costs[mask] = _class_costs(params, v[mask], int(sem))
+    costs = _costs(params, v, labels)
+    dirs = np.zeros((len(x_obj), 3))
     active = costs > 0
-    if not active.any():
-        return dirs, costs
-    g = shape.gradient(x_obj[active])
-    scale = np.where(
-        labels[active] == int(Semantics.FREE),
-        -costs[active],
-        np.where(labels[active] == int(Semantics.OCCUPIED), costs[active], v[active]),
-    )
-    dirs[active] = scale[:, None] * g
+    if active.any():
+        dirs[active] = _scaled_gradient(shape, x_obj[active], labels[active], costs[active], v[active])
     return dirs, costs
+
+
+def _scaled_gradient(shape: Shape, x_act, labels, costs, v) -> np.ndarray:
+    g = shape.gradient(x_act)
+    scale = np.where(
+        labels == int(Semantics.FREE),
+        -costs,
+        np.where(labels == int(Semantics.OCCUPIED), costs, v),
+    )
+    return scale[:, None] * g
 
 
 def point_cost_descent(params: DiscrepancyParams, shape: Shape, x_obj, s: Semantics) -> np.ndarray:
@@ -129,40 +259,12 @@ def _clamp_norm(vec: np.ndarray, cap: float) -> np.ndarray:
     return vec * (cap / n)
 
 
-def _descent_step_with_cost(
-    params: DiscrepancyParams,
-    shape: Shape,
-    cloud: SemanticCloud,
-    T: Pose,
-    step_t: float,
-    step_r: float,
-    planar: bool,
-) -> tuple[Pose, float]:
-    """One descent step; also returns the cost at the incoming pose (from
-    the same distance evaluation, so refinement needs one pass per step)."""
-    x_obj = T.transform(cloud.positions)
-    dirs, costs = descent_directions(params, shape, x_obj, cloud.labels)
-    cost_here = float(np.cumsum(costs)[-1]) if len(costs) else 0.0
-    active = costs > 0
-    if not active.any():
-        return T, cost_here
-
-    # aggregate over active points only: satisfied points carry no error
-    # signal and would otherwise dilute the step magnitude estimate
-    x_act = x_obj[active]
-    d_act = dirs[active]
-    g_mean = d_act.mean(axis=0)
-    lever_sq = float(np.mean(np.sum(x_act**2, axis=-1)))
-    torque = np.cross(x_act, d_act).mean(axis=0) / max(lever_sq, 1e-12)
-
-    if planar:
-        g_mean = g_mean.copy()
-        g_mean[2] = 0.0
-        torque = np.array([0.0, 0.0, torque[2]])
-
+def _step_pose(T: Pose, g_mean: np.ndarray, torque: np.ndarray, step_t: float, step_r: float) -> Pose:
+    """Move ``T`` against the mean point direction (translation) and the
+    lever-normalized mean torque (rotation about the object origin), each
+    clamped to its cap.  The origin moves by the clamped translation only."""
     dt = _clamp_norm(g_mean, step_t)
     omega = _clamp_norm(torque, step_r)
-
     new_t = T.translation - dt
     angle = float(np.linalg.norm(omega))
     if angle > 1e-15:
@@ -171,7 +273,7 @@ def _descent_step_with_cost(
         new_t = R_delta @ new_t
     else:
         new_R = T.rotation
-    return Pose(new_R, new_t), cost_here
+    return Pose(new_R, new_t)
 
 
 def pose_descent_step(
@@ -192,34 +294,46 @@ def pose_descent_step(
     """
     if len(cloud) == 0:
         return T
-    return _descent_step_with_cost(params, shape, cloud, T, step_t, step_r, planar)[0]
+    return _CloudKernel(params, shape, cloud).descent_steps([T], step_t, step_r, planar)[0][0]
 
 
 def refine_pose(
     params: DiscrepancyParams,
     shape: Shape,
     cloud: SemanticCloud,
-    T: Pose,
+    T,
     steps: int,
     schedule: DescentSchedule = DescentSchedule(),
     planar: bool = False,
-) -> Pose:
+):
     """Run ``steps`` descent iterations with a decaying step cap, keeping the
-    best iterate seen (descent is not monotone on hard instances)."""
-    if steps <= 0 or len(cloud) == 0:
-        return T
-    best = T
-    best_cost = None
-    current = T
+    best iterate seen (descent is not monotone on hard instances).
+
+    ``T`` is one pose or a sequence of poses (or a ParticleSet), as
+    :meth:`Pose.transform` takes one point or a batch; a sequence is
+    refined in one batched pass per iteration and comes back as a list,
+    each pose refined exactly as it would be alone.
+    """
+    if isinstance(T, Pose):
+        return refine_pose(params, shape, cloud, [T], steps, schedule, planar)[0]
+    current = list(getattr(T, "poses", T))
+    if steps <= 0 or len(cloud) == 0 or not current:
+        return current
+    caps = [schedule.step_t * schedule.decay**k for k in range(steps)]
+    kernel = _CloudKernel(params, shape, cloud, travel=sum(caps))
+    best, best_cost = current, None
     st, sr = schedule.step_t, schedule.step_r
     for _ in range(steps):
-        nxt, cost_here = _descent_step_with_cost(params, shape, cloud, current, st, sr, planar)
-        if best_cost is None or cost_here < best_cost:
-            best, best_cost = current, cost_here
+        nxt, cost_here = kernel.descent_steps(current, st, sr, planar)
+        if best_cost is None:
+            best, best_cost = list(current), cost_here
+        else:
+            for i in np.flatnonzero(cost_here < best_cost):
+                best[i], best_cost[i] = current[i], cost_here[i]
         current = nxt
         st *= schedule.decay
         sr *= schedule.decay
-    final_cost = total_discrepancy(params, shape, cloud, current)
-    if final_cost < best_cost:
-        best = current
+    final_cost = kernel.totals(current)
+    for i in np.flatnonzero(final_cost < best_cost):
+        best[i] = current[i]
     return best

@@ -11,6 +11,11 @@ Conventions used throughout the package:
   Off the surface this is only a (sign-correct) lower bound on the true
   Euclidean distance for unions; every consumer in this package only
   thresholds near zero, where the bound is tight.
+- ``bounding_box()`` encloses every point with signed distance <= 0, and
+  outside it the distance is at least the distance to the box.  Two shapes
+  break this: a :class:`Complement` (its negative region is unbounded) and a
+  :class:`VoxelizedShape` (interpolation can go negative just outside the
+  box).  :meth:`Shape.support_radius` accounts for both.
 """
 
 from __future__ import annotations
@@ -189,6 +194,87 @@ def transform_point(pose: Pose, x) -> np.ndarray:
     return pose.transform(x)
 
 
+# ---------------------------------------------------------------------------
+# Many poses against one point set
+# ---------------------------------------------------------------------------
+
+# (pose, point) pairs evaluated together: bounds the (pairs, 3) temporaries
+PAIR_BUDGET = 1 << 16
+# pose-by-point distance tests per chunk of the radius test
+_TEST_BUDGET = 1 << 18
+
+
+def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (N, 3, 3) and translations (N, 3) of a pose sequence."""
+    poses = list(poses)
+    if not poses:
+        return np.zeros((0, 3, 3)), np.zeros((0, 3))
+    return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
+
+
+def transform_pairs(rotations: np.ndarray, translations: np.ndarray, pose_idx: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``points[k]`` mapped by pose ``pose_idx[k]``, bit for bit what
+    :meth:`Pose.transform` of that pose gives."""
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    out = np.empty((len(pose_idx), 3), dtype=np.float64)
+    for i in range(3):
+        r = rotations[pose_idx, i]
+        out[:, i] = r[:, 0] * x + r[:, 1] * y + r[:, 2] * z + translations[pose_idx, i]
+    return out
+
+
+def object_origins(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """World positions (N, 3) of the object-frame origins of a pose stack."""
+    return -np.einsum("nji,nj->ni", rotations, translations)
+
+
+def pairs_within(points: np.ndarray, origins: np.ndarray, radius: float, always=None) -> tuple[np.ndarray, np.ndarray]:
+    """The (pose, point) pairs whose point lies within ``radius`` of the
+    pose's origin, or is flagged in ``always``.
+
+    Returns ``(pose_idx, point_idx)``, pose-major and in point order within
+    a pose.  The test errs toward keeping pairs: the radius gets a relative
+    slack of 1e-9 and the expanded squared distance an absolute one for its
+    rounding, and a NaN distance keeps the pair.  An infinite radius keeps
+    every pair.  Distances are tested a chunk of poses at a time.
+    """
+    n, m = len(origins), len(points)
+    if n == 0 or m == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    sq_pts = np.einsum("ij,ij->i", points, points)
+    sq_orig = np.einsum("ij,ij->i", origins, origins)
+    limit2 = (radius * (1.0 + 1e-9)) ** 2 + 1e-12 * (float(sq_pts.max()) + float(sq_orig.max()))
+    rows = max(1, _TEST_BUDGET // m)
+    pose_idx, point_idx = [], []
+    for lo in range(0, n, rows):
+        d2 = origins[lo:lo + rows] @ points.T
+        d2 *= -2.0
+        d2 += sq_orig[lo:lo + rows, None]
+        d2 += sq_pts
+        live = ~(d2 > limit2)
+        if always is not None:
+            live[:, always] = True
+        ii, pp = np.nonzero(live)
+        pose_idx.append(ii + lo)
+        point_idx.append(pp)
+    return np.concatenate(pose_idx), np.concatenate(point_idx)
+
+
+def pose_groups(pose_idx: np.ndarray, n: int):
+    """Split pose-major pairs into runs of whole poses of about
+    :data:`PAIR_BUDGET` pairs: yields ``(lo, hi, start, end)`` for poses
+    ``[lo, hi)`` and pairs ``[start, end)`` (a pose with more pairs than the
+    budget gets a run of its own; runs without pairs are skipped)."""
+    ends = np.cumsum(np.bincount(pose_idx, minlength=n))
+    lo, start = 0, 0
+    while lo < n:
+        hi = min(n, max(lo + 1, int(np.searchsorted(ends, start + PAIR_BUDGET, side="right"))))
+        end = int(ends[hi - 1])
+        if end > start:
+            yield lo, hi, start, end
+        lo, start = hi, end
+
+
 def _normalize_rows(g: np.ndarray) -> np.ndarray:
     n = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2 + g[..., 2] ** 2)
     bad = n < _GRAD_EPS
@@ -299,6 +385,18 @@ class Rect2D:
 # ---------------------------------------------------------------------------
 
 
+def _box_radius(box) -> float:
+    lo, hi = box
+    return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+
+
+def support_radius(shape) -> float:
+    """:meth:`Shape.support_radius`, or the bounding box's farthest corner
+    for objects that expose only ``sdf``, ``gradient`` and ``bounding_box``."""
+    method = getattr(shape, "support_radius", None)
+    return method() if method is not None else _box_radius(shape.bounding_box())
+
+
 class Shape:
     """Base class: closed signed-distance description with a bounding box."""
 
@@ -316,6 +414,12 @@ class Shape:
     def characteristic_length(self) -> float:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
+
+    def support_radius(self) -> float:
+        """Radius about the frame origin beyond which the signed distance
+        is at least the distance past the radius (so strictly positive).
+        Exact-distance shapes take the bounding box's farthest corner."""
+        return _box_radius(self.bounding_box())
 
     def _pts(self, points):
         return _as_points(points)
@@ -455,6 +559,12 @@ class Union(Shape):
         los, his = zip(*(c.bounding_box() for c in self.children))
         return np.min(np.stack(los), axis=0), np.max(np.stack(his), axis=0)
 
+    def support_radius(self):
+        # the min of children that each clear their own radius clears the
+        # largest one; never below the box corner, the radius an object that
+        # exposes only its box gets, so a wrapped union culls the same points
+        return max(_box_radius(self.bounding_box()), *(support_radius(c) for c in self.children))
+
 
 @dataclass(frozen=True)
 class Intersection(Shape):
@@ -482,6 +592,12 @@ class Intersection(Shape):
         los, his = zip(*(c.bounding_box() for c in self.children))
         return np.max(np.stack(los), axis=0), np.min(np.stack(his), axis=0)
 
+    def support_radius(self):
+        # the max is at least every child's distance, so the smallest child
+        # radius bounds it; the intersected box would not (a complemented
+        # child's box delimits its hole, not its negative region)
+        return min(support_radius(c) for c in self.children)
+
 
 @dataclass(frozen=True)
 class Complement(Shape):
@@ -500,6 +616,9 @@ class Complement(Shape):
 
     def bounding_box(self):
         return self.child.bounding_box()
+
+    def support_radius(self):
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -523,6 +642,10 @@ class Transformed(Shape):
         corners = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
         world = self.pose.inverse().transform(corners)
         return world.min(axis=0), world.max(axis=0)
+
+    def support_radius(self):
+        # the child's origin sits |t| from the parent's
+        return support_radius(self.child) + float(np.linalg.norm(self.pose.translation))
 
 
 def translated(child: Shape, offset) -> Transformed:
@@ -569,16 +692,19 @@ class VoxelizedShape(Shape):
         lo, hi = source.bounding_box()
         lo = lo - padding
         hi = hi + padding
-        dims = np.maximum(np.floor((hi - lo) / resolution + 1e-9).astype(int) + 1, 2)
+        # the last node reaches at least ``hi``: queries clamp to the nodes
+        dims = np.maximum(np.ceil((hi - lo) / resolution - 1e-9).astype(int) + 1, 2)
         axes = [lo[i] + resolution * np.arange(dims[i]) for i in range(3)]
         X, Y, Z = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
         vals = source.sdf(pts).reshape(dims)
         self.field = ScalarField(origin=lo, resolution=resolution, values=vals, outside_value=np.nan)
         self._lo = lo
-        self._hi = hi
+        self._hi = lo + resolution * (dims - 1)
         self.resolution = resolution
         self._bbox = source.bounding_box()
+        # interpolation mixes nodes up to one voxel diagonal away
+        self._support = support_radius(source) + math.sqrt(3.0) * resolution
 
     def sdf(self, points):
         p, single = self._pts(points)
@@ -600,6 +726,9 @@ class VoxelizedShape(Shape):
 
     def bounding_box(self):
         return self._bbox
+
+    def support_radius(self):
+        return self._support
 
 
 # ---------------------------------------------------------------------------

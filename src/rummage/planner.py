@@ -242,6 +242,7 @@ class PlanningContext:
     shape: Shape
     reach_table: "ReachTable | None" = None
     normal_quantization: float | None = None
+    workspace: Workspace | None = None   # for the reach cost when there is no table
 
     def __post_init__(self):
         self._normal_cache: dict[tuple[int, int, int], np.ndarray] = {}
@@ -631,7 +632,7 @@ class Planner:
         self._shift_nominal(self._executed_since_plan)
         self._executed_since_plan = 0
         iters = self.params.warm_start_iters if not self._planned_once else self.params.opt_iters
-        cost_fn = make_rollout_cost(np.asarray(q, dtype=np.float64), ctx, self.robot, self.params, rng)
+        cost_fn = make_rollout_cost(np.asarray(q, dtype=np.float64), ctx, self.robot, self.params, rng, ctx.workspace)
         for it in range(max(1, iters)):
             self.theta, costs = mppi_update(self.theta, cost_fn, self.params, rng)
             actions = np.clip(

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Shape
+from .geometry import Pose, Shape, object_origins, pairs_within, pose_groups, stack_poses, support_radius, transform_pairs
 
 
 class Semantics(enum.IntEnum):
@@ -178,16 +178,19 @@ def merge_observations(
     moved_occ = dT_w.transform(prev.occupied) if len(prev.occupied) else prev.occupied
     moved_surf = dT_w.transform(prev.surface) if len(prev.surface) else prev.surface
 
-    poses = getattr(particles, "poses", particles)
+    R, t = stack_poses(getattr(particles, "poses", particles))
+    origins = object_origins(R, t)
+    radius = support_radius(shape)
 
     def consistent_free(pts: np.ndarray) -> np.ndarray:
-        if len(pts) == 0:
-            return pts
+        # a point beyond the shape's support radius from a pose's origin is
+        # strictly outside under that pose: only nearer pairs are evaluated
         keep = np.ones(len(pts), dtype=bool)
-        for pose in poses:
-            keep &= shape.sdf(pose.transform(pts)) > 0.0
-            if not keep.any():
-                break
+        ii, pp = pairs_within(pts, origins, radius)
+        for _, _, start, end in pose_groups(ii, len(R)):
+            p = pp[start:end]
+            outside = shape.sdf(transform_pairs(R, t, ii[start:end], pts[p])) > 0.0
+            keep[p[~outside]] = False
         return pts[keep]
 
     free_prev = consistent_free(prev.free)

@@ -425,13 +425,14 @@ def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.n
     scalar-loop definition bit for bit)."""
     n = len(particles)
     p_count = len(surface_samples)
-    worlds = np.stack([T.inverse().transform(surface_samples) for T in particles.poses])
-    flat = worlds.reshape(n * p_count, 3)
-    # per-particle batches keep the working set cache-sized
-    vals = np.empty((n, n * p_count))
-    for i, T in enumerate(particles.poses):
-        vals[i] = np.abs(shape.sdf(T.transform(flat)))
-    total = float(np.cumsum(vals.ravel())[-1])
+    flat = np.concatenate([T.inverse().transform(surface_samples) for T in particles.poses])
+    # one particle's row at a time: adding the running total to the row's
+    # first element continues the sequential sum where the last row ended
+    total = 0.0
+    for T in particles.poses:
+        row = np.abs(shape.sdf(T.transform(flat)))
+        row[0] += total
+        total = float(np.cumsum(row)[-1])
     return total / (n * n * p_count)
 
 
@@ -643,7 +644,10 @@ def run_episode(
             fields = build_info_fields(
                 state.particles, shape, workspace, scenario.belief.gamma, sensor, scenario.disc
             )
-            table = ReachTable(fields.info, reach_field) if pparams.reach_weight != 0.0 else None
+            # the cross-correlation table needs single-layer fields; other
+            # workspaces take the direct reach cost over the workspace grid
+            planar = workspace.counts[2] == 1
+            table = ReachTable(fields.info, reach_field) if pparams.reach_weight != 0.0 and planar else None
             ctx = PlanningContext(
                 fields=fields,
                 reach=reach_field,
@@ -651,6 +655,7 @@ def run_episode(
                 shape=shape,
                 reach_table=table,
                 normal_quantization=scenario.workspace_resolution / 2.0,
+                workspace=workspace,
             )
             if artifacts is not None:
                 artifacts.fields.append((t, fields, reach_field))
@@ -668,13 +673,13 @@ def run_episode(
             dT_w_true = T_new.inverse().compose(dT_true.inverse()).compose(T_new)
             state = update_step(state, cfg, obs, dT_true, rng, movement_known=True, dT_w_known=dT_w_true)
         else:
-            if contact:
-                motion = Pose(np.eye(3), np.array([world.q[0] - q_before[0], world.q[1] - q_before[1], 0.0]))
-                best = state.particles.poses[0]
-                dT_prior = best.compose(motion.inverse()).compose(best.inverse())
-            else:
-                dT_prior = Pose.identity()
-            state = update_step(state, cfg, obs, dT_prior, rng, movement_known=False)
+            # sticking contact: the object moves with the paddle
+            motion = (
+                Pose(np.eye(3), np.array([world.q[0] - q_before[0], world.q[1] - q_before[1], 0.0]))
+                if contact
+                else None
+            )
+            state = update_step(state, cfg, obs, Pose.identity(), rng, movement_known=False, prior_w=motion)
 
         in_contact = contact
         contact_point = obs.surface.mean(axis=0) if len(obs.surface) else contact_point

@@ -228,6 +228,28 @@ class TestEstimateMovement:
         npt.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+    def test_world_motion_prior_follows_paddle(self, rng, mug):
+        """The prior is built through the particle it is composed onto: with
+        no refinement, the returned world-frame motion is the paddle's,
+        whatever the yaw of that particle (here not the first one)."""
+        T_true = Pose.from_placement((0.3, 0.0, 0.0), 1.1)
+        samples = sample_surface(mug, 80, rng)
+        prev_cloud = SemanticCloud.from_parts(surface=T_true.inverse().transform(samples))
+        new_cloud = SemanticCloud.from_parts(surface=T_true.inverse().transform(samples[:10]))
+        yaws = (-2.0, 0.3, 1.1, 2.5)
+        particles = ParticleSet.uniform([Pose.from_placement((0.3, 0.0, 0.0), y) for y in yaws])
+        assert int(np.argmin(discrepancies(DISC, mug, prev_cloud, particles))) == 2
+        paddle = Pose(np.eye(3), np.array([0.012, -0.007, 0.0]))
+        dT, dT_w = estimate_movement(
+            prev_cloud, new_cloud, particles, Pose.identity(), mug, DISC, BeliefParams(k_opt=0), prior_w=paddle
+        )
+        x = rng.uniform(-0.3, 0.3, (10, 3))
+        npt.assert_allclose(dT_w.transform(x), paddle.transform(x), atol=1e-12)
+        # the object-frame delta moves the chosen particle's object with the paddle
+        moved = dT.compose(particles.poses[2])
+        npt.assert_allclose(moved.object_center_world(), (0.312, -0.007, 0.0), atol=1e-12)
+
+
 class TestUpdateStep:
     def make_state(self, rng, mug, n=6):
         T_star = Pose.from_placement((0.3, 0.0, 0.0), 0.4)

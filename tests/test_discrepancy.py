@@ -9,6 +9,7 @@ import pytest
 from rummage.discrepancy import (
     DiscrepancyParams,
     cost_array,
+    discrepancies,
     point_cost,
     point_cost_descent,
     pose_descent_step,
@@ -230,3 +231,200 @@ class TestPoseDescent:
             if c1 <= c0 + 1e-12:
                 wins += 1
         assert wins / trials >= 0.99
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel and the free-point cull
+# ---------------------------------------------------------------------------
+
+
+def scene_cloud(rng, shape, center, n_free=300, n_surface=25, n_occupied=5, spread=0.25):
+    """Free points scattered around an object at ``center`` (some inside
+    it), surface samples and occupied points, shuffled into one cloud."""
+    from rummage.sim import sample_surface
+
+    T = Pose.from_placement(center, rng.uniform(-math.pi, math.pi))
+    free = np.asarray(center) + rng.uniform(-spread, spread, (n_free, 3)) * [1, 1, 0.3]
+    surf = T.inverse().transform(sample_surface(shape, n_surface, rng) + rng.normal(0, 0.003, (n_surface, 3)))
+    occ = T.inverse().transform(rng.uniform(-0.03, 0.03, (n_occupied, 3)))
+    pos = np.concatenate([free, surf, occ])
+    labels = np.concatenate([np.zeros(n_free), np.full(n_surface, 2), np.ones(n_occupied)]).astype(np.int8)
+    order = rng.permutation(len(pos))
+    return SemanticCloud(pos[order], labels[order])
+
+
+def near_poses(rng, center, n, spread=0.01, planar=True):
+    poses = []
+    for _ in range(n):
+        c = np.asarray(center) + rng.normal(0, spread, 3) * [1, 1, 0 if planar else 1]
+        poses.append(Pose.from_placement(c, rng.uniform(-math.pi, math.pi)))
+    return poses
+
+
+def unculled_total(params, shape, cloud, T):
+    """Reference: every point evaluated, summed sequentially in cloud order."""
+    costs = cost_array(params, shape, cloud, T)
+    return float(np.cumsum(costs)[-1]) if len(costs) else 0.0
+
+
+def reference_refine(params, shape, cloud, T, steps, planar, step_t=1e-2, step_r=1e-1, decay=0.9):
+    """Reference: one pose, every point evaluated, aggregated with plain
+    NumPy reductions (the per-pose loop the batched kernel replaces)."""
+    from rummage.discrepancy import descent_directions
+    from rummage.geometry import orthonormalize, rotation_about_axis
+
+    def clamp(vec, cap):
+        n = float(np.linalg.norm(vec))
+        return vec if n <= cap or n < 1e-15 else vec * (cap / n)
+
+    def step(T, st, sr):
+        x_obj = T.transform(cloud.positions)
+        dirs, costs = descent_directions(params, shape, x_obj, cloud.labels)
+        cost_here = float(np.cumsum(costs)[-1])
+        active = costs > 0
+        if not active.any():
+            return T, cost_here
+        x_act, d_act = x_obj[active], dirs[active]
+        g_mean = d_act.mean(axis=0)
+        lever_sq = float(np.mean(np.sum(x_act**2, axis=-1)))
+        torque = np.cross(x_act, d_act).mean(axis=0) / max(lever_sq, 1e-12)
+        if planar:
+            g_mean = g_mean.copy()
+            g_mean[2] = 0.0
+            torque = np.array([0.0, 0.0, torque[2]])
+        dt, omega = clamp(g_mean, st), clamp(torque, sr)
+        new_t = T.translation - dt
+        angle = float(np.linalg.norm(omega))
+        if angle > 1e-15:
+            R_delta = rotation_about_axis(omega / angle, -angle)
+            return Pose(orthonormalize(R_delta @ T.rotation), R_delta @ new_t), cost_here
+        return Pose(T.rotation, new_t), cost_here
+
+    best, best_cost, current, st, sr = T, None, T, step_t, step_r
+    for _ in range(steps):
+        nxt, cost_here = step(current, st, sr)
+        if best_cost is None or cost_here < best_cost:
+            best, best_cost = current, cost_here
+        current, st, sr = nxt, st * decay, sr * decay
+    return current if unculled_total(params, shape, cloud, current) < best_cost else best
+
+
+class CountingShape:
+    """Exposes only what the kernel may use and counts evaluated points."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sdf_points = 0
+
+    def sdf(self, points):
+        self.sdf_points += np.size(points) // 3
+        return self.inner.sdf(points)
+
+    def gradient(self, points):
+        return self.inner.gradient(points)
+
+    def bounding_box(self):
+        return self.inner.bounding_box()
+
+    @property
+    def characteristic_length(self):
+        return self.inner.characteristic_length
+
+
+DISC_DEFAULT = DiscrepancyParams()
+
+
+def same_pose(a, b):
+    return np.array_equal(a.rotation, b.rotation) and np.array_equal(a.translation, b.translation)
+
+
+class TestBatchedKernel:
+    CENTER = (0.4, 0.0, 0.0)
+
+    @pytest.mark.parametrize("budget", [1 << 16, 40])
+    def test_batched_refinement_equals_per_pose_calls(self, rng, mug, monkeypatch, budget):
+        """Bit for bit, also when the poses are split over several passes."""
+        from rummage import geometry
+
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
+        for k, (shape, eps) in enumerate([(mug, 0.0), (Box((0.05, 0.03, 0.04)), 0.004), (Cylinder(0.04, 0.03), 0.0)]):
+            params = DiscrepancyParams(epsilon=eps)
+            cloud = scene_cloud(rng, shape, self.CENTER)
+            planar = k != 1
+            poses = near_poses(rng, self.CENTER, 9, planar=planar)
+            batch = refine_pose(params, shape, cloud, poses, steps=6, planar=planar)
+            assert isinstance(batch, list) and len(batch) == len(poses)
+            for T, B in zip(poses, batch):
+                assert same_pose(refine_pose(params, shape, cloud, T, steps=6, planar=planar), B)
+                assert same_pose(reference_refine(params, shape, cloud, T, steps=6, planar=planar), B)
+
+    def test_batched_discrepancies_equal_per_pose_totals(self, rng, mug, monkeypatch):
+        from rummage import geometry
+
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", 100)
+        for shape in (mug, *PRIMITIVES):
+            for eps in (0.0, 0.003):
+                params = DiscrepancyParams(epsilon=eps)
+                cloud = scene_cloud(rng, shape, self.CENTER)
+                poses = near_poses(rng, self.CENTER, 12, spread=0.03)
+                d = discrepancies(params, shape, cloud, poses)
+                for T, di in zip(poses, d):
+                    assert di == total_discrepancy(params, shape, cloud, T)
+                    assert di == unculled_total(params, shape, cloud, T)
+
+    def test_duck_typed_shape_and_cull_saves_evaluations(self, rng, mug):
+        cloud = scene_cloud(rng, mug, self.CENTER, n_free=500)
+        poses = near_poses(rng, self.CENTER, 10)
+        counting = CountingShape(mug)
+        assert np.array_equal(discrepancies(DISC_DEFAULT, counting, cloud, poses), discrepancies(DISC_DEFAULT, mug, cloud, poses))
+        assert 0 < counting.sdf_points < len(poses) * len(cloud) / 2
+        for a, b in zip(refine_pose(DISC_DEFAULT, counting, cloud, poses, 4, planar=True), refine_pose(DISC_DEFAULT, mug, cloud, poses, 4, planar=True)):
+            assert same_pose(a, b)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.004])
+    def test_cull_exact_at_radius_edges(self, eps):
+        """Free points straddling the cull radius along the box's corner
+        direction: the one just inside costs, the one just outside not."""
+        from rummage.geometry import support_radius
+
+        shape = Box((0.05, 0.03, 0.04))
+        params = DiscrepancyParams(epsilon=eps)
+        T = Pose.from_placement(self.CENTER, 0.3)
+        corner = np.array(shape.half_extents) / np.linalg.norm(shape.half_extents)
+        limit = support_radius(shape) + eps
+        radii = [limit - 1e-6, limit + 1e-6, limit - 1e-4, limit + 1e-4]
+        cloud = SemanticCloud.from_parts(free=T.inverse().transform(np.outer(radii, corner)))
+        costs = cost_array(params, shape, cloud, T)
+        assert costs[0] > 0 and costs[2] > 0
+        assert costs[1] == 0 and costs[3] == 0
+        assert total_discrepancy(params, shape, cloud, T) == unculled_total(params, shape, cloud, T)
+        counting = CountingShape(shape)
+        total_discrepancy(params, counting, cloud, T)
+        assert counting.sdf_points == 2  # only the two inside the radius
+
+    def test_complement_is_not_culled(self, rng):
+        """A complement's negative region is unbounded: far free points cost."""
+        from rummage.geometry import Complement
+
+        shape = Complement(Sphere(0.05))
+        cloud = SemanticCloud.from_parts(free=rng.uniform(-1.0, 1.0, (200, 3)))
+        poses = near_poses(rng, (0.0, 0.0, 0.0), 5)
+        d = discrepancies(DISC_DEFAULT, shape, cloud, poses)
+        for T, di in zip(poses, d):
+            assert di > 0
+            assert di == unculled_total(DISC_DEFAULT, shape, cloud, T)
+
+    def test_voxelized_shape_culls_at_widened_radius(self, rng, mug):
+        from rummage.geometry import VoxelizedShape, support_radius
+
+        vox = VoxelizedShape(mug, resolution=0.02)
+        R = support_radius(mug)
+        for eps in (0.0, 0.004):
+            params = DiscrepancyParams(epsilon=eps)
+            T = Pose.from_placement(self.CENTER, 0.2)
+            d = rng.normal(size=(400, 3))
+            d /= np.linalg.norm(d, axis=1)[:, None]
+            pts = d * rng.uniform(R - 0.03, support_radius(vox) + 0.01, 400)[:, None]
+            cloud = SemanticCloud.from_parts(free=T.inverse().transform(pts))
+            assert total_discrepancy(params, vox, cloud, T) == unculled_total(params, vox, cloud, T)
+

@@ -288,3 +288,119 @@ class TestWorkspace:
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             Workspace(bounds=((0, 1), (0, 1), (0, 0)), resolution=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Support radius and many-pose evaluation
+# ---------------------------------------------------------------------------
+
+
+def _beyond(rng, radius, n=2000, width=0.05):
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    r = radius + rng.uniform(0.0, width, n)
+    return d * r[:, None], r
+
+
+class TestSupportRadius:
+    SHAPES = [
+        Sphere(0.05),
+        Box((0.1, 0.07, 0.04)),
+        Cylinder(0.06, 0.05),
+        mug_shape(),
+        translated(Box((0.02, 0.01, 0.03)), (0.08, -0.02, 0.01)),
+        Intersection(Box((0.1, 0.02, 0.05)), Box((0.02, 0.1, 0.05))),
+        Intersection(Box((0.05, 0.05, 0.05)), Complement(Sphere(0.03))),
+        VoxelizedShape(mug_shape(), resolution=0.02),
+    ]
+
+    def test_distance_at_least_excess_beyond_radius(self, rng):
+        """Beyond the radius the distance is at least the excess, so free
+        points there cost nothing for any epsilon below the excess."""
+        from rummage.geometry import support_radius
+
+        for shape in self.SHAPES:
+            R = support_radius(shape)
+            pts, r = _beyond(rng, R)
+            assert np.all(shape.sdf(pts) >= r - R - 1e-12), shape
+
+    def test_primitives_take_box_corner(self):
+        from rummage.geometry import support_radius
+
+        assert support_radius(Box((0.1, 0.07, 0.04))) == pytest.approx(math.sqrt(0.01 + 0.0049 + 0.0016))
+        assert support_radius(mug_shape()) == pytest.approx(math.sqrt(0.07**2 + 0.05**2 + 0.04**2))
+
+    def test_complement_unbounded(self):
+        from rummage.geometry import support_radius
+
+        assert support_radius(Complement(Sphere(0.05))) == math.inf
+        assert support_radius(Union(Sphere(0.05), Complement(Sphere(0.01)))) == math.inf
+        # intersected with a bounded shape the hole no longer matters
+        assert support_radius(Intersection(Box((0.05, 0.05, 0.05)), Complement(Sphere(0.01)))) < 1.0
+
+    def test_voxelized_widened_by_voxel_diagonal(self):
+        from rummage.geometry import support_radius
+
+        vox = VoxelizedShape(mug_shape(), resolution=0.02)
+        assert support_radius(vox) == pytest.approx(support_radius(mug_shape()) + math.sqrt(3.0) * 0.02)
+
+    def test_box_only_objects_use_bounding_box(self):
+        from rummage.geometry import support_radius
+
+        class BoxOnly:
+            def bounding_box(self):
+                return np.array([-0.1, -0.2, -0.3]), np.array([0.3, 0.1, 0.2])
+
+        assert support_radius(BoxOnly()) == pytest.approx(math.sqrt(0.09 + 0.04 + 0.09))
+
+    def test_voxelized_defined_up_to_padded_box(self):
+        """A resolution that does not divide the padded extent still covers it."""
+        vox = VoxelizedShape(Sphere(0.05), resolution=0.006)
+        pts = np.array([[0.0, 0.0, 0.0699], [0.0699, 0.0699, 0.0699], [0.2, 0.0, 0.0]])
+        assert np.all(np.isfinite(vox.sdf(pts)))
+
+
+class TestManyPoses:
+    def test_transform_pairs_bit_identical(self, rng):
+        from rummage.geometry import stack_poses, transform_pairs
+
+        poses = [random_pose(rng) for _ in range(7)] + [Pose.from_placement((0.3, 0.1, 0.0), 0.7)]
+        pts = rng.uniform(-0.5, 0.5, (40, 3))
+        ii = rng.integers(0, len(poses), 300)
+        pp = rng.integers(0, len(pts), 300)
+        R, t = stack_poses(poses)
+        got = transform_pairs(R, t, ii, pts[pp])
+        for k in range(300):
+            npt.assert_array_equal(got[k], poses[ii[k]].transform(pts[pp[k]]))
+
+    def test_pairs_within_matches_brute_force(self, rng, monkeypatch):
+        from rummage import geometry
+        from rummage.geometry import object_origins, pairs_within, stack_poses
+
+        monkeypatch.setattr(geometry, "_TEST_BUDGET", 64)  # several chunks
+        poses = [random_pose(rng, trans_scale=0.2) for _ in range(9)]
+        pts = rng.uniform(-0.4, 0.4, (50, 3))
+        always = rng.random(50) < 0.1
+        origins = object_origins(*stack_poses(poses))
+        for radius in (0.1, 0.3, math.inf):
+            ii, pp = pairs_within(pts, origins, radius, always)
+            expect = [
+                (i, p)
+                for i, T in enumerate(poses)
+                for p in range(len(pts))
+                if always[p] or np.linalg.norm(T.transform(pts[p])) <= radius
+            ]
+            assert list(zip(ii.tolist(), pp.tolist())) == expect
+
+    def test_pose_groups_cover_pairs(self, monkeypatch):
+        from rummage import geometry
+        from rummage.geometry import pose_groups
+
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", 5)
+        ii = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 3, 3, 4])
+        groups = list(pose_groups(ii, 7))
+        assert [(s, e) for _, _, s, e in groups] == [(0, 2), (2, 9), (9, 12)]
+        for lo, hi, s, e in groups:
+            assert np.all((ii[s:e] >= lo) & (ii[s:e] < hi))
+            assert e - s <= 5 or hi == lo + 1
+        assert list(pose_groups(np.zeros(0, dtype=np.intp), 3)) == []

@@ -171,3 +171,44 @@ class TestMergeObservations:
         out = merge_observations(prev, new, self.particles, Pose.identity(), self.shape)
         assert len(out.free) == 1
         assert len(out.surface) == 1
+
+
+def reference_merge(prev, new, poses, dT_w, shape, r_free, r_surf):
+    """Unculled reference: every free point tested under every pose."""
+    from rummage.semantics import _downsample_positions
+
+    def consistent_free(pts):
+        keep = np.ones(len(pts), dtype=bool)
+        for pose in poses:
+            keep &= shape.sdf(pose.transform(pts)) > 0.0
+        return pts[keep]
+
+    moved_occ = dT_w.transform(prev.occupied) if len(prev.occupied) else prev.occupied
+    moved_surf = dT_w.transform(prev.surface) if len(prev.surface) else prev.surface
+    merged = SemanticCloud.from_parts(free=consistent_free(prev.free), occupied=moved_occ, surface=moved_surf).extend(new)
+    return SemanticCloud.from_parts(
+        free=consistent_free(_downsample_positions(merged.free, r_free)),
+        occupied=_downsample_positions(merged.occupied, r_surf),
+        surface=_downsample_positions(merged.surface, r_surf),
+    )
+
+
+class TestMergeCull:
+    def test_equals_unculled_reference(self, rng, mug, monkeypatch):
+        from rummage import geometry
+
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", 64)  # several passes
+        center = np.array([0.4, 0.0, 0.0])
+        poses = [Pose.from_placement(center + rng.normal(0, 0.01, 3) * [1, 1, 0], rng.uniform(-3.1, 3.1)) for _ in range(15)]
+        for _ in range(4):
+            prev = SemanticCloud.from_parts(
+                free=center + rng.uniform(-0.3, 0.3, (600, 3)) * [1, 1, 0.2],
+                surface=center + rng.uniform(-0.06, 0.06, (20, 3)),
+            )
+            new = SemanticCloud.from_parts(free=center + rng.uniform(-0.2, 0.2, (200, 3)) * [1, 1, 0.2])
+            dT_w = Pose.delta((0.01, -0.005, 0.0), (0, 0, 1), 0.05)
+            got = merge_observations(prev, new, ParticleSet.uniform(poses), dT_w, mug, 0.01, 0.002)
+            want = reference_merge(prev, new, poses, dT_w, mug, 0.01, 0.002)
+            npt.assert_array_equal(got.positions, want.positions)
+            npt.assert_array_equal(got.labels, want.labels)
+            assert 0 < len(got.free) < len(prev.free) + len(new.free)

@@ -262,6 +262,25 @@ class TestPairwiseChamfer:
         assert got == pytest.approx((cross_a + cross_b) / 4, rel=1e-6)
 
 
+class TestPairwiseChamferMemory:
+    def test_streams_rows(self, mug):
+        """100 particles x 500 samples: the n x n*P buffer (77 MB) is gone."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        samples = sample_surface(mug, 500, rng)
+        poses = [Pose.from_placement((0.4 + rng.normal(0, 0.01), rng.normal(0, 0.01), 0.0), rng.uniform(-3, 3)) for _ in range(100)]
+        particles = ParticleSet.uniform(poses)
+        tracemalloc.start()
+        try:
+            value = pairwise_chamfer(particles, mug, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value) and value > 0
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 class TestSlidePolicy:
     def test_heads_toward_center_when_free(self):
         particles = ParticleSet.uniform([Pose.from_placement((0.4, 0.0, 0.0), 0.0)])
@@ -325,3 +344,12 @@ class TestEpisode:
         assert m.nll_threshold > 0
         assert all(np.isfinite(r.nll) for r in m.records)
         assert all(r.chamfer >= 0 for r in m.records)
+
+    @pytest.mark.parametrize("method", ["full", "reach-only"])
+    def test_non_planar_workspace_runs(self, method):
+        """A workspace with a z interval has no reach table; the planner
+        falls back to the direct reach cost over the workspace grid."""
+        scenario = small_scenario(workspace_bounds=((0.0, 0.8), (-0.4, 0.4), (-0.02, 0.02)), workspace_resolution=0.02)
+        m = run_episode(scenario, method, seed=0, n_steps=1)
+        assert len(m.records) == 2
+        assert all(np.isfinite(r.nll) for r in m.records)
