@@ -20,7 +20,7 @@ import numpy as np
 
 from .belief import ParticleSet
 from .discrepancy import DiscrepancyParams
-from .geometry import ScalarField, Shape, Workspace
+from .geometry import ScalarField, Shape, Workspace, blockwise
 from .semantics import SensorModel
 
 
@@ -64,7 +64,7 @@ def _accumulate(particles: ParticleSet, shape: Shape, points: np.ndarray, sensor
     obj[..., 0] = R[:, 0, 0, None] * x + R[:, 0, 1, None] * y + R[:, 0, 2, None] * z + t[:, 0, None]
     obj[..., 1] = R[:, 1, 0, None] * x + R[:, 1, 1, None] * y + R[:, 1, 2, None] * z + t[:, 1, None]
     obj[..., 2] = R[:, 2, 0, None] * x + R[:, 2, 1, None] * y + R[:, 2, 2, None] * z + t[:, 2, None]
-    v = shape.sdf(obj.reshape(-1, 3)).reshape(len(w), len(points))
+    v = blockwise(shape.sdf, obj.reshape(-1, 3)).reshape(len(w), len(points))
     f, o, s = sensor.probabilities(v)
     pf = w @ f
     po = w @ o

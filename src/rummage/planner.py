@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import ParticleSet
-from .geometry import ScalarField, Shape, Workspace
+from .geometry import POINT_BLOCK, ScalarField, Shape, Workspace
 from .infogain import InfoFields
 from .semantics import downsample_positions
 
@@ -87,10 +87,10 @@ class PaddleRobot:
         single = q.shape == (3,)
         qb = q.reshape(-1, 3)
         c, s = np.cos(qb[:, 2]), np.sin(qb[:, 2])
-        x = c[:, None] * body[None, :, 0] - s[:, None] * body[None, :, 1] + qb[:, 0:1]
-        y = s[:, None] * body[None, :, 0] + c[:, None] * body[None, :, 1] + qb[:, 1:2]
-        z = np.full_like(x, self.plane_z)
-        out = np.stack([x, y, z], axis=-1)
+        out = np.empty((len(qb), len(body), 3))
+        out[..., 0] = c[:, None] * body[None, :, 0] - s[:, None] * body[None, :, 1] + qb[:, 0:1]
+        out[..., 1] = s[:, None] * body[None, :, 0] + c[:, None] * body[None, :, 1] + qb[:, 1:2]
+        out[..., 2] = self.plane_z
         return out[0] if single else out
 
     def points_world(self, q) -> np.ndarray:
@@ -98,8 +98,7 @@ class PaddleRobot:
         return self._transform_body(q, self.body_points)
 
     def info_points_world(self, q) -> np.ndarray:
-        pts = self.points_world(q)
-        return pts[..., self.info_mask, :]
+        return self._transform_body(q, self.body_points[self.info_mask])
 
     def pad_points_world(self, q) -> np.ndarray:
         """Dense sensing-pad points used by tactile observation."""
@@ -271,22 +270,44 @@ class PlanningContext:
         if q is None:
             return self._exact_normals(points)
         keys = np.round(points / q).astype(np.int64)
-        out = np.empty_like(points)
-        missing: dict[tuple[int, int, int], list[int]] = {}
-        for row, key in enumerate(map(tuple, keys)):
+        if len(keys) == 0:
+            return np.empty((0, 3))
+        first, inverse = _distinct_rows(keys)
+        # distinct cells in order of first appearance; cells not cached yet
+        # are evaluated together, in that order
+        order = np.argsort(first, kind="stable")
+        cell_keys = [tuple(k) for k in keys[first[order]].tolist()]
+        normals = np.empty((len(first), 3))
+        missing = []
+        for slot, key in zip(order, cell_keys):
             hit = self._normal_cache.get(key)
             if hit is None:
-                missing.setdefault(key, []).append(row)
+                missing.append((slot, key))
             else:
-                out[row] = hit
+                normals[slot] = hit
         if missing:
-            centers = np.array(list(missing.keys()), dtype=np.float64) * q
-            normals = self._exact_normals(centers)
-            for (key, rows), n in zip(missing.items(), normals):
+            centers = np.array([key for _, key in missing], dtype=np.float64) * q
+            for (slot, key), n in zip(missing, self._exact_normals(centers)):
                 self._normal_cache[key] = n
-                for r in rows:
-                    out[r] = n
-        return out
+                normals[slot] = n
+        return normals[inverse]
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each distinct row of integer ``keys`` (N, 3) and each
+    row's distinct index, through one int64 code per row when the key
+    ranges allow it."""
+    lo = keys.min(axis=0)
+    hi = keys.max(axis=0)
+    # spans in floating point first: far-apart keys would overflow int64
+    if float(np.prod(hi.astype(np.float64) - lo.astype(np.float64) + 1.0)) < 2.0**62:
+        span = hi - lo + 1
+        k = keys - lo
+        codes = (k[:, 0] * span[1] + k[:, 1]) * span[2] + k[:, 2]
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 def _rollout_batch(
@@ -313,16 +334,25 @@ def _rollout_batch(
     d_traj = np.empty((B, H, 3))
     cos_thresh = math.cos(params.push_angle)
 
+    # the contact-point search takes a block of rollouts at a time, so that
+    # their (rows, M) point sets stay about one block of points
+    block = max(1, POINT_BLOCK // len(robot.body_points))
+    i_star = np.empty(B, dtype=np.intp)
+    x_i = np.empty((B, 3))      # displaced-frame position of each rollout's point
+    p_star = np.empty((B, 3))   # its world position
+
     for t in range(H):
         u_phys = params.action_scale.to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
         for _ in range(params.mini_steps):
             q_c = robot.free_dynamics(q, u_phys)
-            pts_c = robot.points_world(q_c)              # (B, M, 3)
-            disp = pts_c - d[:, None, :]
-            pf_all = ctx.fields.p_free.query(disp)       # (B, M)
-            i_star = np.argmin(pf_all, axis=1)
-            rows = np.arange(B)
-            x_i = disp[rows, i_star]                     # (B, 3)
+            for lo in range(0, B, block):
+                pts_c = robot.points_world(q_c[lo:lo + block])      # (rows, M, 3)
+                disp = pts_c - d[lo:lo + block, None, :]
+                k = np.argmin(ctx.fields.p_free.query(disp), axis=1)
+                rows = np.arange(len(k))
+                i_star[lo:lo + block] = k
+                x_i[lo:lo + block] = disp[rows, k]
+                p_star[lo:lo + block] = pts_c[rows, k]
             pf, po, ps = ctx.fields.class_probabilities(x_i)
             draw = rng.random(B)
             contact = draw >= pf
@@ -333,7 +363,7 @@ def _rollout_batch(
             # push direction: motion of the corresponding interior point
             pts_b = robot.points_world(q[contact])
             c_rows = np.where(contact)[0]
-            d_prime = pts_c[c_rows, i_star[c_rows]] - pts_b[np.arange(len(c_rows)), i_star[c_rows]]
+            d_prime = p_star[c_rows] - pts_b[np.arange(len(c_rows)), i_star[c_rows]]
             normals = ctx.weighted_normals(x_i[c_rows])
             n_norm = np.linalg.norm(normals, axis=1)
             m_norm = np.linalg.norm(d_prime, axis=1)

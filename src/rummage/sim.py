@@ -37,6 +37,7 @@ from .geometry import (
     Sphere,
     Union,
     Workspace,
+    blockwise,
     mug_shape,
     rotation_z,
     translated,
@@ -430,7 +431,7 @@ def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.n
     # first element continues the sequential sum where the last row ended
     total = 0.0
     for T in particles.poses:
-        row = np.abs(shape.sdf(T.transform(flat)))
+        row = np.abs(blockwise(lambda x: shape.sdf(T.transform(x)), flat))
         row[0] += total
         total = float(np.cumsum(row)[-1])
     return total / (n * n * p_count)
@@ -617,13 +618,21 @@ def run_episode(
     term_level = scenario.termination_ratio * shape.characteristic_length
     tangent_sign = 1.0 if rng.random() < 0.5 else -1.0
     planner = Planner(pparams, robot)
+    # the pairwise chamfer depends on the particle poses only, and they stay
+    # bit for bit the same over the steps that merely reweigh the particles
+    chamfers: dict[bytes, float] = {}
 
-    def record(step: int, contact: bool, action, chamfer_val: float | None = None) -> StepRecord:
-        c = pairwise_chamfer(state.particles, shape, surface_samples) if chamfer_val is None else chamfer_val
+    def chamfer() -> float:
+        key = state.particles.rotations().tobytes() + state.particles.translations().tobytes()
+        if key not in chamfers:
+            chamfers[key] = pairwise_chamfer(state.particles, shape, surface_samples)
+        return chamfers[key]
+
+    def record(step: int, contact: bool, action) -> StepRecord:
         return StepRecord(
             step=step,
             nll=nll(state.particles, shape, world.true_pose, surface_samples, sensor),
-            chamfer=c,
+            chamfer=chamfer(),
             contact=contact,
             action=tuple(float(a) for a in action),
             reach_true=float(reach_field.query(world.true_pose.object_center_world())),

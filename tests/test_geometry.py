@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rummage import geometry
 from rummage.geometry import (
     Annulus2D,
     Box,
@@ -247,6 +248,40 @@ class TestScalarField:
         b = field_query(f, (0.2, 0.2, 0.0))
         mid = field_query(f, (0.15, 0.2, 0.0))
         assert mid == pytest.approx(0.5 * (a + b), abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(9, 7, 1), (1, 6, 1), (5, 1, 1), (1, 1, 1)])
+    def test_planar_matches_bilinear_reference(self, rng, dims):
+        """Planar queries equal the bilinear formula on (x, y) index pairs,
+        a single-node axis taking no interpolation weight."""
+        nx, ny, _ = dims
+        vals = rng.normal(size=dims)
+        f = ScalarField(origin=np.array([0.1, -0.2, 0.03]), resolution=0.05, values=vals, outside_value=-3.0)
+        p = f.origin + rng.uniform(-0.06, 0.05 * np.array(dims) + 0.06, (300, 3))
+        p[::2, 2] = f.origin[2]
+        u = (p - f.origin) / f.resolution
+        inside = np.all((u >= -1e-9) & (u <= np.array([nx - 1, ny - 1, 0]) + 1e-9), axis=1)
+        ux, uy = np.clip(u[:, 0], 0, nx - 1), np.clip(u[:, 1], 0, ny - 1)
+        ix = np.minimum(ux.astype(int), max(nx - 2, 0))
+        iy = np.minimum(uy.astype(int), max(ny - 2, 0))
+        fx, fy = ux - ix, uy - iy
+        ix1, iy1 = np.minimum(ix + 1, nx - 1), np.minimum(iy + 1, ny - 1)
+        v = vals[:, :, 0]
+        ref = (1.0 - fx) * ((1.0 - fy) * v[ix, iy] + fy * v[ix, iy1]) + fx * ((1.0 - fy) * v[ix1, iy] + fy * v[ix1, iy1])
+        npt.assert_array_equal(f.query(p), np.where(inside, ref, -3.0))
+
+    @pytest.mark.parametrize("dims", [(6, 5, 1), (4, 5, 3)])
+    def test_blocks_give_pointwise_values(self, rng, monkeypatch, dims):
+        """Large batches are evaluated a block of points at a time; every
+        value equals the single-point query, whatever the block size."""
+        f = ScalarField(origin=np.zeros(3), resolution=0.1, values=rng.normal(size=dims), outside_value=0.25)
+        p = rng.uniform(-0.05, 0.55, (7, 9, 3))
+        p[..., 2] *= dims[2] > 1
+        single = np.array([[f.query(x) for x in row] for row in p])
+        for block in (1, 5, 63, 64, 10_000):
+            monkeypatch.setattr(geometry, "POINT_BLOCK", block)
+            got = f.query(p)
+            assert got.shape == (7, 9)
+            npt.assert_array_equal(got, single)
 
     @settings(max_examples=50, deadline=None)
     @given(

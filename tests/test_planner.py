@@ -6,8 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rummage import planner as planner_mod
 from rummage.belief import ParticleSet
-from rummage.geometry import Pose, ScalarField, Sphere, Workspace
+from rummage.geometry import Pose, ScalarField, Sphere, Workspace, mug_shape
 from rummage.infogain import build_info_fields, build_reachability, ReachabilityModel
 from rummage.planner import (
     ActionScale,
@@ -96,6 +97,29 @@ class TestDynamics:
         phys = params.action_scale.to_physical(u)
         npt.assert_allclose(q1, q0 + phys, atol=1e-12)
         npt.assert_array_equal(d1, np.zeros(3))
+
+    def test_rollout_blocks_give_the_same_rollouts(self, monkeypatch):
+        """The contact-point search runs a block of rollouts at a time;
+        the block size must not change any rollout."""
+        poses = [Pose.from_placement((0.3, 0.01 * k, 0.0), 0.3 * k) for k in range(4)]
+        ctx, _ = make_context(poses, shape=mug_shape())
+        ctx.normal_quantization = 0.005
+        robot = PaddleRobot()
+        params = self.qparams(horizon=4, mini_steps=3)
+        actions = np.random.default_rng(7).uniform(-1.0, 1.0, (50, 4, 3))
+        q0 = np.array([0.2, 0.0, 0.0])
+
+        def rollouts():
+            rng = np.random.default_rng(11)
+            return planner_mod._rollout_batch(q0, np.zeros(3), actions, ctx, robot, params, rng)
+
+        q_ref, d_ref = rollouts()
+        assert np.abs(d_ref).max() > 0  # some rollouts push the object
+        for block in (len(robot.body_points), 3 * len(robot.body_points) + 1):
+            monkeypatch.setattr(planner_mod, "POINT_BLOCK", block)
+            q_b, d_b = rollouts()
+            npt.assert_array_equal(q_b, q_ref)
+            npt.assert_array_equal(d_b, d_ref)
 
     def test_head_on_push_accumulates(self, rng):
         """Two agreeing particles; head-on approach pushes the object along."""
@@ -190,6 +214,32 @@ class TestBatchedSweepCost:
         cached_ctx.normal_quantization = 1e-7  # cells fine enough to be exact
         got = cached_ctx.weighted_normals(pts)
         npt.assert_allclose(got, exact, atol=1e-4)
+
+    def test_normal_cache_matches_row_loop(self, rng):
+        """The cache hands out, row by row, the normal of the row's cell;
+        cells first met in one call are evaluated together in order of
+        first appearance.  Reference: that rule written as a loop."""
+        poses = [Pose.from_placement((0.3, 0.0, 0.0), y) for y in (0.0, 1.3, 2.0)]
+        ctx, _ = make_context(poses, shape=mug_shape())
+        ref_ctx, _ = make_context(poses, shape=mug_shape())
+        q = ctx.normal_quantization = 0.005
+        cache = {}
+
+        def reference(points):
+            keys = [tuple(k) for k in np.round(points / q).astype(np.int64).tolist()]
+            missing = list(dict.fromkeys(k for k in keys if k not in cache))
+            if missing:
+                for key, n in zip(missing, ref_ctx._exact_normals(np.array(missing, dtype=np.float64) * q)):
+                    cache[key] = n
+            return np.array([cache[k] for k in keys]).reshape(-1, 3)
+
+        for size in (40, 1, 200, 0, 75):
+            pts = rng.uniform(0.2, 0.4, (size, 3)) * [1, 1, 0]
+            pts = np.concatenate([pts, pts[::2]])  # repeated cells within a call
+            npt.assert_array_equal(ctx.weighted_normals(pts), reference(pts))
+        # keys far apart take the row-wise distinct search
+        far = np.array([[0.3, 0.0, 0.0], [4e16, 0.0, 0.0], [-4e16, 1.0, 0.0], [0.3, 0.0, 0.0]])
+        npt.assert_array_equal(ctx.weighted_normals(far), reference(far))
 
 
 class TestReachCost:

@@ -7,12 +7,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rummage import sim
 from rummage.belief import ParticleSet
 from rummage.geometry import Pose, Sphere, Box, mug_shape
 from rummage.planner import ActionScale, PaddleRobot, PlannerParams
 from rummage.semantics import SensorModel
 from rummage.sim import (
     CameraModel,
+    EpisodeArtifacts,
     Metrics,
     Scenario,
     SimParams,
@@ -337,6 +339,31 @@ class TestEpisode:
         a = run_episode(scenario, "full", seed=1, n_steps=2)
         b = run_episode(scenario, "info-only", seed=1, n_steps=2)
         assert a.records[0] == b.records[0]  # same initial belief
+
+    @pytest.mark.parametrize("method", ["slide", "full"])
+    def test_record_chamfer_is_that_of_the_step_particles(self, method, monkeypatch):
+        """A step whose particle poses repeat an earlier step's reuses its
+        chamfer; every record still equals the chamfer of its particles."""
+        calls = []
+        monkeypatch.setattr(sim, "pairwise_chamfer", lambda *a: calls.append(a[0]) or pairwise_chamfer(*a))
+        scenario = small_scenario()
+        art = EpisodeArtifacts()
+        m = run_episode(scenario, method, seed=3, n_steps=4, artifacts=art)
+        shape = scenario.build_shape()
+        # the episode's first draws are its surface samples
+        samples = sample_surface(shape, scenario.surface_samples, np.random.default_rng(3))
+        assert [t for t, _ in art.particle_snapshots] == [r.step for r in m.records[1:]]
+        for (t, particles), rec in zip(art.particle_snapshots, m.records[1:]):
+            assert rec.chamfer == pairwise_chamfer(particles, shape, samples)
+
+        def key(ps):
+            return b"".join(T.rotation.tobytes() + T.translation.tobytes() for T in ps.poses)
+
+        # one evaluation per distinct pose set
+        assert len({key(ps) for ps in calls}) == len(calls)
+        assert {key(ps) for _, ps in art.particle_snapshots} <= {key(ps) for ps in calls}
+        if method == "slide":
+            assert len(calls) < len(m.records)  # no step here resamples
 
     def test_metrics_shape(self):
         scenario = small_scenario()
