@@ -14,7 +14,8 @@ consumers interpolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,15 @@ class InfoFields:
     p_free: ScalarField
     p_occ: ScalarField
     p_surf: ScalarField
+    _floors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def free_floor(self, radius: float) -> "FreeFloor":
+        """The :class:`FreeFloor` for points within ``radius`` of a query,
+        built once per radius and kept with the fields."""
+        floor = self._floors.get(radius)
+        if floor is None:
+            floor = self._floors[radius] = FreeFloor(self, radius)
+        return floor
 
     def class_probabilities(self, points):
         """Interpolated (free, occupied, surface) probabilities, renormalized."""
@@ -48,6 +58,58 @@ class InfoFields:
         total = pf + po + ps
         total = np.where(total <= 0, 1.0, total)
         return pf / total, po / total, ps / total
+
+
+def _free_ratio(pf, po, ps):
+    """Renormalized free probability of node values; 0 where a value is
+    negative or not finite, or the total is not positive."""
+    total = pf + po + ps
+    ok = (pf >= 0) & (po >= 0) & (ps >= 0) & (total > 0) & np.isfinite(total)
+    return np.where(ok, pf / np.where(ok, total, 1.0), 0.0)
+
+
+class FreeFloor:
+    """Lower bound of the free probability near a planar position.
+
+    ``at(xy)`` is at most the free probability that
+    :meth:`InfoFields.class_probabilities` reads at any point within
+    ``radius`` of ``(x, y)``, at any height.  An interpolated ratio
+    ``sum w pf / sum w (pf + po + ps)`` of non-negative corner values is at
+    least the smallest corner ratio (the mediant inequality), so the floor
+    at a node is the smallest node ratio over a square window that holds the
+    interpolation corners of every point within ``radius`` of any position
+    rounding to that node, over all z layers, less a margin for rounding.
+    Queries clip to the grid (the window of a boundary node covers the
+    clipped corners of points beyond it) and points outside the fields read
+    the outside values, which bound the floor too.
+    """
+
+    MARGIN = 1e-9
+
+    def __init__(self, fields: InfoFields, radius: float):
+        grid = fields.p_free
+        ratio = _free_ratio(grid.values, fields.p_occ.values, fields.p_surf.values).min(axis=2)
+        outside = _free_ratio(grid.outside_value, fields.p_occ.outside_value, fields.p_surf.outside_value)
+        # a point's interpolation corners lie within 1 node of its clipped
+        # grid position, that within radius/res of the query's clipped
+        # position (clipping shortens no distance), and that within 0.5 of
+        # the node it rounds to
+        h = math.ceil(radius / grid.resolution + 1.5)
+        window = 2 * h + 1
+        padded = np.pad(ratio, h, constant_values=np.inf)
+        low = np.lib.stride_tricks.sliding_window_view(padded, window, axis=0).min(axis=-1)
+        low = np.lib.stride_tricks.sliding_window_view(low, window, axis=1).min(axis=-1)
+        self.values = np.minimum(low, outside) - self.MARGIN
+        self.origin = grid.origin[:2]
+        self.resolution = grid.resolution
+
+    def at(self, xy: np.ndarray) -> np.ndarray:
+        """Floor at planar positions ``(n, 2)`` -> ``(n,)``."""
+        u = (np.asarray(xy, dtype=np.float64) - self.origin) / self.resolution
+        nx, ny = self.values.shape
+        ix = np.rint(np.clip(u[:, 0], 0, nx - 1)).astype(np.intp)
+        iy = np.rint(np.clip(u[:, 1], 0, ny - 1)).astype(np.intp)
+        return self.values[ix, iy]
 
 
 def _accumulate(particles: ParticleSet, shape: Shape, points: np.ndarray, sensor: SensorModel, disc: DiscrepancyParams):

@@ -11,6 +11,7 @@ trajectories that push informative regions out of the robot's reach.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -81,6 +82,11 @@ class PaddleRobot:
     @property
     def pad_points(self) -> np.ndarray:
         return self._pad
+
+    @property
+    def body_radius(self) -> float:
+        """Largest planar distance of a body point from the paddle origin."""
+        return float(np.max(np.hypot(self._body[:, 0], self._body[:, 1])))
 
     def _transform_body(self, q, body: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=np.float64)
@@ -241,7 +247,6 @@ class PlanningContext:
     shape: Shape
     reach_table: "ReachTable | None" = None
     normal_quantization: float | None = None
-    workspace: Workspace | None = None   # for the reach cost when there is no table
 
     def __post_init__(self):
         self._normal_cache: dict[tuple[int, int, int], np.ndarray] = {}
@@ -310,6 +315,31 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
+def _contact_points(
+    q_c: np.ndarray, d: np.ndarray, ctx: PlanningContext, robot: PaddleRobot
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Most contact-likely robot point of each row (lowest ``p_free`` in
+    displaced-object-frame coordinates): its index, displaced-frame
+    position and world position.
+
+    The search takes a block of rows at a time, so that their (rows, M)
+    point sets stay about one block of points."""
+    n = len(q_c)
+    block = max(1, POINT_BLOCK // len(robot.body_points))
+    i_star = np.empty(n, dtype=np.intp)
+    x_i = np.empty((n, 3))
+    p_star = np.empty((n, 3))
+    for lo in range(0, n, block):
+        pts_c = robot.points_world(q_c[lo:lo + block])      # (rows, M, 3)
+        disp = pts_c - d[lo:lo + block, None, :]
+        k = np.argmin(ctx.fields.p_free.query(disp), axis=1)
+        rows = np.arange(len(k))
+        i_star[lo:lo + block] = k
+        x_i[lo:lo + block] = disp[rows, k]
+        p_star[lo:lo + block] = pts_c[rows, k]
+    return i_star, x_i, p_star
+
+
 def _rollout_batch(
     q0: np.ndarray,
     d0: np.ndarray,
@@ -326,6 +356,13 @@ def _rollout_batch(
     coordinates) samples its semantics from the cached class-probability
     fields; free moves pass, pushing contacts displace the object along with
     the robot, and non-pushing contacts block the robot in place.
+
+    Each sub-move draws its uniforms first, then searches for the contact
+    point only in the candidate rows, whose draw is at least the fields'
+    :class:`~rummage.infogain.FreeFloor` at the displaced paddle origin.
+    Below the floor every body point reads a larger free probability, so the
+    row moves freely whichever point the search would pick; the results are
+    those of searching every row.
     """
     B, H, _ = actions.shape
     q = np.array(q0, dtype=np.float64).reshape(1, 3).repeat(B, axis=0) if np.asarray(q0).ndim == 1 else np.array(q0, dtype=np.float64)
@@ -333,38 +370,25 @@ def _rollout_batch(
     q_traj = np.empty((B, H, 3))
     d_traj = np.empty((B, H, 3))
     cos_thresh = math.cos(params.push_angle)
-
-    # the contact-point search takes a block of rollouts at a time, so that
-    # their (rows, M) point sets stay about one block of points
-    block = max(1, POINT_BLOCK // len(robot.body_points))
-    i_star = np.empty(B, dtype=np.intp)
-    x_i = np.empty((B, 3))      # displaced-frame position of each rollout's point
-    p_star = np.empty((B, 3))   # its world position
+    floor = ctx.fields.free_floor(robot.body_radius)
 
     for t in range(H):
         u_phys = params.action_scale.to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
         for _ in range(params.mini_steps):
             q_c = robot.free_dynamics(q, u_phys)
-            for lo in range(0, B, block):
-                pts_c = robot.points_world(q_c[lo:lo + block])      # (rows, M, 3)
-                disp = pts_c - d[lo:lo + block, None, :]
-                k = np.argmin(ctx.fields.p_free.query(disp), axis=1)
-                rows = np.arange(len(k))
-                i_star[lo:lo + block] = k
-                x_i[lo:lo + block] = disp[rows, k]
-                p_star[lo:lo + block] = pts_c[rows, k]
-            pf, po, ps = ctx.fields.class_probabilities(x_i)
             draw = rng.random(B)
-            contact = draw >= pf
-            if not contact.any():
+            cand = np.flatnonzero(draw >= floor.at(q_c[:, :2] - d[:, :2]))
+            i_star, x_i, p_star = _contact_points(q_c[cand], d[cand], ctx, robot)
+            pf, _, _ = ctx.fields.class_probabilities(x_i)
+            hit = draw[cand] >= pf
+            if not hit.any():
                 q = q_c
                 continue
-            free = ~contact
             # push direction: motion of the corresponding interior point
-            pts_b = robot.points_world(q[contact])
-            c_rows = np.where(contact)[0]
-            d_prime = p_star[c_rows] - pts_b[np.arange(len(c_rows)), i_star[c_rows]]
-            normals = ctx.weighted_normals(x_i[c_rows])
+            c_rows = cand[hit]
+            pts_b = robot.points_world(q[c_rows])
+            d_prime = p_star[hit] - pts_b[np.arange(len(c_rows)), i_star[hit]]
+            normals = ctx.weighted_normals(x_i[hit])
             n_norm = np.linalg.norm(normals, axis=1)
             m_norm = np.linalg.norm(d_prime, axis=1)
             ok = (n_norm > 1e-12) & (m_norm > 1e-12)
@@ -375,10 +399,11 @@ def _rollout_batch(
             )
             pushing = cos_angle > cos_thresh
             push_rows = c_rows[pushing]
-            q[free] = q_c[free]
-            q[push_rows] = q_c[push_rows]
             d[push_rows] = d[push_rows] + d_prime[pushing]
             # blocked rows keep q and d
+            blocked = c_rows[~pushing]
+            q_c[blocked] = q[blocked]
+            q = q_c
         q_traj[:, t] = q
         d_traj[:, t] = d
     return q_traj, d_traj
@@ -487,52 +512,60 @@ def reach_cost(
 class ReachTable:
     """Cross-correlation cache for the reachability cost.
 
-    For planar displacements the reachable-information sum is a function of
-    the shift alone; its values on the grid-shift lattice equal the discrete
-    cross-correlation of the reachability and information grids, computed
-    once per step with FFTs and bilinearly interpolated in between.  (Exact
+    For displacements that shift the information field rigidly, the
+    reachable-information sum is a function of the shift alone; its values
+    on the grid-shift lattice equal the discrete cross-correlation of the
+    reachability and information grids, computed once per step with FFTs
+    over the grid's axes and multilinearly interpolated in between.  (Exact
     on the lattice; between lattice shifts it differs from the direct
-    evaluation only through boundary cells, negligibly for interior fields.)
+    evaluation only through boundary cells, negligibly for interior fields.
+    Rollout displacements are planar, so on fields with z layers every
+    lookup falls on the zero z shift.)
     """
 
     def __init__(self, info_field: ScalarField, reach_field: ScalarField):
-        if info_field.values.shape[2] != 1 or reach_field.values.shape[2] != 1:
-            raise ValueError("ReachTable requires planar (single z layer) fields")
-        I = info_field.values[:, :, 0]
-        R = reach_field.values[:, :, 0]
-        nx, ny = I.shape
-        sx, sy = 2 * nx - 1, 2 * ny - 1
-        FI = np.fft.rfft2(I, s=(sx, sy))
-        FR = np.fft.rfft2(R, s=(sx, sy))
-        corr = np.fft.irfft2(FR * np.conj(FI), s=(sx, sy))
-        # corr[k mod sx, l mod sy] = sum_m R[m+k] I[m]; unwrap to k in [-(nx-1), nx-1]
-        kx = np.arange(-(nx - 1), nx)
-        ky = np.arange(-(ny - 1), ny)
-        self.table = corr[np.ix_(kx % sx, ky % sy)]
+        I = info_field.values
+        R = reach_field.values
+        n = I.shape
+        size = tuple(2 * k - 1 for k in n)
+        # single-node axes correlate by the product alone
+        axes = tuple(ax for ax in range(3) if n[ax] > 1)
+        if axes:
+            s = [size[ax] for ax in axes]
+            FI = np.fft.rfftn(I, s=s, axes=axes)
+            FR = np.fft.rfftn(R, s=s, axes=axes)
+            corr = np.fft.irfftn(FR * np.conj(FI), s=s, axes=axes)
+        else:
+            corr = R * I
+        # corr[k mod size] = sum_m R[m+k] I[m]; unwrap to k in [-(n-1), n-1]
+        self.table = corr[np.ix_(*[np.arange(-(k - 1), k) % sz for k, sz in zip(n, size)])]
         self.res = info_field.resolution
-        self.n = (nx, ny)
+        self.n = n
         self.total = float(I.sum())
 
     def reachable_info(self, shifts: np.ndarray) -> np.ndarray:
-        """Reachable information for displacement shifts (..., 2|3)."""
+        """Reachable information for displacement shifts (..., 3)."""
         s = np.asarray(shifts, dtype=np.float64)
-        ux = s[..., 0] / self.res + (self.n[0] - 1)
-        uy = s[..., 1] / self.res + (self.n[1] - 1)
-        tx, ty = self.table.shape
-        inside = (ux >= 0) & (ux <= tx - 1) & (uy >= 0) & (uy <= ty - 1)
-        ux = np.clip(ux, 0, tx - 1)
-        uy = np.clip(uy, 0, ty - 1)
-        ix = np.minimum(ux.astype(int), tx - 2)
-        iy = np.minimum(uy.astype(int), ty - 2)
-        fx = ux - ix
-        fy = uy - iy
         t = self.table
-        v = (
-            t[ix, iy] * (1 - fx) * (1 - fy)
-            + t[ix + 1, iy] * fx * (1 - fy)
-            + t[ix, iy + 1] * (1 - fx) * fy
-            + t[ix + 1, iy + 1] * fx * fy
-        )
+        live = [ax for ax in range(3) if t.shape[ax] > 1]
+        base: list = [0, 0, 0]
+        frac = {}
+        inside = np.ones(s.shape[:-1], dtype=bool)
+        for ax in live:
+            u = s[..., ax] / self.res + (self.n[ax] - 1)
+            inside &= (u >= 0) & (u <= t.shape[ax] - 1)
+            u = np.clip(u, 0, t.shape[ax] - 1)
+            base[ax] = np.minimum(u.astype(int), t.shape[ax] - 2)
+            frac[ax] = u - base[ax]
+        # corners with x varying fastest; each weight is the product of the
+        # per-axis weights in axis order
+        v = None
+        for bits in itertools.product((0, 1), repeat=len(live)):
+            upper = dict(zip(reversed(live), bits))
+            term = t[tuple(base[ax] + upper.get(ax, 0) for ax in range(3))]
+            for ax in live:
+                term = term * (frac[ax] if upper[ax] else 1 - frac[ax])
+            v = term if v is None else v + term
         return np.where(inside, v, 0.0)
 
     def reach_cost_batch(self, displacement_traj: np.ndarray) -> np.ndarray:
@@ -588,9 +621,12 @@ def make_rollout_cost(
     rng: np.random.Generator,
     workspace: Workspace | None = None,
 ):
-    """Average stochastic-rollout cost of sampled action sequences."""
-    if ctx.reach_table is None and params.reach_weight != 0.0 and workspace is None:
-        raise ValueError("reach cost requires a reach table or workspace")
+    """Average stochastic-rollout cost of sampled action sequences.
+
+    The reach cost reads ``ctx.reach_table``; ``workspace`` is accepted
+    from callers that pass the planning workspace and not needed."""
+    if ctx.reach_table is None and params.reach_weight != 0.0:
+        raise ValueError("reach cost requires a reach table")
 
     def cost_fn(actions: np.ndarray) -> np.ndarray:
         S, H, dim = actions.shape
@@ -601,12 +637,7 @@ def make_rollout_cost(
         )
         info_c = batched_sweep_cost(q_traj, d_traj, ctx.fields.info, robot, params.downsample_res)
         if params.reach_weight != 0.0:
-            if ctx.reach_table is not None:
-                reach_c = ctx.reach_table.reach_cost_batch(d_traj)
-            else:
-                reach_c = np.array(
-                    [reach_cost(d_traj[b], workspace, ctx.fields.info, ctx.reach) for b in range(S * R)]
-                )
+            reach_c = ctx.reach_table.reach_cost_batch(d_traj)
         else:
             reach_c = np.zeros(S * R)
         per_rollout = total_cost(info_c, reach_c, params)
@@ -622,11 +653,10 @@ def plan(
     nominal_theta: np.ndarray,
     params: PlannerParams,
     rng: np.random.Generator,
-    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One planning call: optimize around the nominal control points and
     return (next action, shifted nominal)."""
-    cost_fn = make_rollout_cost(np.asarray(q0, dtype=np.float64), ctx, robot, params, rng, workspace)
+    cost_fn = make_rollout_cost(np.asarray(q0, dtype=np.float64), ctx, robot, params, rng)
     theta_new, _ = mppi_update(np.asarray(nominal_theta, dtype=np.float64), cost_fn, params, rng)
     actions = np.clip(kernel_interpolate(theta_new, params.horizon, params.kernel, params.kernel_scale), -1.0, 1.0)
     shifted = np.vstack([theta_new[1:], np.zeros((1, theta_new.shape[1]))])
@@ -662,7 +692,7 @@ class Planner:
         self._shift_nominal(self._executed_since_plan)
         self._executed_since_plan = 0
         iters = self.params.warm_start_iters if not self._planned_once else self.params.opt_iters
-        cost_fn = make_rollout_cost(np.asarray(q, dtype=np.float64), ctx, self.robot, self.params, rng, ctx.workspace)
+        cost_fn = make_rollout_cost(np.asarray(q, dtype=np.float64), ctx, self.robot, self.params, rng)
         for it in range(max(1, iters)):
             self.theta, costs = mppi_update(self.theta, cost_fn, self.params, rng)
             actions = np.clip(

@@ -653,10 +653,7 @@ def run_episode(
             fields = build_info_fields(
                 state.particles, shape, workspace, scenario.belief.gamma, sensor, scenario.disc
             )
-            # the cross-correlation table needs single-layer fields; other
-            # workspaces take the direct reach cost over the workspace grid
-            planar = workspace.counts[2] == 1
-            table = ReachTable(fields.info, reach_field) if pparams.reach_weight != 0.0 and planar else None
+            table = ReachTable(fields.info, reach_field) if pparams.reach_weight != 0.0 else None
             ctx = PlanningContext(
                 fields=fields,
                 reach=reach_field,
@@ -664,7 +661,6 @@ def run_episode(
                 shape=shape,
                 reach_table=table,
                 normal_quantization=scenario.workspace_resolution / 2.0,
-                workspace=workspace,
             )
             if artifacts is not None:
                 artifacts.fields.append((t, fields, reach_field))

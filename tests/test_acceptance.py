@@ -24,6 +24,8 @@ from rummage.semantics import SemanticCloud, Semantics, SensorModel, sensor_prob
 from rummage.sim import Scenario, World, camera_observe, pairwise_chamfer, run_episode, sample_surface
 from rummage import cli, export
 
+pytestmark = pytest.mark.acceptance
+
 SCENARIO_PATH = Path(__file__).parent.parent / "scenarios" / "planar_mug.json"
 PRIMS = [Sphere(0.05), Box((0.1, 0.07, 0.04)), Cylinder(0.06, 0.05)]
 

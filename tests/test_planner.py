@@ -5,11 +5,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rummage import planner as planner_mod
 from rummage.belief import ParticleSet
 from rummage.geometry import Pose, ScalarField, Sphere, Workspace, mug_shape
-from rummage.infogain import build_info_fields, build_reachability, ReachabilityModel
+from rummage.infogain import InfoFields, build_info_fields, build_reachability, ReachabilityModel
 from rummage.planner import (
     ActionScale,
     PaddleRobot,
@@ -160,6 +162,112 @@ class TestDynamics:
             assert np.linalg.norm(d1) == 0.0
 
 
+def reference_rollouts(q0, actions, ctx, robot, params, rng):
+    """The rollout dynamics searching the contact point of every row, with
+    counts of (pushing, blocked, off-grid) row sub-moves."""
+    B, H, _ = actions.shape
+    q = np.tile(np.asarray(q0, dtype=np.float64), (B, 1))
+    d = np.zeros((B, 3))
+    q_traj, d_traj = np.empty((B, H, 3)), np.empty((B, H, 3))
+    f = ctx.fields.p_free
+    lo_xy = f.origin[:2]
+    hi_xy = f.origin[:2] + f.resolution * (np.array(f.dims[:2]) - 1)
+    counts = np.zeros(3, dtype=int)
+    for t in range(H):
+        u = params.action_scale.to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
+        for _ in range(params.mini_steps):
+            q_c = robot.free_dynamics(q, u)
+            o = q_c[:, :2] - d[:, :2]
+            counts[2] += np.sum(np.any((o < lo_xy) | (o > hi_xy), axis=1))
+            pts_c = robot.points_world(q_c)
+            disp = pts_c - d[:, None, :]
+            k = np.argmin(f.query(disp), axis=1)
+            rows = np.arange(B)
+            x_i, p_star = disp[rows, k], pts_c[rows, k]
+            pf, _, _ = ctx.fields.class_probabilities(x_i)
+            contact = rng.random(B) >= pf
+            c_rows = np.flatnonzero(contact)
+            normals = ctx.weighted_normals(x_i[c_rows]) if len(c_rows) else np.empty((0, 3))
+            q_next = q_c.copy()
+            for b, n in zip(c_rows, normals):
+                d_prime = p_star[b] - robot.points_world(q[b])[k[b]]
+                nn, mn = np.linalg.norm(n), np.linalg.norm(d_prime)
+                cos = np.dot(n, -d_prime) / (nn * mn) if nn > 1e-12 and mn > 1e-12 else -1.0
+                if cos > math.cos(params.push_angle):
+                    d[b] = d[b] + d_prime
+                    counts[0] += 1
+                else:
+                    q_next[b] = q[b]
+                    counts[1] += 1
+            q = q_next
+        q_traj[:, t], d_traj[:, t] = q, d
+    return q_traj, d_traj, counts
+
+
+class TestRolloutCull:
+    """Only rows whose draw reaches the free-probability floor are searched;
+    the rollouts equal those of searching every row."""
+
+    @pytest.mark.parametrize(
+        "res, z",
+        [(0.01, (0.0, 0.0)), (0.005, (0.0, 0.0)), (0.01, (-0.02, 0.02))],
+        ids=["planar-1cm", "planar-5mm", "z-interval"],
+    )
+    def test_matches_searching_every_row(self, res, z):
+        poses = [Pose.from_placement((0.3 + 0.005 * k, 0.004 * k, 0.0), 0.4 + 0.5 * k) for k in range(5)]
+        ctx, _ = make_context(poses, shape=mug_shape(), bounds=((0.1, 0.5), (-0.2, 0.2), z), res=res)
+        ctx.normal_quantization = res / 2
+        ref_ctx, _ = make_context(poses, shape=mug_shape(), bounds=((0.1, 0.5), (-0.2, 0.2), z), res=res)
+        ref_ctx.normal_quantization = res / 2
+        robot = PaddleRobot()
+        params = PlannerParams(horizon=6, control_points=3, mini_steps=3)
+        # a fan of headings from just in front of the mug: some rollouts run
+        # into it, some graze it, some leave the grid
+        actions = np.random.default_rng(2).uniform(-1.0, 1.0, (120, 6, 3))
+        actions[:40, :, 0] = np.abs(actions[:40, :, 0])
+        q0 = np.array([0.2, 0.0, 0.0])
+        q, d = planner_mod._rollout_batch(q0, np.zeros(3), actions, ctx, robot, params, np.random.default_rng(4))
+        q_ref, d_ref, (pushes, blocks, off_grid) = reference_rollouts(
+            q0, actions, ref_ctx, robot, params, np.random.default_rng(4)
+        )
+        assert pushes > 0 and blocks > 0 and off_grid > 0
+        npt.assert_array_equal(q, q_ref)
+        npt.assert_array_equal(d, d_ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        nz=st.sampled_from([1, 3]),
+        res=st.sampled_from([0.005, 0.01, 0.02]),
+        x=st.floats(-0.08, 0.18),
+        y=st.floats(-0.08, 0.18),
+        yaw=st.floats(-math.pi, math.pi),
+    )
+    def test_floor_bounds_the_free_probability(self, seed, nz, res, x, y, yaw):
+        """At any paddle placement, on or off the grid, the floor at the
+        paddle origin is at most the free probability at every body point,
+        also next to nodes whose probabilities are all 0."""
+        rng = np.random.default_rng(seed)
+        # a free-probability ramp over x, y and z (so the floor is tight),
+        # random totals, and a few nodes whose probabilities are all 0
+        dims = (11, 9, nz)
+        ix, iy, iz = np.meshgrid(*(np.arange(n) for n in dims), indexing="ij")
+        g = rng.uniform(-1.0, 1.0, 3)
+        ratio = np.clip(0.5 + 0.05 * (g[0] * ix + g[1] * iy) + 0.2 * g[2] * iz, 0.02, 0.98)
+        total = rng.uniform(0.5, 1.5, dims)
+        split = rng.uniform(size=dims)
+        vals = np.stack([ratio, (1 - ratio) * split, (1 - ratio) * (1 - split)]) * total
+        for _ in range(rng.integers(0, 3)):
+            vals[:, rng.integers(dims[0]), rng.integers(dims[1]), rng.integers(nz)] = 0.0
+        origin = np.array([0.0, 0.0, 0.0 if nz == 1 else -0.013])
+        pf, po, ps = (ScalarField(origin, res, v, out) for v, out in zip(vals, (1.0, 0.0, 0.0)))
+        fields = InfoFields(info=pf, p_free=pf, p_occ=po, p_surf=ps)
+        robot = PaddleRobot()
+        floor = fields.free_floor(robot.body_radius).at(np.array([[x, y]]))[0]
+        free, _, _ = fields.class_probabilities(robot.points_world(np.array([x, y, yaw])))
+        assert np.all(floor <= free)
+
+
 class TestInfoCost:
     def test_zero_field(self):
         f = ScalarField(origin=np.zeros(3), resolution=0.1, values=np.zeros((4, 4, 1)))
@@ -295,6 +403,22 @@ class TestReachCost:
         info[4:17, 4:17, 0] = rng.uniform(0, 1, (13, 13))
         f_info = ws.make_field(info.ravel())
         f_reach = ws.make_field(rng.uniform(0, 1, 21 * 21))
+        table = ReachTable(f_info, f_reach)
+        for _ in range(25):
+            disp = rng.uniform(-0.05, 0.05, (6, 3)) * [1, 1, 0]
+            direct = reach_cost(disp, ws, f_info, f_reach)
+            fast = float(table.reach_cost_batch(disp[None])[0])
+            assert fast == pytest.approx(direct, abs=1e-9)
+
+    def test_table_matches_direct_with_z_layers(self, rng):
+        """On a workspace with a z interval the table correlates over all
+        three axes; planar displacements look up its zero z shift."""
+        ws = Workspace(bounds=((0, 0.2), (0, 0.2), (-0.02, 0.02)), resolution=0.01)
+        assert ws.counts == (21, 21, 5)
+        info = np.zeros(ws.counts)
+        info[4:17, 4:17, :] = rng.uniform(0, 1, (13, 13, 5))
+        f_info = ws.make_field(info.ravel())
+        f_reach = ws.make_field(rng.uniform(0, 1, 21 * 21 * 5))
         table = ReachTable(f_info, f_reach)
         for _ in range(25):
             disp = rng.uniform(-0.05, 0.05, (6, 3)) * [1, 1, 0]

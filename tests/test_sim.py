@@ -374,8 +374,8 @@ class TestEpisode:
 
     @pytest.mark.parametrize("method", ["full", "reach-only"])
     def test_non_planar_workspace_runs(self, method):
-        """A workspace with a z interval has no reach table; the planner
-        falls back to the direct reach cost over the workspace grid."""
+        """A workspace with a z interval plans with a reach table
+        correlated over all three grid axes."""
         scenario = small_scenario(workspace_bounds=((0.0, 0.8), (-0.4, 0.4), (-0.02, 0.02)), workspace_resolution=0.02)
         m = run_episode(scenario, method, seed=0, n_steps=1)
         assert len(m.records) == 2
