@@ -119,8 +119,11 @@ class _CloudKernel:
             self._pairs = pairs_within(self.points, origins, self.radius + self.travel, self.always)
         ii, pp = self._pairs
         if self.travel > 0.0 and math.isfinite(self.radius):
-            d = self.points[pp] - origins[ii]
-            near = ~(np.einsum("ij,ij->i", d, d) > (self.radius * (1.0 + 1e-9)) ** 2)
+            # column by column: no (pairs, 3) temporaries at set-up's peak
+            d2 = np.zeros(len(pp))
+            for j in range(3):
+                d2 += np.square(self.points[pp, j] - origins[ii, j])
+            near = ~(d2 > (self.radius * (1.0 + 1e-9)) ** 2)
             keep = self.always[pp] | near
             ii, pp = ii[keep], pp[keep]
         return ii, pp

@@ -144,16 +144,40 @@ class Pose:
     def transform(self, points):
         """Apply the map to one point ``(3,)`` or a batch ``(..., 3)``.
 
-        Written component-wise so that batched evaluation is bit-identical
-        to single-point evaluation.
+        Each output coordinate is ``R[i,0]*x + R[i,1]*y + R[i,2]*z + t[i]``
+        summed left to right, written component-wise so that batched
+        evaluation is bit-identical to single-point evaluation.  The result
+        is an ``(..., 3)`` view of a ``(3, ...)`` buffer: each output
+        coordinate is contiguous, which is what the shapes' ``sdf`` reads.
+
+        Terms whose coefficient is exactly 0 are skipped, and a factor of
+        exactly 1 is not multiplied, so a planar pose costs 4 products and
+        a translation costs 3 sums.  The remaining terms keep their order.
+        For finite points this changes only the sign of a zero coordinate
+        (``a + 0*y`` is ``a`` unless ``a`` is a zero), which no ``sdf`` in
+        this module reads (they use ``abs``, squares and ``>= 0`` tests); a
+        ``gradient`` at most passes it on as the sign of a zero component.
         """
         p, single = _as_points(points)
-        R, t = self.rotation, self.translation
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        out = np.empty(p.shape, dtype=np.float64)
-        out[..., 0] = R[0, 0] * x + R[0, 1] * y + R[0, 2] * z + t[0]
-        out[..., 1] = R[1, 0] * x + R[1, 1] * y + R[1, 2] * z + t[1]
-        out[..., 2] = R[2, 0] * x + R[2, 1] * y + R[2, 2] * z + t[2]
+        buf = np.empty((3,) + p.shape[:-1], dtype=np.float64)
+        term = None  # scratch for products after the first
+        for acc, row, t in zip(buf, self.rotation.tolist(), self.translation.tolist()):
+            terms = [(c, p[..., k]) for k, c in enumerate(row) if c != 0.0]
+            if not terms:
+                acc.fill(0.0)
+            for j, (c, x) in enumerate(terms):
+                if j == 0 and c == 1.0:
+                    np.copyto(acc, x)
+                elif j == 0:
+                    np.multiply(x, c, out=acc)
+                elif c == 1.0:
+                    acc += x
+                else:
+                    term = np.multiply(x, c, out=term)
+                    acc += term
+            if t != 0.0:
+                acc += t
+        out = buf.transpose(*range(1, buf.ndim), 0)
         return out[0] if single else out
 
     def rotate(self, vectors):
@@ -213,8 +237,9 @@ def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transform_pairs(rotations: np.ndarray, translations: np.ndarray, pose_idx: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``points[k]`` mapped by pose ``pose_idx[k]``, bit for bit what
-    :meth:`Pose.transform` of that pose gives."""
+    """``points[k]`` mapped by pose ``pose_idx[k]`` with the full nine-term
+    formula: the values :meth:`Pose.transform` of that pose gives (which
+    skips zero terms, so a zero coordinate may differ in sign)."""
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     out = np.empty((len(pose_idx), 3), dtype=np.float64)
     for i in range(3):
@@ -307,12 +332,41 @@ def _normalize_rows(g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _planar_norm(x, y) -> np.ndarray:
+    """``np.sqrt(x**2 + y**2)`` in a new array, with one temporary."""
+    d = np.square(x)
+    d += np.square(y)
+    return np.sqrt(d, out=d)
+
+
+def _box_distance(*q: np.ndarray) -> np.ndarray:
+    """``sqrt(max(q0, 0)**2 + max(q1, 0)**2 + ...) + min(max(q0, q1, ...), 0)``,
+    the distance to a box from the per-axis excesses ``q``, evaluated with
+    the same operations in the same order as that formula but in place:
+    the ``q`` arrays are overwritten and the first one is returned."""
+    inside = np.maximum(q[0], q[1])
+    for qi in q[2:]:
+        np.maximum(inside, qi, out=inside)
+    np.minimum(inside, 0.0, out=inside)
+    out = q[0]
+    for i, qi in enumerate(q):
+        np.maximum(qi, 0.0, out=qi)
+        np.square(qi, out=qi)
+        if i:
+            out += qi
+    np.sqrt(out, out=out)
+    out += inside
+    return out
+
+
 @dataclass(frozen=True)
 class Circle2D:
     radius: float
 
     def sdf(self, x, y):
-        return np.sqrt(x**2 + y**2) - self.radius
+        d = _planar_norm(x, y)
+        d -= self.radius
+        return d
 
     def gradient(self, x, y):
         r = np.sqrt(x**2 + y**2)
@@ -348,8 +402,11 @@ class Annulus2D:
         return 0.5 * (self.outer_radius - self.inner_radius)
 
     def sdf(self, x, y):
-        r = np.sqrt(x**2 + y**2)
-        return np.abs(r - self.mid_radius) - self.half_width
+        d = _planar_norm(x, y)
+        d -= self.mid_radius
+        np.abs(d, out=d)
+        d -= self.half_width
+        return d
 
     def gradient(self, x, y):
         r = np.sqrt(x**2 + y**2)
@@ -372,11 +429,11 @@ class Rect2D:
     half_y: float
 
     def sdf(self, x, y):
-        qx = np.abs(x) - self.half_x
-        qy = np.abs(y) - self.half_y
-        outside = np.sqrt(np.maximum(qx, 0.0) ** 2 + np.maximum(qy, 0.0) ** 2)
-        inside = np.minimum(np.maximum(qx, qy), 0.0)
-        return outside + inside
+        qx = np.abs(x)
+        qx -= self.half_x
+        qy = np.abs(y)
+        qy -= self.half_y
+        return _box_distance(qx, qy)
 
     def gradient(self, x, y):
         qx = np.abs(x) - self.half_x
@@ -472,15 +529,12 @@ class Box(Shape):
 
     def sdf(self, points):
         p, single = self._pts(points)
-        h = self.half_extents
-        qx = np.abs(p[..., 0]) - h[0]
-        qy = np.abs(p[..., 1]) - h[1]
-        qz = np.abs(p[..., 2]) - h[2]
-        outside = np.sqrt(
-            np.maximum(qx, 0.0) ** 2 + np.maximum(qy, 0.0) ** 2 + np.maximum(qz, 0.0) ** 2
-        )
-        inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
-        return self._ret(outside + inside, single)
+        q = []
+        for i, h in enumerate(self.half_extents):
+            qi = np.abs(p[..., i])
+            qi -= h
+            q.append(qi)
+        return self._ret(_box_distance(*q), single)
 
     def gradient(self, points):
         p, single = self._pts(points)
@@ -511,15 +565,15 @@ class Extrusion(Shape):
     half_height: float
 
     def _wz(self, p):
-        return np.abs(p[..., 2]) - self.half_height
+        wz = np.abs(p[..., 2])
+        wz -= self.half_height
+        return wz
 
     def sdf(self, points):
         p, single = self._pts(points)
+        # the profile's distances are a new array, which the kernel overwrites
         d2 = self.profile.sdf(p[..., 0], p[..., 1])
-        wz = self._wz(p)
-        outside = np.sqrt(np.maximum(d2, 0.0) ** 2 + np.maximum(wz, 0.0) ** 2)
-        inside = np.minimum(np.maximum(d2, wz), 0.0)
-        return self._ret(outside + inside, single)
+        return self._ret(_box_distance(d2, self._wz(p)), single)
 
     def gradient(self, points):
         p, single = self._pts(points)
@@ -550,27 +604,97 @@ def Cylinder(radius: float, half_height: float) -> Extrusion:
     return Extrusion(Circle2D(radius), half_height)
 
 
+def _support_ball(shape) -> tuple[np.ndarray, float]:
+    """Center and radius beyond which ``shape`` reads at least the excess:
+    a :class:`Transformed` shape's ball sits at its frame origin with its
+    child's radius, any other shape's at the origin with its own."""
+    if isinstance(shape, Transformed):
+        return shape.pose.object_center_world(), support_radius(shape.child)
+    return np.zeros(3), support_radius(shape)
+
+
+def _rows_within(p: np.ndarray, center: np.ndarray, radius: float, v: np.ndarray) -> np.ndarray:
+    """Rows of the ``(n, 3)`` points ``p`` where ``|p - center| <= radius +
+    max(v, 0)`` can hold.
+
+    The bound gets a relative slack of 1e-9 and an absolute one of 1e-12,
+    which cover the rounding of the squared distances and of the distances
+    the shapes compute, and a NaN distance or bound keeps the row.  A row
+    left out lies strictly more than ``max(v, 0)`` beyond the ball."""
+    d2 = np.zeros(len(p))
+    for i, c in enumerate(center.tolist()):
+        d2 += np.square(p[:, i] - c) if c else np.square(p[:, i])
+    bound = np.maximum(v, 0.0)
+    bound += radius
+    bound *= 1.0 + 1e-9
+    bound += 1e-12
+    np.square(bound, out=bound)
+    return np.flatnonzero(~(d2 > bound))
+
+
 @dataclass(frozen=True)
 class Union(Shape):
+    """Min of the children's distances.
+
+    A child is evaluated only at the points where it could be below the
+    running min: its support ball (:func:`_support_ball`, computed once)
+    widened by that min.  Beyond the ball a child reads at least the
+    distance past it, strictly above the running min, so ``np.minimum``
+    would have returned the running min there: the values are those of
+    evaluating every child everywhere, bit for bit.  A child with an
+    infinite radius (a :class:`Complement`) is evaluated everywhere.
+    """
+
     children: tuple[Shape, ...]
 
     def __init__(self, *children: Shape):
         object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "_balls", tuple(_support_ball(c) for c in children))
+
+    def _candidates(self, k: int, p: np.ndarray, v: np.ndarray):
+        """Rows where child ``k`` could be below ``v``; ``None`` for all rows."""
+        center, radius = self._balls[k]
+        if not math.isfinite(radius):
+            return None
+        rows = _rows_within(p, center, radius, v)
+        return None if len(rows) == len(p) else rows
 
     def sdf(self, points):
         p, single = self._pts(points)
-        v = self.children[0].sdf(p)
-        for c in self.children[1:]:
-            v = np.minimum(v, c.sdf(p))
-        return self._ret(v, single)
+        flat = p.reshape(-1, 3)
+        v = self.children[0].sdf(flat)
+        for k in range(1, len(self.children)):
+            rows = self._candidates(k, flat, v)
+            if rows is None:
+                v = np.minimum(v, self.children[k].sdf(flat))
+            elif len(rows):
+                v[rows] = np.minimum(v[rows], self.children[k].sdf(flat[rows]))
+        return self._ret(v.reshape(p.shape[:-1]), single)
 
     def gradient(self, points):
+        """The gradient of the first child with the smallest distance (a
+        NaN distance counts as smallest, as in ``np.argmin``), each child's
+        gradient evaluated only at the points that pick it."""
         p, single = self._pts(points)
-        vals = np.stack([c.sdf(p) for c in self.children], axis=0)
-        pick = np.argmin(vals, axis=0)  # first minimum wins: deterministic
-        grads = np.stack([c.gradient(p) for c in self.children], axis=0)
-        g = np.take_along_axis(grads, pick[None, ..., None], axis=0)[0]
-        return self._retg(g, single)
+        flat = p.reshape(-1, 3)
+        v = self.children[0].sdf(flat)
+        pick = np.zeros(len(flat), dtype=np.intp)
+        for k in range(1, len(self.children)):
+            rows = self._candidates(k, flat, v)
+            if rows is None:
+                rows = np.arange(len(flat))
+            cv = self.children[k].sdf(flat[rows])
+            cur = v[rows]
+            better = (cv < cur) | (np.isnan(cv) & ~np.isnan(cur))
+            rows = rows[better]
+            v[rows] = cv[better]
+            pick[rows] = k
+        g = np.empty(flat.shape, dtype=np.float64)
+        for k, c in enumerate(self.children):
+            rows = np.flatnonzero(pick == k)
+            if len(rows):
+                g[rows] = c.gradient(flat[rows])
+        return self._retg(g.reshape(p.shape), single)
 
     def bounding_box(self):
         los, his = zip(*(c.bounding_box() for c in self.children))

@@ -77,24 +77,33 @@ class FreeFloor:
     ``sum w pf / sum w (pf + po + ps)`` of non-negative corner values is at
     least the smallest corner ratio (the mediant inequality), so the floor
     at a node is the smallest node ratio over a square window that holds the
-    interpolation corners of every point within ``radius`` of any position
-    rounding to that node, over all z layers, less a margin for rounding.
+    interpolation corners with positive weight (a corner of weight 0 adds
+    nothing to finite fields) of every point within ``radius`` of any
+    position rounding to that node, over all z layers, less a margin for
+    rounding.
     Queries clip to the grid (the window of a boundary node covers the
     clipped corners of points beyond it) and points outside the fields read
     the outside values, which bound the floor too.
     """
 
     MARGIN = 1e-9
+    SLACK = 1e-6
 
     def __init__(self, fields: InfoFields, radius: float):
         grid = fields.p_free
         ratio = _free_ratio(grid.values, fields.p_occ.values, fields.p_surf.values).min(axis=2)
         outside = _free_ratio(grid.outside_value, fields.p_occ.outside_value, fields.p_surf.outside_value)
-        # a point's interpolation corners lie within 1 node of its clipped
-        # grid position, that within radius/res of the query's clipped
-        # position (clipping shortens no distance), and that within 0.5 of
-        # the node it rounds to
-        h = math.ceil(radius / grid.resolution + 1.5)
+        # Window half-width, in grid units per axis: a corner with positive
+        # interpolation weight lies less than 1 node from its point's
+        # clipped grid position, that at most rho = radius/res from the
+        # query's clipped position (clipping shortens no distance), and that
+        # at most 0.5 from the node it rounds to.  So a corner is fewer than
+        # rho + 1.5 nodes off, at most ceil(rho + 0.5) whole nodes.
+        # floor(rho + 0.5) + 1 equals that, and is one node more where
+        # rho + 0.5 is an integer, where the strict bound would rest on exact
+        # arithmetic; SLACK widens it also where rho + 0.5 falls just short
+        # of an integer, far beyond the rounding of the grid coordinates.
+        h = math.floor(radius / grid.resolution + 0.5 + self.SLACK) + 1
         window = 2 * h + 1
         padded = np.pad(ratio, h, constant_values=np.inf)
         low = np.lib.stride_tricks.sliding_window_view(padded, window, axis=0).min(axis=-1)
@@ -122,7 +131,7 @@ def _accumulate(particles: ParticleSet, shape: Shape, points: np.ndarray, sensor
     t = particles.translations()     # (N, 3)
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     obj = np.empty((len(w), len(points), 3))
-    # component form matches Pose.transform bit for bit
+    # component form gives Pose.transform's values
     obj[..., 0] = R[:, 0, 0, None] * x + R[:, 0, 1, None] * y + R[:, 0, 2, None] * z + t[:, 0, None]
     obj[..., 1] = R[:, 1, 0, None] * x + R[:, 1, 1, None] * y + R[:, 1, 2, None] * z + t[:, 1, None]
     obj[..., 2] = R[:, 2, 0, None] * x + R[:, 2, 1, None] * y + R[:, 2, 2, None] * z + t[:, 2, None]

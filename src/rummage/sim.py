@@ -199,23 +199,34 @@ class World:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_trace(direction, origin, sdf_fns, max_range, tol):
-    """March a ray against several distance functions.
+def _sphere_trace(origin, directions, sdf_fns, max_range, tol):
+    """March the rays ``origin + t * directions[i]`` against several batched
+    distance functions, all rays in lockstep.
 
-    Returns (hit_t, hit_index) with hit_index -1 when nothing is hit.
+    A ray takes the first minimum over the functions at ``origin + t *
+    direction``, hits when it is below ``tol``, and otherwise advances
+    ``t`` by ``max(d, tol)``; it stops at a hit, past ``max_range`` or after
+    256 steps.  Each ray's arithmetic is that of marching it alone.
+    Returns ``(hit_t, hit_index)`` per ray, ``(max_range, -1)`` on a miss.
     """
-    t = 0.0
+    n = len(directions)
+    t = np.zeros(n)
+    hit_t = np.full(n, float(max_range))
+    hit_k = np.full(n, -1, dtype=np.intp)
+    live = np.arange(n)
     for _ in range(256):
-        p = origin + t * direction
-        dists = [f(p) for f in sdf_fns]
-        k = int(np.argmin(dists))
-        dv = dists[k]
-        if dv < tol:
-            return t, k
-        t += max(dv, tol)
-        if t > max_range:
+        if not len(live):
             break
-    return max_range, -1
+        dists = np.stack([f(origin + t[live, None] * directions[live]) for f in sdf_fns])
+        k = np.argmin(dists, axis=0)
+        dv = dists[k, np.arange(len(live))]
+        hit = dv < tol
+        hit_t[live[hit]] = t[live[hit]]
+        hit_k[live[hit]] = k[hit]
+        live = live[~hit]
+        t[live] += np.maximum(dv[~hit], tol)
+        live = live[~(t[live] > max_range)]
+    return hit_t, hit_k
 
 
 def camera_observe(world: World, camera: CameraModel) -> SemanticCloud:
@@ -223,19 +234,17 @@ def camera_observe(world: World, camera: CameraModel) -> SemanticCloud:
     points along 95% of every ray's detected depth (full range on misses)."""
     origin = np.asarray(camera.position, dtype=np.float64)
     T = world.true_pose
-    sdf_fns = [lambda p: float(world.shape.sdf(T.transform(p)))]
-    for occ in world.occluders:
-        sdf_fns.append(lambda p, occ=occ: float(occ.sdf(p)))
+    sdf_fns = [lambda p: world.shape.sdf(T.transform(p))] + [occ.sdf for occ in world.occluders]
 
     if camera.n_rays == 1:
         angles = [camera.look_angle]
     else:
         angles = camera.look_angle + np.linspace(-camera.fov / 2, camera.fov / 2, camera.n_rays)
+    directions = np.array([[math.cos(a), math.sin(a), 0.0] for a in angles])
+    hit_ts, hit_ks = _sphere_trace(origin, directions, sdf_fns, camera.max_range, camera.surface_tol)
 
     frees, surfaces = [], []
-    for a in angles:
-        direction = np.array([math.cos(a), math.sin(a), 0.0])
-        hit_t, hit_k = _sphere_trace(direction, origin, sdf_fns, camera.max_range, camera.surface_tol)
+    for direction, hit_t, hit_k in zip(directions, hit_ts, hit_ks):
         free_to = camera.free_fraction * hit_t if hit_k >= 0 else camera.max_range
         ts = np.arange(camera.sample_spacing, free_to, camera.sample_spacing)
         if len(ts):
@@ -426,12 +435,18 @@ def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.n
     scalar-loop definition bit for bit)."""
     n = len(particles)
     p_count = len(surface_samples)
-    flat = np.concatenate([T.inverse().transform(surface_samples) for T in particles.poses])
+    # column-major, as Pose.transform returns: every block of rows reads
+    # contiguous coordinates
+    flat = np.empty((3, n * p_count))
+    for i, T in enumerate(particles.poses):
+        flat[:, i * p_count:(i + 1) * p_count] = T.inverse().transform(surface_samples).T
+    flat = flat.T
     # one particle's row at a time: adding the running total to the row's
     # first element continues the sequential sum where the last row ended
     total = 0.0
     for T in particles.poses:
-        row = np.abs(blockwise(lambda x: shape.sdf(T.transform(x)), flat))
+        row = blockwise(lambda x: shape.sdf(T.transform(x)), flat)
+        np.abs(row, out=row)
         row[0] += total
         total = float(np.cumsum(row)[-1])
     return total / (n * n * p_count)

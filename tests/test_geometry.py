@@ -439,3 +439,221 @@ class TestManyPoses:
             assert np.all((ii[s:e] >= lo) & (ii[s:e] < hi))
             assert e - s <= 5 or hi == lo + 1
         assert list(pose_groups(np.zeros(0, dtype=np.intp), 3)) == []
+
+
+# ---------------------------------------------------------------------------
+# Lean kernels against their formulas
+# ---------------------------------------------------------------------------
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def _nine_term(T: Pose, p: np.ndarray) -> np.ndarray:
+    R, t = T.rotation, T.translation
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return np.stack([R[i, 0] * x + R[i, 1] * y + R[i, 2] * z + t[i] for i in range(3)], axis=-1)
+
+
+class TestPoseTransformKernel:
+    POSES = {
+        "general": Pose(geometry.rotation_about_axis((0.3, -0.5, 0.8), 1.1), np.array([0.2, -0.1, 0.05])),
+        "planar": Pose.from_placement((0.4, -0.2, 0.0), 0.7),
+        "near-planar": Pose(geometry.rotation_about_axis((1e-4, -2e-5, 1.0), 0.7), np.array([0.1, 0.3, 1e-6])),
+        "translation": Pose(np.eye(3), np.array([-0.06, -0.0, 0.0])),
+        "identity": Pose.identity(),
+    }
+
+    @pytest.mark.parametrize("name", list(POSES))
+    def test_equals_nine_term_formula(self, rng, name):
+        """Skipping zero terms and unit factors leaves every value (up to
+        the sign of a zero) as the full formula gives it, and each output
+        coordinate is contiguous."""
+        T = self.POSES[name]
+        pts = rng.uniform(-0.5, 0.5, (4, 37, 3))
+        pts[0, :5] = 0.0
+        got = T.transform(pts)
+        npt.assert_array_equal(got, _nine_term(T, pts))
+        assert got.shape == pts.shape
+        assert np.moveaxis(got, -1, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("name", list(POSES))
+    def test_batch_equals_single_bit_for_bit(self, rng, name):
+        T = self.POSES[name]
+        pts = rng.uniform(-0.5, 0.5, (30, 3))
+        pts[:3, 2] = 0.0
+        batch = T.transform(pts)
+        for i in range(len(pts)):
+            single = T.transform(pts[i])
+            assert single.shape == (3,)
+            assert _bits(batch[i]) == _bits(single)
+        # a column-major input gives the same bits
+        assert _bits(T.transform(np.asfortranarray(pts))) == _bits(batch)
+
+    def test_planar_pose_skips_zero_terms(self, rng):
+        """A planar pose's z row is a copy of z: finite values exactly z."""
+        T = self.POSES["planar"]
+        pts = rng.uniform(-0.5, 0.5, (20, 3))
+        assert _bits(T.transform(pts)[:, 2]) == _bits(pts[:, 2])
+
+
+class TestInPlaceShapes:
+    """The in-place sdf kernels against their textbook formulas, bit for bit."""
+
+    @staticmethod
+    def _points(rng):
+        p = np.concatenate([rng.uniform(-0.1, 0.1, (300, 3)), rng.uniform(-0.02, 0.02, (100, 3))])
+        p[:10] = 0.0
+        p[10:20, 0] = 0.03  # on faces of the box below
+        return p
+
+    def test_box(self, rng):
+        h = (0.03, 0.02, 0.025)
+        p = self._points(rng)
+        qx, qy, qz = (np.abs(p[:, i]) - h[i] for i in range(3))
+        ref = np.sqrt(np.maximum(qx, 0.0) ** 2 + np.maximum(qy, 0.0) ** 2 + np.maximum(qz, 0.0) ** 2)
+        ref = ref + np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
+        assert _bits(Box(h).sdf(p)) == _bits(ref)
+
+    @pytest.mark.parametrize(
+        "profile, formula",
+        [
+            (geometry.Circle2D(0.04), lambda x, y: np.sqrt(x**2 + y**2) - 0.04),
+            (Annulus2D(0.05, 0.042), lambda x, y: np.abs(np.sqrt(x**2 + y**2) - 0.046) - 0.004),
+            (
+                geometry.Rect2D(0.03, 0.02),
+                lambda x, y: np.sqrt(np.maximum(np.abs(x) - 0.03, 0.0) ** 2 + np.maximum(np.abs(y) - 0.02, 0.0) ** 2)
+                + np.minimum(np.maximum(np.abs(x) - 0.03, np.abs(y) - 0.02), 0.0),
+            ),
+        ],
+    )
+    def test_profiles_and_extrusion(self, rng, profile, formula):
+        p = self._points(rng)
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        d2 = formula(x, y)
+        assert _bits(profile.sdf(x, y)) == _bits(d2)
+        wz = np.abs(z) - 0.035
+        ref = np.sqrt(np.maximum(d2, 0.0) ** 2 + np.maximum(wz, 0.0) ** 2) + np.minimum(np.maximum(d2, wz), 0.0)
+        shape = Extrusion(profile, 0.035)
+        assert _bits(shape.sdf(p)) == _bits(ref)
+        for i in range(0, len(p), 37):
+            assert _bits(shape.sdf(p[i])) == _bits(ref[i])
+
+
+def _unculled_sdf(shape, p):
+    """Every child of every union evaluated at every point."""
+    if isinstance(shape, Union):
+        v = _unculled_sdf(shape.children[0], p)
+        for c in shape.children[1:]:
+            v = np.minimum(v, _unculled_sdf(c, p))
+        return v
+    if isinstance(shape, geometry.Transformed):
+        return _unculled_sdf(shape.child, shape.pose.transform(p))
+    if isinstance(shape, Complement):
+        return -_unculled_sdf(shape.child, p)
+    return shape.sdf(p)
+
+
+def _union_children():
+    rotated = geometry.Transformed(
+        Cylinder(0.015, 0.03), Pose(geometry.rotation_about_axis((1.0, 1.0, 0.2), 0.9), np.array([0.02, -0.05, 0.01]))
+    )
+    nested = Union(Sphere(0.02), translated(Box((0.01, 0.02, 0.015)), (-0.06, 0.01, 0.0)))
+    return [
+        Extrusion(Annulus2D(0.05, 0.042), 0.04),
+        translated(Box((0.01, 0.0075, 0.025)), (0.06, 0.0, 0.0)),
+        rotated,
+        nested,
+        Complement(Sphere(0.2)),
+    ]
+
+
+class TestUnionCull:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.permutations(range(5)),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 2**31 - 1),
+        offsets=st.lists(
+            st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-4, -1e-4, 0.01, 0.03]),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_sdf_equals_unculled_min(self, order, count, seed, offsets):
+        """Culling by the children's support balls leaves every value, a NaN
+        row and points on and near each ball's boundary included, bit for
+        bit what the min over every child gives."""
+        children = [_union_children()[k] for k in order[:count]]
+        shape = Union(*children)
+        rng = np.random.default_rng(seed)
+        pts = [rng.uniform(-0.15, 0.15, (40, 3)), np.full((1, 3), np.nan)]
+        offsets = np.asarray(offsets)[:, None]
+        for k, (center, radius) in enumerate(shape._balls):
+            if not math.isfinite(radius):
+                continue
+            u = rng.normal(size=(len(offsets), 3))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            pts.append(center + u * (radius + offsets))
+            if k:
+                # near the ball widened by the running min of the children before
+                before = Union(*children[:k])
+                q = center + u * radius
+                for _ in range(3):
+                    q = center + u * (radius + np.maximum(_unculled_sdf(before, q), 0.0))[:, None]
+                pts.append(q + u * offsets)
+        p = np.concatenate(pts)
+        ref = _unculled_sdf(shape, p)
+        assert _bits(shape.sdf(p)) == _bits(ref)
+        for i in range(0, len(p), 7):
+            assert _bits(shape.sdf(p[i])) == _bits(ref[i])
+
+    def test_handle_is_skipped_away_from_it(self, mug):
+        """The mug's handle is evaluated only near its ball."""
+        body, handle = mug.children
+        seen = []
+
+        class CountingBox(geometry.Shape):
+            def sdf(self, points):
+                seen.append(len(points))
+                return handle.child.sdf(points)
+
+            def bounding_box(self):
+                return handle.child.bounding_box()
+
+        counted = Union(body, geometry.Transformed(CountingBox(), handle.pose))
+        p = np.random.default_rng(0).uniform(-0.1, 0.1, (500, 3))
+        p[:, 0] -= 0.05  # mostly on the far side from the handle
+        assert _bits(counted.sdf(p)) == _bits(mug.sdf(p))
+        assert 0 < sum(seen) < len(p) // 2
+
+    def test_gradient_matches_stacked_reference(self, rng, mug):
+        """Each child's gradient at the points that pick it equals the old
+        stack-and-take_along_axis evaluation, first minimum on ties."""
+        shapes = [mug, Union(*_union_children()), Union(*_union_children()[:4][::-1])]
+        p = np.concatenate([rng.uniform(-0.12, 0.12, (400, 3)), np.full((1, 3), np.nan)])
+        for shape in shapes:
+            vals = np.stack([c.sdf(p) for c in shape.children])
+            pick = np.argmin(vals, axis=0)
+            grads = np.stack([c.gradient(p) for c in shape.children])
+            ref = np.take_along_axis(grads, pick[None, :, None], axis=0)[0]
+            assert _bits(shape.gradient(p)) == _bits(ref)
+            assert _bits(shape.gradient(p[3])) == _bits(ref[3])
+
+    def test_gradient_ties_take_first_child(self, rng):
+        class Tagged(geometry.Shape):
+            def __init__(self, tag):
+                self.tag = np.asarray(tag, dtype=np.float64)
+
+            def sdf(self, points):
+                return Sphere(0.05).sdf(points)
+
+            def gradient(self, points):
+                return np.broadcast_to(self.tag, np.shape(points)).copy()
+
+            def bounding_box(self):
+                return Sphere(0.05).bounding_box()
+
+        shape = Union(Tagged((1.0, 0.0, 0.0)), Tagged((0.0, 1.0, 0.0)), Tagged((0.0, 0.0, 1.0)))
+        g = shape.gradient(rng.uniform(-0.1, 0.1, (50, 3)))
+        npt.assert_array_equal(g, np.tile((1.0, 0.0, 0.0), (50, 1)))

@@ -234,6 +234,21 @@ class TestRolloutCull:
         npt.assert_array_equal(q, q_ref)
         npt.assert_array_equal(d, d_ref)
 
+    @pytest.mark.parametrize("rho, half_width", [(2.4, 3), (2.5, 4), (2.5 - 1e-9, 4), (3.16, 4), (6.32, 7)])
+    def test_floor_window_half_width(self, rho, half_width):
+        """The floor of a single low node reaches floor(r/res + 0.5) + 1
+        nodes, one more where r/res + 0.5 is (or nearly is) an integer."""
+        from rummage.infogain import FreeFloor
+
+        res, dims = 0.01, (25, 25, 1)
+        pf = np.full(dims, 0.9)
+        pf[12, 12, 0] = 0.1
+        po, ps = 1.0 - pf, np.zeros(dims)
+        fields = InfoFields(*(ScalarField(np.zeros(3), res, v, out) for v, out in ((pf, 1.0), (pf, 1.0), (po, 0.0), (ps, 0.0))))
+        low = FreeFloor(fields, rho * res).values < 0.5
+        ix, iy = np.meshgrid(np.arange(25), np.arange(25), indexing="ij")
+        npt.assert_array_equal(low, np.maximum(abs(ix - 12), abs(iy - 12)) <= half_width)
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),

@@ -96,6 +96,52 @@ class TestCamera:
         # free points stop short of the wall at x = 0.14
         assert cloud.free[:, 0].max() < 0.14
 
+    def test_lockstep_march_matches_per_ray_loop(self, mug):
+        """All rays marched together give the cloud of marching each ray
+        alone, bit for bit, with occluders hiding part of the object and
+        rays that stop at max_range short of a far wall."""
+        from rummage.geometry import translated
+
+        T = Pose.from_placement((0.35, 0.02, 0.0), 0.8)
+        occluders = [
+            translated(Box((0.01, 0.03, 0.2)), (0.15, 0.06, 0.0)),
+            translated(Sphere(0.02), (0.25, -0.08, 0.0)),
+            translated(Box((0.01, 1.0, 0.2)), (0.9, 0.0, 0.0)),  # beyond max_range
+        ]
+        world = World(shape=mug, true_pose=T, q=np.zeros(3), occluders=occluders)
+        cam = CameraModel(position=(-0.15, 0.0, 0.0), n_rays=61, fov=math.radians(80), max_range=0.8)
+
+        origin = np.asarray(cam.position, dtype=np.float64)
+        frees, surfaces, hits = [], [], set()
+        for a in cam.look_angle + np.linspace(-cam.fov / 2, cam.fov / 2, cam.n_rays):
+            direction = np.array([math.cos(a), math.sin(a), 0.0])
+            t, k_hit = 0.0, -1
+            for _ in range(256):
+                p = origin + t * direction
+                dists = [float(mug.sdf(T.transform(p)))] + [float(o.sdf(p)) for o in occluders]
+                k = int(np.argmin(dists))
+                if dists[k] < cam.surface_tol:
+                    k_hit = k
+                    break
+                t += max(dists[k], cam.surface_tol)
+                if t > cam.max_range:
+                    break
+            if k_hit < 0:
+                t = cam.max_range
+            hits.add(k_hit)
+            free_to = cam.free_fraction * t if k_hit >= 0 else cam.max_range
+            ts = np.arange(cam.sample_spacing, free_to, cam.sample_spacing)
+            if len(ts):
+                frees.append(origin[None, :] + ts[:, None] * direction[None, :])
+            if k_hit == 0:
+                surfaces.append(origin + t * direction)
+        assert hits == {-1, 0, 1, 2}
+
+        cloud = camera_observe(world, cam)
+        assert cloud.free.tobytes() == np.concatenate(frees).tobytes()
+        assert cloud.surface.tobytes() == np.stack(surfaces).tobytes()
+
+
 
 class TestTactile:
     def test_far_from_object_all_free(self):
@@ -262,6 +308,22 @@ class TestPairwiseChamfer:
         cross_a = np.abs(shape.sdf(poses[0].transform(poses[1].inverse().transform(samples)))).mean()
         cross_b = np.abs(shape.sdf(poses[1].transform(poses[0].inverse().transform(samples)))).mean()
         assert got == pytest.approx((cross_a + cross_b) / 4, rel=1e-6)
+
+    def test_every_point_goes_through_the_shape(self, rng, mug):
+        """The chamfer evaluates the shape at all n * n * P points, the
+        culling is inside the shape and changes no value."""
+        counted = []
+
+        class Counting:
+            def sdf(self, points):
+                counted.append(len(points))
+                return mug.sdf(points)
+
+        samples = sample_surface(mug, 70, rng)
+        poses = [Pose.from_placement((0.4 + 0.01 * i, -0.005 * i, 0.0), 0.9 * i) for i in range(5)]
+        particles = ParticleSet.uniform(poses)
+        assert pairwise_chamfer(particles, Counting(), samples) == pairwise_chamfer(particles, mug, samples)
+        assert sum(counted) == 5 * 5 * 70
 
 
 class TestPairwiseChamferMemory:
