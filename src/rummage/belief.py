@@ -73,9 +73,20 @@ class BeliefParams:
     schedule: DescentSchedule = field(default_factory=DescentSchedule)
 
 
-def weigh(particles: ParticleSet, cloud: SemanticCloud, shape: Shape, disc: DiscrepancyParams, params: BeliefParams) -> ParticleSet:
-    """Boltzmann reweighting from discrepancies; weights sum to one."""
-    d = discrepancies(disc, shape, cloud, particles)
+def weigh(
+    particles: ParticleSet,
+    cloud: SemanticCloud,
+    shape: Shape,
+    disc: DiscrepancyParams,
+    params: BeliefParams,
+    d: np.ndarray | None = None,
+) -> ParticleSet:
+    """Boltzmann reweighting from discrepancies; weights sum to one.
+
+    ``d``, when given, holds the particles' discrepancies against ``cloud``
+    already computed (they are not evaluated again)."""
+    if d is None:
+        d = discrepancies(disc, shape, cloud, particles)
     d = d - d.min()
     w = np.exp(-params.gamma * d)
     total = w.sum()
@@ -242,7 +253,7 @@ def update_step(
         particles = resample(particles, cloud, cfg.shape, cfg.disc, p, rng)
         particles = weigh(particles, cloud, cfg.shape, cfg.disc, p)
     else:
-        particles = weigh(particles, cloud, cfg.shape, cfg.disc, p)
+        particles = weigh(particles, cloud, cfg.shape, cfg.disc, p, d)
     return BeliefState(particles=particles, cloud=cloud)
 
 
@@ -284,9 +295,10 @@ def initialize_particles(
         elites = good
     bins = sorted(elites.keys())
     picks = rng.integers(0, len(bins), size=n)
-    chosen = [elites[bins[int(k)]][1] for k in picks]
-    particles = ParticleSet.uniform(chosen)
-    return weigh(particles, cloud, shape, disc, params)
+    chosen = [elites[bins[int(k)]] for k in picks]
+    particles = ParticleSet.uniform([T for _, T in chosen])
+    # a pose's discrepancy does not depend on the batch it is evaluated in
+    return weigh(particles, cloud, shape, disc, params, np.array([c for c, _ in chosen]))
 
 
 def particles_to_rows(particles: ParticleSet) -> list[dict]:

@@ -39,6 +39,7 @@ import numpy as np
 from .geometry import (
     Pose,
     Shape,
+    distinct_poses,
     object_origins,
     orthonormalize,
     pairs_within,
@@ -195,11 +196,13 @@ class _CloudKernel:
 
 def discrepancies(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, poses) -> np.ndarray:
     """Total discrepancy of each pose in a sequence (or ParticleSet), each
-    accumulated sequentially in the cloud's storage order."""
+    accumulated sequentially in the cloud's storage order.  Each distinct
+    pose is evaluated once (a pose's total does not depend on the others)."""
     ps = list(getattr(poses, "poses", poses))
     if len(cloud) == 0 or not ps:
         return np.zeros(len(ps))
-    return _CloudKernel(params, shape, cloud).totals(ps)
+    distinct, inverse = distinct_poses(ps)
+    return _CloudKernel(params, shape, cloud).totals(distinct)[inverse]
 
 
 def total_discrepancy(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, T: Pose) -> float:

@@ -236,6 +236,27 @@ def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
 
 
+def distinct_poses(poses) -> tuple[list[Pose], np.ndarray]:
+    """The distinct poses of a sequence, in order of first appearance, and
+    each pose's index among them (``distinct[inverse[i]]`` is pose ``i``).
+
+    Two poses are equal when the bytes of their rotations and translations
+    are, and so is their memory layout (a matrix product such as
+    :meth:`Pose.inverse` can round differently on a transposed copy).
+    Anything computed from one pose alone is then bit for bit the same for
+    both, so a per-pose kernel needs only the distinct ones."""
+    index: dict[tuple, int] = {}
+    distinct: list[Pose] = []
+    inverse = []
+    for p in poses:
+        R, t = p.rotation, p.translation
+        k = index.setdefault((R.tobytes(), t.tobytes(), R.strides, t.strides), len(distinct))
+        if k == len(distinct):
+            distinct.append(p)
+        inverse.append(k)
+    return distinct, np.array(inverse, dtype=np.intp)
+
+
 def transform_pairs(rotations: np.ndarray, translations: np.ndarray, pose_idx: np.ndarray, points: np.ndarray) -> np.ndarray:
     """``points[k]`` mapped by pose ``pose_idx[k]`` with the full nine-term
     formula: the values :meth:`Pose.transform` of that pose gives (which

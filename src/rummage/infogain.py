@@ -21,7 +21,7 @@ import numpy as np
 
 from .belief import ParticleSet
 from .discrepancy import DiscrepancyParams
-from .geometry import ScalarField, Shape, Workspace, blockwise
+from .geometry import ScalarField, Shape, Workspace, blockwise, distinct_poses
 from .semantics import SensorModel
 
 
@@ -124,25 +124,29 @@ class FreeFloor:
 def _accumulate(particles: ParticleSet, shape: Shape, points: np.ndarray, sensor: SensorModel, disc: DiscrepancyParams):
     """Weighted sensor probabilities and expected class costs over particles.
 
-    Evaluates the distances of every particle's transformed points in one
-    batch (memory scales with particles x points)."""
+    The signed distances and sensor probabilities are evaluated once per
+    distinct particle pose (:func:`~rummage.geometry.distinct_poses`), one
+    pose a block of points at a time, into (distinct poses, points) arrays;
+    memory scales with the distinct poses times the points.  Every weighted
+    sum is one GEMV over all particles in order, the rows gathered through
+    the distinct-pose index (not gathered when every pose is distinct), so
+    it reads the operands of evaluating each particle on its own."""
     w = particles.weights
-    R = particles.rotations()        # (N, 3, 3)
-    t = particles.translations()     # (N, 3)
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    obj = np.empty((len(w), len(points), 3))
-    # component form gives Pose.transform's values
-    obj[..., 0] = R[:, 0, 0, None] * x + R[:, 0, 1, None] * y + R[:, 0, 2, None] * z + t[:, 0, None]
-    obj[..., 1] = R[:, 1, 0, None] * x + R[:, 1, 1, None] * y + R[:, 1, 2, None] * z + t[:, 1, None]
-    obj[..., 2] = R[:, 2, 0, None] * x + R[:, 2, 1, None] * y + R[:, 2, 2, None] * z + t[:, 2, None]
-    v = blockwise(shape.sdf, obj.reshape(-1, 3)).reshape(len(w), len(points))
-    f, o, s = sensor.probabilities(v)
-    pf = w @ f
-    po = w @ o
-    ps = w @ s
-    ec_free = w @ (disc.sigma_f * np.maximum(0.0, disc.epsilon - v))
-    ec_occ = w @ (disc.sigma_f * np.maximum(0.0, disc.epsilon + v))
-    ec_surf = w @ np.abs(v)
+    poses, inverse = distinct_poses(particles.poses)
+    v = np.empty((len(poses), len(points)))
+    f, o, s = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+    for k, T in enumerate(poses):
+        v[k] = blockwise(lambda x: shape.sdf(T.transform(x)), points)
+        f[k], o[k], s[k] = sensor.probabilities(v[k])
+
+    def wsum(a):
+        return w @ (a if len(poses) == len(w) else a[inverse])
+
+    pf, po, ps = wsum(f), wsum(o), wsum(s)
+    del f, o, s  # freed before the cost temporaries, which set no new peak
+    ec_free = wsum(disc.sigma_f * np.maximum(0.0, disc.epsilon - v))
+    ec_occ = wsum(disc.sigma_f * np.maximum(0.0, disc.epsilon + v))
+    ec_surf = wsum(np.abs(v))
     return pf, po, ps, ec_free, ec_occ, ec_surf
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Shape, object_origins, pairs_within, pose_groups, stack_poses, support_radius, transform_pairs
+from .geometry import Pose, Shape, distinct_poses, object_origins, pairs_within, pose_groups, stack_poses, support_radius, transform_pairs
 
 
 class Semantics(enum.IntEnum):
@@ -178,7 +178,8 @@ def merge_observations(
     moved_occ = dT_w.transform(prev.occupied) if len(prev.occupied) else prev.occupied
     moved_surf = dT_w.transform(prev.surface) if len(prev.surface) else prev.surface
 
-    R, t = stack_poses(getattr(particles, "poses", particles))
+    # whether every pose places a point outside needs each distinct pose once
+    R, t = stack_poses(distinct_poses(getattr(particles, "poses", particles))[0])
     origins = object_origins(R, t)
     radius = support_radius(shape)
 

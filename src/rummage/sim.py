@@ -38,6 +38,7 @@ from .geometry import (
     Union,
     Workspace,
     blockwise,
+    distinct_poses,
     mug_shape,
     rotation_z,
     translated,
@@ -420,33 +421,54 @@ def nll(
     sensor: SensorModel = SensorModel(),
 ) -> float:
     """Negative log likelihood that the true surface is labeled surface
-    under the belief (probabilities floored at 1e-12)."""
+    under the belief (probabilities floored at 1e-12).
+
+    The surface probabilities are evaluated once per distinct particle
+    pose; the weighted sum still adds every particle's, in particle order."""
     world_pts = true_pose.inverse().transform(surface_samples)
+    poses, inverse = distinct_poses(particles.poses)
+    surf = [sensor.probabilities(shape.sdf(T.transform(world_pts)))[2] for T in poses]
     acc = np.zeros(len(world_pts))
-    for T, w in zip(particles.poses, particles.weights):
-        _, _, ps = sensor.probabilities(shape.sdf(T.transform(world_pts)))
-        acc += w * ps
+    for k, w in zip(inverse, particles.weights):
+        acc += w * surf[k]
     return float(-np.sum(np.log(np.maximum(acc, 1e-12))))
 
 
 def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.ndarray) -> float:
     """Mean absolute signed distance of every particle's surface samples
     under every other particle (sequential accumulation, matching the
-    scalar-loop definition bit for bit)."""
+    scalar-loop definition bit for bit).
+
+    Only the distinct particle poses are evaluated: their sample blocks
+    make the columns and each distinct row is computed once, kept only
+    while a later particle still repeats its pose.  A row is then expanded
+    to all n*P columns through the distinct-pose index, so the chained sum
+    adds the values of the scalar loop in its order."""
     n = len(particles)
     p_count = len(surface_samples)
+    poses, inverse = distinct_poses(particles.poses)
+    repeated = len(poses) < n
     # column-major, as Pose.transform returns: every block of rows reads
     # contiguous coordinates
-    flat = np.empty((3, n * p_count))
-    for i, T in enumerate(particles.poses):
-        flat[:, i * p_count:(i + 1) * p_count] = T.inverse().transform(surface_samples).T
+    flat = np.empty((3, len(poses) * p_count))
+    for k, T in enumerate(poses):
+        flat[:, k * p_count:(k + 1) * p_count] = T.inverse().transform(surface_samples).T
     flat = flat.T
+    last = {k: j for j, k in enumerate(inverse.tolist())}
+    kept: dict[int, np.ndarray] = {}
     # one particle's row at a time: adding the running total to the row's
     # first element continues the sequential sum where the last row ended
     total = 0.0
-    for T in particles.poses:
-        row = blockwise(lambda x: shape.sdf(T.transform(x)), flat)
-        np.abs(row, out=row)
+    for j, k in enumerate(inverse.tolist()):
+        row = kept.pop(k, None)
+        if row is None:
+            T = poses[k]
+            row = blockwise(lambda x: shape.sdf(T.transform(x)), flat)
+            np.abs(row, out=row)
+        if repeated:
+            if last[k] > j:
+                kept[k] = row
+            row = row.reshape(len(poses), p_count)[inverse].ravel()
         row[0] += total
         total = float(np.cumsum(row)[-1])
     return total / (n * n * p_count)
@@ -530,12 +552,17 @@ def slide_policy(
     speed: float = 0.5,
 ) -> np.ndarray:
     """Contact-sliding heuristic: head toward the estimated object center
-    until contact, then move tangent to the estimated surface normal."""
+    until contact, then move tangent to the estimated surface normal (each
+    distinct particle pose's normal evaluated once, the weighted sum over
+    every particle in order)."""
     q = np.asarray(q, dtype=np.float64)
     if in_contact and contact_point is not None:
+        cp = np.asarray(contact_point)
+        poses, inverse = distinct_poses(particles.poses)
+        normals = [T.inverse().rotate(shape.gradient(T.transform(cp))) for T in poses]
         normal = np.zeros(3)
-        for T, w in zip(particles.poses, particles.weights):
-            normal += w * T.inverse().rotate(shape.gradient(T.transform(np.asarray(contact_point))))
+        for k, w in zip(inverse, particles.weights):
+            normal += w * normals[k]
         n2 = normal[:2]
         nn = float(np.linalg.norm(n2))
         if nn > 1e-12:

@@ -1,0 +1,265 @@
+"""Per-particle kernels evaluate each distinct pose once.
+
+Every kernel below is checked bit for bit against a per-particle reference
+loop written here, on two particle sets: one that repeats poses the way
+``initialize_particles`` fills 100 particles from yaw-bin elites, and one
+whose 100 poses are all distinct.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from rummage import belief as belief_mod
+from rummage.belief import BeliefConfig, BeliefParams, BeliefState, ParticleSet, update_step
+from rummage.discrepancy import DiscrepancyParams, cost_array, discrepancies
+from rummage.geometry import Pose, Workspace, distinct_poses, mug_shape
+from rummage.infogain import build_info_fields, build_reachability, ReachabilityModel
+from rummage.planner import ActionScale, PlanningContext
+from rummage.semantics import SemanticCloud, SensorModel, _downsample_positions, merge_observations
+from rummage.sim import nll, pairwise_chamfer, sample_surface, slide_policy
+
+CENTER = np.array([0.45, 0.0, 0.0])
+SENSOR = SensorModel()
+DISC = DiscrepancyParams()
+
+
+def placement(rng):
+    return Pose.from_placement(CENTER + rng.normal(0, 0.01, 3) * [1, 1, 0], rng.uniform(-math.pi, math.pi))
+
+
+def particle_sets():
+    """(name, particles): 100 particles drawn from 36 elites, some of the
+    repeats equal-valued copies rather than the same object, and 100
+    distinct poses; random weights."""
+    rng = np.random.default_rng(7)
+    elites = [placement(rng) for _ in range(36)]
+    repeated = []
+    for k in rng.integers(0, len(elites), 100):
+        T = elites[int(k)]
+        copy = Pose(np.copy(T.rotation, order="K"), np.copy(T.translation, order="K"))
+        repeated.append(copy if rng.random() < 0.3 else T)
+    distinct = [placement(rng) for _ in range(100)]
+    out = []
+    for name, poses in (("repeated", repeated), ("distinct", distinct)):
+        w = rng.uniform(0.1, 1.0, len(poses))
+        out.append((name, ParticleSet(poses, w / w.sum())))
+    return out
+
+
+SETS = particle_sets()
+IDS = [name for name, _ in SETS]
+PARTICLES = [p for _, p in SETS]
+
+
+def nine_term(T, points):
+    """``R x + t`` with every term, as a per-particle reference."""
+    R, t = T.rotation, T.translation
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    return np.stack([R[i, 0] * x + R[i, 1] * y + R[i, 2] * z + t[i] for i in range(3)], axis=-1)
+
+
+class TestDistinctPoses:
+    def test_first_appearance_order_and_inverse(self):
+        a = Pose.from_placement((0.1, 0.0, 0.0), 0.3)
+        b = Pose.from_placement((0.2, 0.0, 0.0), -1.0)
+        c = Pose.identity()
+        poses = [b, a, b, c, a, a]
+        distinct, inverse = distinct_poses(poses)
+        assert [id(p) for p in distinct] == [id(b), id(a), id(c)]
+        npt.assert_array_equal(inverse, [0, 1, 0, 2, 1, 1])
+        for T, k in zip(poses, inverse):
+            assert distinct[k] is T
+
+    def test_equal_valued_separate_objects_merge(self):
+        T = Pose.from_placement((0.4, -0.1, 0.0), 2.0)
+        copy = Pose(np.copy(T.rotation, order="K"), np.copy(T.translation, order="K"))
+        near = Pose(np.copy(T.rotation, order="K"), T.translation + [1e-15, 0.0, 0.0])
+        distinct, inverse = distinct_poses([T, copy, near, copy])
+        assert len(distinct) == 2 and distinct[0] is T and distinct[1] is near
+        npt.assert_array_equal(inverse, [0, 0, 1, 0])
+
+    def test_layout_counts(self):
+        """A rotation stored transposed can round differently in a matrix
+        product (here the inverse's translation), so it is not merged."""
+        T = Pose.from_placement((0.4, -0.1, 0.0), 2.0)
+        assert T.rotation.flags["F_CONTIGUOUS"] and not T.rotation.flags["C_CONTIGUOUS"]
+        c_order = Pose(np.ascontiguousarray(T.rotation), T.translation)
+        distinct, inverse = distinct_poses([T, c_order])
+        assert len(distinct) == 2
+        npt.assert_array_equal(inverse, [0, 1])
+
+    def test_all_distinct_and_empty(self):
+        poses = [Pose.from_placement((0.01 * i, 0.0, 0.0)) for i in range(5)]
+        distinct, inverse = distinct_poses(iter(poses))
+        assert all(d is T for d, T in zip(distinct, poses)) and len(distinct) == 5
+        npt.assert_array_equal(inverse, np.arange(5))
+        distinct, inverse = distinct_poses([])
+        assert distinct == [] and len(inverse) == 0
+
+    def test_particle_sets(self):
+        (_, repeated), (_, distinct) = SETS
+        assert len(distinct_poses(repeated.poses)[0]) <= 36
+        assert len(distinct_poses(distinct.poses)[0]) == 100
+
+
+@pytest.fixture(scope="module")
+def shape():
+    return mug_shape()
+
+
+@pytest.mark.parametrize("particles", PARTICLES, ids=IDS)
+class TestKernelsMatchPerParticleLoops:
+    def test_info_fields(self, particles, shape):
+        ws = Workspace(bounds=((0.3, 0.6), (-0.15, 0.15), (0.0, 0.0)), resolution=0.01)
+        nodes = ws.grid_points()
+        w = particles.weights
+        v = np.stack([shape.sdf(nine_term(T, nodes)) for T in particles.poses])
+        f, o, s = SENSOR.probabilities(v)
+        pf, po, ps = w @ f, w @ o, w @ s
+        ef = w @ (DISC.sigma_f * np.maximum(0.0, DISC.epsilon - v))
+        eo = w @ (DISC.sigma_f * np.maximum(0.0, DISC.epsilon + v))
+        es = w @ np.abs(v)
+        fields = build_info_fields(particles, shape, ws, 2.0, SENSOR, DISC)
+        npt.assert_array_equal(fields.info.values.ravel(), 2.0 * (pf * ef + po * eo + ps * es))
+        npt.assert_array_equal(fields.p_free.values.ravel(), pf)
+        npt.assert_array_equal(fields.p_occ.values.ravel(), po)
+        npt.assert_array_equal(fields.p_surf.values.ravel(), ps)
+
+    def test_rollout_normals(self, particles, shape, rng):
+        ws = Workspace(bounds=((0.3, 0.6), (-0.15, 0.15), (0.0, 0.0)), resolution=0.02)
+        fields = build_info_fields(particles, shape, ws)
+        reach = build_reachability(ws, ReachabilityModel())
+        ctx = PlanningContext(fields=fields, reach=reach, particles=particles, shape=shape)
+        points = CENTER + rng.uniform(-0.07, 0.07, (300, 3)) * [1, 1, 0.3]
+        R = particles.rotations()
+        obj = np.stack([nine_term(T, points) for T in particles.poses])
+        g = shape.gradient(obj.reshape(-1, 3)).reshape(obj.shape)
+        # R^T g summed left to right, per particle
+        world = np.empty_like(g)
+        for i in range(3):
+            world[..., i] = R[:, 0, i, None] * g[..., 0] + R[:, 1, i, None] * g[..., 1] + R[:, 2, i, None] * g[..., 2]
+        want = np.einsum("n,nmi->mi", particles.weights, world)
+        for _ in range(2):  # the distinct stack is built once per context
+            npt.assert_array_equal(ctx.weighted_normals(points), want)
+
+    def test_pairwise_chamfer(self, particles, shape):
+        samples = sample_surface(shape, 60, np.random.default_rng(1))
+        columns = np.concatenate([T.inverse().transform(samples) for T in particles.poses])
+        total = 0.0
+        for T in particles.poses:
+            row = np.abs(shape.sdf(nine_term(T, columns)))
+            row[0] += total
+            total = float(np.cumsum(row)[-1])
+        n = len(particles)
+        assert pairwise_chamfer(particles, shape, samples) == total / (n * n * len(samples))
+
+    def test_nll(self, particles, shape):
+        samples = sample_surface(shape, 200, np.random.default_rng(2))
+        truth = Pose.from_placement(CENTER + [0.004, -0.002, 0.0], 0.5)
+        world = truth.inverse().transform(samples)
+        acc = np.zeros(len(samples))
+        for T, w in zip(particles.poses, particles.weights):
+            acc += w * SENSOR.probabilities(shape.sdf(nine_term(T, world)))[2]
+        want = float(-np.sum(np.log(np.maximum(acc, 1e-12))))
+        assert nll(particles, shape, truth, samples, SENSOR) == want
+
+    def test_discrepancies(self, particles, shape, rng):
+        cloud = SemanticCloud.from_parts(
+            free=CENTER + rng.uniform(-0.2, 0.2, (800, 3)) * [1, 1, 0.1],
+            surface=Pose.from_placement(CENTER, 0.2).inverse().transform(sample_surface(shape, 60, rng)),
+        )
+        for eps in (0.0, 0.004):
+            params = DiscrepancyParams(epsilon=eps)
+            want = [float(np.cumsum(cost_array(params, shape, cloud, T))[-1]) for T in particles.poses]
+            npt.assert_array_equal(discrepancies(params, shape, cloud, particles), want)
+
+    def test_merge_free_filter(self, particles, shape, rng):
+        prev = SemanticCloud.from_parts(
+            free=CENTER + rng.uniform(-0.15, 0.15, (1500, 3)) * [1, 1, 0.2],
+            surface=CENTER + rng.uniform(-0.05, 0.05, (30, 3)),
+        )
+        new = SemanticCloud.from_parts(free=CENTER + rng.uniform(-0.15, 0.15, (300, 3)) * [1, 1, 0.2])
+        dT_w = Pose.delta((0.004, -0.002, 0.0), (0, 0, 1), 0.03)
+        got = merge_observations(prev, new, particles, dT_w, shape, 0.01, 0.002)
+        # every particle in turn: a free point stays only if all place it outside
+        keep_prev = np.ones(len(prev.free), dtype=bool)
+        for T in particles.poses:
+            keep_prev &= shape.sdf(nine_term(T, prev.free)) > 0.0
+        merged = SemanticCloud.from_parts(
+            free=prev.free[keep_prev], surface=dT_w.transform(prev.surface)
+        ).extend(new)
+        free_ds = _downsample_positions(merged.free, 0.01)
+        keep = np.ones(len(free_ds), dtype=bool)
+        for T in particles.poses:
+            keep &= shape.sdf(nine_term(T, free_ds)) > 0.0
+        npt.assert_array_equal(got.free, free_ds[keep])
+        npt.assert_array_equal(got.surface, _downsample_positions(merged.surface, 0.002))
+        assert 0 < len(got.free) < len(free_ds)
+
+    def test_slide_contact_normal(self, particles, shape):
+        scale = ActionScale()
+        for cp in ([0.50, 0.01, 0.0], [0.41, -0.05, 0.01]):
+            normal = np.zeros(3)
+            for T, w in zip(particles.poses, particles.weights):
+                normal += w * T.inverse().rotate(shape.gradient(T.transform(np.asarray(cp))))
+            n2 = normal[:2]
+            tangent = np.array([-n2[1], n2[0]]) * -1.0 / float(np.linalg.norm(n2))
+            want = np.array([tangent[0] * 0.5, tangent[1] * 0.5, 0.0])
+            got = slide_policy(particles, shape, [0.3, 0.0, 0.0], True, cp, -1.0, scale, 0.5)
+            npt.assert_array_equal(got, want)
+
+
+class TestNoDuplicatePasses:
+    def test_reweigh_only_update_takes_one_discrepancy_pass(self, shape, monkeypatch):
+        """A reweigh-only update evaluates the discrepancies once and hands
+        them to ``weigh``; the weights equal weighing from scratch."""
+        calls = []
+        real = belief_mod.discrepancies
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(belief_mod, "discrepancies", counting)
+        _, particles = SETS[1]
+        truth = Pose.from_placement(CENTER, 0.3)
+        cloud = SemanticCloud.from_parts(surface=truth.inverse().transform(sample_surface(shape, 40, np.random.default_rng(4))))
+        cfg = BeliefConfig(shape=shape, params=BeliefParams(eta=1e9))  # never resample
+        state = BeliefState(particles=particles, cloud=cloud)
+        rng = np.random.default_rng(0)
+        out = update_step(state, cfg, SemanticCloud(), Pose.identity(), rng, movement_known=True, dT_w_known=Pose.identity())
+        assert len(calls) == 1
+        want = belief_mod.weigh(particles, out.cloud, shape, cfg.disc, cfg.params)
+        npt.assert_array_equal(out.particles.weights, want.weights)
+        assert len(calls) == 2
+
+
+class TestMemory:
+    def test_chamfer_peak_with_distinct_poses(self, shape):
+        """100 distinct poses x 500 samples: no row cache, no gathers."""
+        _, particles = SETS[1]
+        samples = sample_surface(shape, 500, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            pairwise_chamfer(particles, shape, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("particles", PARTICLES, ids=IDS)
+    def test_info_fields_peak_on_5mm_grid(self, particles, shape):
+        """No (particles, nodes, 3) stack: evaluating all particles in one
+        batch through it peaks at about 198 MB here."""
+        ws = Workspace(bounds=((0.0, 0.8), (-0.4, 0.4), (0.0, 0.0)), resolution=0.005)
+        tracemalloc.start()
+        try:
+            build_info_fields(particles, shape, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MB"
