@@ -41,7 +41,7 @@ def run(argv=None) -> int:
     center = cloud.surface.mean(axis=0) if len(cloud.surface) else np.asarray(scenario.prior_center)
     center[2] = scenario.true_center[2]
     yaws = np.linspace(-math.pi, math.pi, args.particles, endpoint=False)
-    particles = ParticleSet.uniform([Pose.from_placement(center, y) for y in yaws])
+    particles = ParticleSet.from_poses([Pose.from_placement(center, y) for y in yaws])
     particles = weigh(particles, cloud, shape, scenario.disc, scenario.belief)
 
     fields = build_info_fields(particles, shape, workspace, scenario.belief.gamma, scenario.sensor, scenario.disc)

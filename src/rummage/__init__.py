@@ -6,9 +6,9 @@ over the workspace drives a kernel-interpolated sampling MPC that gathers
 contact information while keeping the object reachable.
 """
 
-from .belief import BeliefConfig, BeliefParams, BeliefState, ParticleSet
+from .belief import BeliefConfig, BeliefParams, BeliefState
 from .discrepancy import DiscrepancyParams
-from .geometry import Pose, ScalarField, Shape, Workspace, mug_shape
+from .geometry import ParticleSet, Pose, ScalarField, Shape, Workspace, mug_shape
 from .infogain import InfoFields, ReachabilityModel, build_info_fields, build_reachability
 from .planner import ActionScale, PaddleRobot, Planner, PlannerParams, PlanningContext
 from .semantics import SemanticCloud, Semantics, SensorModel

@@ -19,43 +19,10 @@ import numpy as np
 
 from .discrepancy import DescentSchedule, DiscrepancyParams, discrepancies, refine_pose
 from .discrepancy import total_discrepancy  # noqa: F401  (loopbench/tracing.py wraps belief.total_discrepancy)
-from .geometry import Pose, Shape
+from .geometry import ParticleSet, Pose, Shape, compose_poses, rotation_about_axis
 from .semantics import SemanticCloud, merge_observations
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ParticleSet:
-    """Pose hypotheses with normalized weights."""
-
-    poses: list[Pose]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.poses) != len(self.weights):
-            raise ValueError("poses and weights length mismatch")
-        if len(self.poses) == 0:
-            raise ValueError("particle set must be nonempty")
-
-    @staticmethod
-    def uniform(poses: list[Pose]) -> "ParticleSet":
-        n = len(poses)
-        return ParticleSet(list(poses), np.full(n, 1.0 / n))
-
-    def __len__(self) -> int:
-        return len(self.poses)
-
-    def rotations(self) -> np.ndarray:
-        return np.stack([p.rotation for p in self.poses])
-
-    def translations(self) -> np.ndarray:
-        return np.stack([p.translation for p in self.poses])
-
-    def weighted_center(self) -> np.ndarray:
-        centers = np.stack([p.object_center_world() for p in self.poses])
-        return (self.weights[:, None] * centers).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -67,7 +34,6 @@ class BeliefParams:
     k_opt: int = 10             # descent steps per refinement
     n_particles: int = 100
     planar: bool = True
-    resample_percentile: float | None = None  # None: use the max discrepancy
     r_free: float = 0.010
     r_surf: float = 0.002
     schedule: DescentSchedule = field(default_factory=DescentSchedule)
@@ -95,23 +61,30 @@ def weigh(
         w = np.full(len(particles), 1.0 / len(particles))
     else:
         w = w / total
-    return ParticleSet(list(particles.poses), w)
+    return ParticleSet(particles.rotations, particles.translations, w)
 
 
-def perturb(rng: np.random.Generator, sigma_t: float, sigma_r: float, planar: bool = False) -> Pose:
-    """Sample a small random transform: Gaussian translation, Gaussian angle
-    about a uniformly random axis (the z axis in planar mode)."""
-    if planar:
-        dt = np.zeros(3)
-        dt[:2] = rng.normal(0.0, sigma_t, 2) if sigma_t > 0 else 0.0
-        axis = np.array([0.0, 0.0, 1.0])
-    else:
-        dt = rng.normal(0.0, sigma_t, 3) if sigma_t > 0 else np.zeros(3)
-        raw = rng.normal(size=3)
-        n = np.linalg.norm(raw)
-        axis = raw / n if n > 0 else np.array([0.0, 0.0, 1.0])
-    angle = float(rng.normal(0.0, sigma_r)) if sigma_r > 0 else 0.0
-    return Pose.delta(dt, axis, angle)
+def perturb(
+    rng: np.random.Generator, n: int, sigma_t: float, sigma_r: float, planar: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``n`` small random transforms, as rotations (n, 3, 3) and
+    translations (n, 3): Gaussian translation, Gaussian angle about a
+    uniformly random axis (the z axis in planar mode).
+
+    One standard-normal block holds each transform's draws in turn
+    (translation, axis, angle), so the stream is that of drawing them one
+    transform at a time with ``rng.normal``."""
+    m = (2 if planar else 3) if sigma_t > 0 else 0
+    z = rng.standard_normal((n, m + (0 if planar else 3) + (sigma_r > 0)))
+    t = np.zeros((n, 3))
+    t[:, :m] = sigma_t * z[:, :m]
+    axis = np.tile([0.0, 0.0, 1.0], (n, 1))
+    if not planar:
+        raw = z[:, m:m + 3]
+        norm = np.sqrt(np.vecdot(raw, raw))[:, None]
+        np.divide(raw, norm, out=axis, where=norm > 0)
+    angle = sigma_r * z[:, -1] if sigma_r > 0 else np.zeros(n)
+    return rotation_about_axis(axis, angle), t
 
 
 def systematic_resample_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -133,13 +106,9 @@ def resample(
     """Systematic resampling by weight, then perturb and locally refine each
     copy against the accumulated cloud.  Weights reset to uniform."""
     idx = systematic_resample_indices(particles.weights, rng)
-    new_poses = []
-    for i in idx:
-        base = particles.poses[int(i)]
-        noise = perturb(rng, params.sigma_t, params.sigma_r, params.planar)
-        new_poses.append(noise.compose(base))
-    refined = refine_pose(disc, shape, cloud, new_poses, params.k_opt, params.schedule, params.planar)
-    return ParticleSet.uniform(refined)
+    noise = perturb(rng, len(idx), params.sigma_t, params.sigma_r, params.planar)
+    copies = ParticleSet(*compose_poses(*noise, particles.rotations[idx], particles.translations[idx]))
+    return refine_pose(disc, shape, cloud, copies, params.k_opt, params.schedule, params.planar)
 
 
 def estimate_movement(
@@ -170,8 +139,7 @@ def estimate_movement(
     if len(new_cloud.surface) == 0:
         return Pose.identity(), Pose.identity()
     d = discrepancies(disc, shape, prev_cloud, particles)
-    i = int(np.argmin(d))
-    T_i = particles.poses[i]
+    T_i = particles.pose(int(np.argmin(d)))
     if prior_w is not None:
         dT_robot = T_i.compose(prior_w.inverse()).compose(T_i.inverse())
     composed = dT_robot.compose(T_i)
@@ -192,12 +160,6 @@ class BeliefConfig:
 class BeliefState:
     particles: ParticleSet
     cloud: SemanticCloud
-
-
-def _resample_trigger(d: np.ndarray, params: BeliefParams) -> float:
-    if params.resample_percentile is not None:
-        return float(np.percentile(d, params.resample_percentile))
-    return float(d.max())
 
 
 def update_step(
@@ -229,9 +191,9 @@ def update_step(
         else:
             if len(state.cloud) and not dT.is_identity():
                 d = discrepancies(cfg.disc, cfg.shape, state.cloud, state.particles)
-                T_i = state.particles.poses[int(np.argmin(d))]
+                T_i = state.particles.pose(int(np.argmin(d)))
             else:
-                T_i = state.particles.poses[0]
+                T_i = state.particles.pose(0)
             dT_w = T_i.inverse().compose(dT.inverse()).compose(T_i)
     else:
         dT, dT_w = estimate_movement(
@@ -240,16 +202,15 @@ def update_step(
 
     particles = state.particles
     if not dT.is_identity():
-        moved = []
-        for T in particles.poses:
-            noise = perturb(rng, p.sigma_t, p.sigma_r, p.planar)
-            moved.append(noise.compose(dT).compose(T))
-        particles = ParticleSet(moved, particles.weights.copy())
+        # (noise dT) T for every particle
+        noise = perturb(rng, len(particles), p.sigma_t, p.sigma_r, p.planar)
+        moved = compose_poses(*compose_poses(*noise, dT.rotation, dT.translation), particles.rotations, particles.translations)
+        particles = ParticleSet(*moved, particles.weights)
 
     cloud = merge_observations(state.cloud, new_cloud, particles, dT_w, cfg.shape, p.r_free, p.r_surf)
 
     d = discrepancies(cfg.disc, cfg.shape, cloud, particles)
-    if _resample_trigger(d, p) > p.eta:
+    if d.max() > p.eta:
         particles = resample(particles, cloud, cfg.shape, cfg.disc, p, rng)
         particles = weigh(particles, cloud, cfg.shape, cfg.disc, p)
     else:
@@ -275,56 +236,27 @@ def initialize_particles(
     uniformly at random, then weighed.
     """
     n = params.n_particles
+    priors = ParticleSet.from_poses(prior_poses)
     if len(cloud) == 0:
-        if len(prior_poses) < n:
+        if len(priors) < n:
             raise ValueError("need at least n_particles prior poses")
-        return ParticleSet.uniform(list(prior_poses[:n]))
+        return ParticleSet(priors.rotations[:n], priors.translations[:n])
 
-    refined = refine_pose(disc, shape, cloud, prior_poses, params.k_opt, params.schedule, params.planar)
+    refined = refine_pose(disc, shape, cloud, priors, params.k_opt, params.schedule, params.planar)
     costs = discrepancies(disc, shape, cloud, refined)
 
-    elites: dict[int, tuple[float, Pose]] = {}
-    for T, c in zip(refined, costs):
-        yaw = T.placement_yaw() % (2.0 * math.pi)
-        b = min(int(yaw / (2.0 * math.pi / yaw_bins)), yaw_bins - 1)
-        if b not in elites or c < elites[b][0]:
-            elites[b] = (c, T)
+    # each pose's yaw bin (Pose.placement_yaw), then each bin's lowest cost
+    R = refined.rotations
+    yaw = np.arctan2(R[:, 0, 1], R[:, 0, 0]) % (2.0 * math.pi)
+    bins = np.minimum((yaw / (2.0 * math.pi / yaw_bins)).astype(np.intp), yaw_bins - 1)
+    order = np.lexsort((costs, bins))  # stable: the first among equal costs leads
+    _, lead = np.unique(bins[order], return_index=True)
+    elites = order[lead]
 
-    good = {b: e for b, e in elites.items() if e[0] <= params.eta}
-    if good:
+    good = elites[costs[elites] <= params.eta]
+    if len(good):
         elites = good
-    bins = sorted(elites.keys())
-    picks = rng.integers(0, len(bins), size=n)
-    chosen = [elites[bins[int(k)]] for k in picks]
-    particles = ParticleSet.uniform([T for _, T in chosen])
+    rows = elites[rng.integers(0, len(elites), size=n)]
+    particles = ParticleSet(R[rows], refined.translations[rows])
     # a pose's discrepancy does not depend on the batch it is evaluated in
-    return weigh(particles, cloud, shape, disc, params, np.array([c for c, _ in chosen]))
-
-
-def particles_to_rows(particles: ParticleSet) -> list[dict]:
-    """Serializable rows (translation + quaternion + weight) for logging."""
-    from .geometry import quaternion_from_matrix
-
-    rows = []
-    for T, w in zip(particles.poses, particles.weights):
-        q = quaternion_from_matrix(T.rotation)
-        t = T.translation
-        rows.append(
-            {
-                "tx": t[0], "ty": t[1], "tz": t[2],
-                "qw": q[0], "qx": q[1], "qy": q[2], "qz": q[3],
-                "weight": float(w),
-            }
-        )
-    return rows
-
-
-def particles_from_rows(rows: list[dict]) -> ParticleSet:
-    from .geometry import matrix_from_quaternion
-
-    poses, weights = [], []
-    for r in rows:
-        R = matrix_from_quaternion([float(r["qw"]), float(r["qx"]), float(r["qy"]), float(r["qz"])])
-        poses.append(Pose(R, np.array([float(r["tx"]), float(r["ty"]), float(r["tz"])])))
-        weights.append(float(r["weight"]))
-    return ParticleSet(poses, np.asarray(weights))
+    return weigh(particles, cloud, shape, disc, params, costs[rows])

@@ -11,7 +11,7 @@ gradient, so they are parallel to, but not equal to, the analytic cost
 gradients; what is guaranteed (and tested) is that a small step against
 them does not increase the cost.
 
-Costs, descent steps and refinement take a whole sequence of poses and
+Costs, descent steps and refinement take a whole particle set and
 evaluate it in one pass per descent iteration: the (pose, point) pairs are
 stacked, one ``shape.sdf`` and one ``shape.gradient`` call cover them, and
 per-pose sums are sequential in cloud order (``np.bincount`` adds in index
@@ -37,15 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    ParticleSet,
     Pose,
     Shape,
-    distinct_poses,
     object_origins,
     orthonormalize,
     pairs_within,
     pose_groups,
     rotation_about_axis,
-    stack_poses,
     support_radius,
     transform_pairs,
 )
@@ -140,23 +139,23 @@ class _CloudKernel:
             v = self.shape.sdf(x_obj)
             yield lo, hi, i - lo, x_obj, labels, v, _costs(self.params, v, labels)
 
-    def totals(self, poses: list[Pose]) -> np.ndarray:
-        out = np.zeros(len(poses))
-        for lo, hi, ii, _, _, _, costs in self.passes(*stack_poses(poses)):
+    def totals(self, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(rotations))
+        for lo, hi, ii, _, _, _, costs in self.passes(rotations, translations):
             out[lo:hi] = np.bincount(ii, weights=costs, minlength=hi - lo)
         return out
 
-    def descent_steps(self, poses: list[Pose], step_t: float, step_r: float, planar: bool) -> tuple[list[Pose], np.ndarray]:
-        """One descent step for every pose; also returns the costs at the
-        incoming poses (from the same distance evaluation, so refinement
-        needs one pass per step)."""
-        n = len(poses)
+    def descent_steps(self, rotations: np.ndarray, translations: np.ndarray, step_t: float, step_r: float, planar: bool):
+        """One descent step for every pose of a stack, as ``(rotations,
+        translations, costs)``: the costs are at the incoming poses (from
+        the same distance evaluation, so refinement needs one pass per step)."""
+        n = len(rotations)
         cost = np.zeros(n)
         count = np.zeros(n, dtype=np.intp)
         dir_sum = np.zeros((n, 3))
         torque_sum = np.zeros((n, 3))
         lever_sq = np.zeros(n)
-        for lo, hi, ii, x_obj, labels, v, costs in self.passes(*stack_poses(poses)):
+        for lo, hi, ii, x_obj, labels, v, costs in self.passes(rotations, translations):
             m = hi - lo
             cost[lo:hi] = np.bincount(ii, weights=costs, minlength=m)
             # aggregate over active points only: satisfied points carry no
@@ -173,12 +172,14 @@ class _CloudKernel:
                 torque_sum[lo:hi, j] = np.bincount(ia, weights=cross[:, j], minlength=m)
             k = np.bincount(ia, minlength=m)
             count[lo:hi] = k
-            # np.mean of a 1-D array sums pairwise, so each pose's mean runs
-            # on its own compacted active points, as a lone pose's does
+            # each pose's np.mean over its own active points: np.mean adds
+            # 0.0 and the pairwise sum of the run, and reduceat over the run
+            # behind a 0.0 adds exactly that
             lever = np.sum(x_act**2, axis=-1)
-            ends = np.cumsum(k)
-            for i in np.flatnonzero(k):
-                lever_sq[lo + i] = np.mean(lever[ends[i] - k[i]:ends[i]])
+            some = np.flatnonzero(k)
+            starts = (np.cumsum(k) - k)[some]
+            sums = np.add.reduceat(np.insert(lever, starts, 0.0), starts + np.arange(len(starts)))
+            lever_sq[lo + some] = sums / k[some]
 
         # bincount adds in index order: the sequential column sums of a
         # lone pose's mean(axis=0)
@@ -187,27 +188,21 @@ class _CloudKernel:
         if planar:
             g_mean[:, 2] = 0.0
             torque[:, :2] = 0.0
-        stepped = [
-            _step_pose(T, g_mean[i], torque[i], step_t, step_r) if count[i] else T
-            for i, T in enumerate(poses)
-        ]
-        return stepped, cost
+        return (*_step_poses(rotations, translations, g_mean, torque, step_t, step_r), cost)
 
 
-def discrepancies(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, poses) -> np.ndarray:
-    """Total discrepancy of each pose in a sequence (or ParticleSet), each
-    accumulated sequentially in the cloud's storage order.  Each distinct
-    pose is evaluated once (a pose's total does not depend on the others)."""
-    ps = list(getattr(poses, "poses", poses))
-    if len(cloud) == 0 or not ps:
-        return np.zeros(len(ps))
-    distinct, inverse = distinct_poses(ps)
-    return _CloudKernel(params, shape, cloud).totals(distinct)[inverse]
+def discrepancies(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, particles: ParticleSet) -> np.ndarray:
+    """Total discrepancy of each pose of a set, each accumulated
+    sequentially in the cloud's storage order.  Each distinct pose is
+    evaluated once (a pose's total does not depend on the others)."""
+    if len(cloud) == 0:
+        return np.zeros(len(particles))
+    return _CloudKernel(params, shape, cloud).totals(*particles.distinct())[particles.inverse]
 
 
 def total_discrepancy(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, T: Pose) -> float:
     """Sum of point costs, accumulated sequentially in storage order."""
-    return float(discrepancies(params, shape, cloud, [T])[0])
+    return float(discrepancies(params, shape, cloud, ParticleSet.from_poses([T]))[0])
 
 
 def descent_directions(params: DiscrepancyParams, shape: Shape, x_obj: np.ndarray, labels: np.ndarray):
@@ -258,28 +253,33 @@ class DescentSchedule:
     decay: float = 0.9
 
 
-def _clamp_norm(vec: np.ndarray, cap: float) -> np.ndarray:
-    n = float(np.linalg.norm(vec))
-    if n <= cap or n < 1e-15:
-        return vec
-    return vec * (cap / n)
+def _clamp_norms(vecs: np.ndarray, cap: float) -> np.ndarray:
+    """Rows longer than ``cap`` (and not shorter than 1e-15) scaled to
+    ``cap``; the norms are ``np.linalg.norm``'s, ``sqrt`` of a dot."""
+    n = np.sqrt(np.vecdot(vecs, vecs))
+    over = ~((n <= cap) | (n < 1e-15))
+    out = vecs.copy()
+    out[over] *= (cap / n[over])[:, None]
+    return out
 
 
-def _step_pose(T: Pose, g_mean: np.ndarray, torque: np.ndarray, step_t: float, step_r: float) -> Pose:
-    """Move ``T`` against the mean point direction (translation) and the
-    lever-normalized mean torque (rotation about the object origin), each
-    clamped to its cap.  The origin moves by the clamped translation only."""
-    dt = _clamp_norm(g_mean, step_t)
-    omega = _clamp_norm(torque, step_r)
-    new_t = T.translation - dt
-    angle = float(np.linalg.norm(omega))
-    if angle > 1e-15:
-        R_delta = rotation_about_axis(omega / angle, -angle)
-        new_R = orthonormalize(R_delta @ T.rotation)
-        new_t = R_delta @ new_t
-    else:
-        new_R = T.rotation
-    return Pose(new_R, new_t)
+def _step_poses(R: np.ndarray, t: np.ndarray, g_mean: np.ndarray, torque: np.ndarray, step_t: float, step_r: float):
+    """Move each pose of a stack against its mean point direction
+    (translation) and lever-normalized mean torque (rotation about the
+    object origin), each clamped to its cap; the origin moves by the
+    clamped translation only, and a pose with both zero stays put.  Each
+    row gets the matrix products stepping its :class:`Pose` alone would
+    make (stacked ``@``, ``svd`` and ``det`` act on each 3x3 as on a lone
+    one)."""
+    omega = _clamp_norms(torque, step_r)
+    R, t = R.copy(), t - _clamp_norms(g_mean, step_t)
+    angle = np.sqrt(np.vecdot(omega, omega))
+    turn = angle > 1e-15
+    if turn.any():
+        R_delta = rotation_about_axis(omega[turn] / angle[turn, None], -angle[turn])
+        R[turn] = orthonormalize(R_delta @ R[turn])
+        t[turn] = np.matmul(R_delta, t[turn, :, None])[..., 0]
+    return R, t
 
 
 def pose_descent_step(
@@ -300,7 +300,8 @@ def pose_descent_step(
     """
     if len(cloud) == 0:
         return T
-    return _CloudKernel(params, shape, cloud).descent_steps([T], step_t, step_r, planar)[0][0]
+    R, t, _ = _CloudKernel(params, shape, cloud).descent_steps(T.rotation[None], T.translation[None], step_t, step_r, planar)
+    return Pose(R[0], t[0])
 
 
 def refine_pose(
@@ -315,31 +316,30 @@ def refine_pose(
     """Run ``steps`` descent iterations with a decaying step cap, keeping the
     best iterate seen (descent is not monotone on hard instances).
 
-    ``T`` is one pose or a sequence of poses (or a ParticleSet), as
-    :meth:`Pose.transform` takes one point or a batch; a sequence is
-    refined in one batched pass per iteration and comes back as a list,
-    each pose refined exactly as it would be alone.
+    ``T`` is one pose or a :class:`ParticleSet`, as :meth:`Pose.transform`
+    takes one point or a batch; a set is refined in one batched pass per
+    iteration and comes back as a set with the same weights, each pose
+    refined exactly as it would be alone.
     """
     if isinstance(T, Pose):
-        return refine_pose(params, shape, cloud, [T], steps, schedule, planar)[0]
-    current = list(getattr(T, "poses", T))
-    if steps <= 0 or len(cloud) == 0 or not current:
-        return current
+        return refine_pose(params, shape, cloud, ParticleSet.from_poses([T]), steps, schedule, planar).pose(0)
+    if steps <= 0 or len(cloud) == 0:
+        return T
     caps = [schedule.step_t * schedule.decay**k for k in range(steps)]
     kernel = _CloudKernel(params, shape, cloud, travel=sum(caps))
-    best, best_cost = current, None
+    R, t = T.rotations, T.translations
+    best_R, best_t, best_cost = R.copy(), t.copy(), None
     st, sr = schedule.step_t, schedule.step_r
     for _ in range(steps):
-        nxt, cost_here = kernel.descent_steps(current, st, sr, planar)
+        next_R, next_t, cost_here = kernel.descent_steps(R, t, st, sr, planar)
         if best_cost is None:
-            best, best_cost = list(current), cost_here
+            best_cost = cost_here
         else:
-            for i in np.flatnonzero(cost_here < best_cost):
-                best[i], best_cost[i] = current[i], cost_here[i]
-        current = nxt
+            better = cost_here < best_cost
+            best_R[better], best_t[better], best_cost[better] = R[better], t[better], cost_here[better]
+        R, t = next_R, next_t
         st *= schedule.decay
         sr *= schedule.decay
-    final_cost = kernel.totals(current)
-    for i in np.flatnonzero(final_cost < best_cost):
-        best[i] = current[i]
-    return best
+    better = kernel.totals(R, t) < best_cost
+    best_R[better], best_t[better] = R[better], t[better]
+    return ParticleSet(best_R, best_t, T.weights)

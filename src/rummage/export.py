@@ -12,8 +12,7 @@ import io
 
 import numpy as np
 
-from .belief import ParticleSet, particles_from_rows, particles_to_rows
-from .geometry import ScalarField
+from .geometry import ParticleSet, ScalarField, matrix_from_quaternion, quaternion_from_matrix
 from .semantics import SemanticCloud, Semantics
 from .sim import Metrics
 
@@ -112,6 +111,23 @@ def read_cloud_csv(path) -> SemanticCloud:
     pos = np.array([[float(r["x"]), float(r["y"]), float(r["z"])] for r in rows])
     labels = np.array([int(Semantics[r["semantics"]]) for r in rows], dtype=np.int8)
     return SemanticCloud(pos, labels)
+
+
+def particles_to_rows(particles: ParticleSet) -> list[dict]:
+    """Serializable rows (translation + quaternion + weight) for logging."""
+    names = ("tx", "ty", "tz", "qw", "qx", "qy", "qz", "weight")
+    return [
+        dict(zip(names, (*t, *quaternion_from_matrix(R), float(w))))
+        for R, t, w in zip(particles.rotations, particles.translations, particles.weights)
+    ]
+
+
+def particles_from_rows(rows: list[dict]) -> ParticleSet:
+    return ParticleSet(
+        [matrix_from_quaternion([float(r["qw"]), float(r["qx"]), float(r["qy"]), float(r["qz"])]) for r in rows],
+        [[float(r["tx"]), float(r["ty"]), float(r["tz"])] for r in rows],
+        [float(r["weight"]) for r in rows],
+    )
 
 
 def write_particles_csv(particles: ParticleSet, path) -> None:

@@ -41,26 +41,33 @@ def rotation_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix for a unit axis."""
+def rotation_about_axis(axis, angle) -> np.ndarray:
+    """Rodrigues rotation matrices: an axis ``(..., 3)`` and an angle
+    ``(...)`` give ``(..., 3, 3)``.  The axis is normalized first; an axis
+    shorter than 1e-12 or an angle of 0 gives the identity."""
     ax = np.asarray(axis, dtype=np.float64)
-    n = np.linalg.norm(ax)
-    if n < _GRAD_EPS or angle == 0.0:
-        return np.eye(3)
-    ax = ax / n
-    kx, ky, kz = ax
-    K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+    angle = np.asarray(angle, dtype=np.float64)
+    n = np.sqrt(np.vecdot(ax, ax))
+    turn = ~((n < _GRAD_EPS) | (angle == 0.0))
+    out = np.broadcast_to(np.eye(3), turn.shape + (3, 3)).copy()
+    if turn.any():
+        kx, ky, kz = (ax[turn] / n[turn][:, None]).T
+        o = np.zeros_like(kx)
+        K = np.stack([o, -kz, ky, kz, o, -kx, -ky, kx, o], axis=-1).reshape(-1, 3, 3)
+        a = angle[turn][:, None, None]
+        out[turn] = np.eye(3) + np.sin(a) * K + (1.0 - np.cos(a)) * (K @ K)
+    return out
 
 
 def orthonormalize(R: np.ndarray) -> np.ndarray:
-    """Project a near-rotation onto SO(3) via polar decomposition."""
+    """Project near-rotations ``(..., 3, 3)`` onto SO(3) via polar decomposition."""
     U, _, Vt = np.linalg.svd(R)
     out = U @ Vt
-    if np.linalg.det(out) < 0:
-        U = U.copy()
-        U[:, -1] = -U[:, -1]
-        out = U @ Vt
+    flip = np.linalg.det(out) < 0
+    if flip.any():
+        U = U[flip]
+        U[..., -1] = -U[..., -1]
+        out[flip] = U @ Vt[flip]
     return out
 
 
@@ -114,6 +121,11 @@ class Pose:
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
+    def __post_init__(self):
+        # one memory layout: a matrix product can round differently on a
+        # transposed copy, so results would depend on how R was stored
+        object.__setattr__(self, "rotation", np.ascontiguousarray(self.rotation))
+
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
@@ -128,14 +140,9 @@ class Pose:
         R = rotation_z(yaw).T
         return Pose(R, -R @ c)
 
-    @staticmethod
-    def delta(translation=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0), angle: float = 0.0) -> "Pose":
-        """A raw SE(3) element ``[R | t]``, used for perturbations and pose deltas."""
-        return Pose(rotation_about_axis(axis, angle), np.asarray(translation, dtype=np.float64))
-
     def compose(self, other: "Pose") -> "Pose":
         """``self`` after ``other``: ``(self * other)(x) = self(other(x))``."""
-        return Pose(self.rotation @ other.rotation, self.rotation @ other.translation + self.translation)
+        return Pose(*compose_poses(self.rotation, self.translation, other.rotation, other.translation))
 
     def inverse(self) -> "Pose":
         Rt = self.rotation.T
@@ -207,12 +214,6 @@ class Pose:
     def is_identity(self, trans_tol: float = 1e-6, rot_tol: float = 1e-6) -> bool:
         return float(np.linalg.norm(self.translation)) <= trans_tol and self.rotation_angle() <= rot_tol
 
-    def as_matrix(self) -> np.ndarray:
-        M = np.eye(4)
-        M[:3, :3] = self.rotation
-        M[:3, 3] = self.translation
-        return M
-
 
 def transform_point(pose: Pose, x) -> np.ndarray:
     return pose.transform(x)
@@ -228,33 +229,98 @@ PAIR_BUDGET = 1 << 16
 _TEST_BUDGET = 1 << 18
 
 
-def stack_poses(poses) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (N, 3, 3) and translations (N, 3) of a pose sequence."""
-    poses = list(poses)
-    if not poses:
-        return np.zeros((0, 3, 3)), np.zeros((0, 3))
-    return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.float64, order="C")
+    a.flags.writeable = False
+    return a
 
 
-def distinct_poses(poses) -> tuple[list[Pose], np.ndarray]:
-    """The distinct poses of a sequence, in order of first appearance, and
-    each pose's index among them (``distinct[inverse[i]]`` is pose ``i``).
+@dataclass(frozen=True, eq=False)
+class ParticleSet:
+    """Pose hypotheses with normalized weights, held as C-ordered read-only
+    copies of the arrays passed: ``rotations`` (N, 3, 3), ``translations``
+    (N, 3) and ``weights`` (N,), uniform by default.
 
-    Two poses are equal when the bytes of their rotations and translations
-    are, and so is their memory layout (a matrix product such as
-    :meth:`Pose.inverse` can round differently on a transposed copy).
-    Anything computed from one pose alone is then bit for bit the same for
-    both, so a per-pose kernel needs only the distinct ones."""
-    index: dict[tuple, int] = {}
-    distinct: list[Pose] = []
-    inverse = []
-    for p in poses:
-        R, t = p.rotation, p.translation
-        k = index.setdefault((R.tobytes(), t.tobytes(), R.strides, t.strides), len(distinct))
-        if k == len(distinct):
-            distinct.append(p)
-        inverse.append(k)
-    return distinct, np.array(inverse, dtype=np.intp)
+    The distinct-pose index is built once per set: ``first`` holds the
+    first row of each distinct pose (equal bytes), in order of first
+    appearance, and ``inverse`` each row's place among them.  A kernel that
+    reads one pose at a time evaluates the ``first`` rows and gathers
+    through ``inverse``, bit for bit as evaluating every row."""
+
+    rotations: np.ndarray
+    translations: np.ndarray
+    weights: np.ndarray | None = None
+    first: np.ndarray = field(init=False, repr=False)
+    inverse: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        R, t = _read_only(self.rotations), _read_only(self.translations)
+        n = len(R)
+        if n == 0 or R.shape != (n, 3, 3) or t.shape != (n, 3):
+            raise ValueError("a particle set needs N > 0 rotations (N, 3, 3) and translations (N, 3)")
+        w = _read_only(np.full(n, 1.0 / n) if self.weights is None else self.weights)
+        if w.shape != (n,):
+            raise ValueError("poses and weights length mismatch")
+        rows = np.concatenate([R.reshape(n, 9), t], axis=1).view(np.int64)
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        for name, value in (("rotations", R), ("translations", t), ("weights", w),
+                            ("first", first[order]), ("inverse", np.argsort(order)[inverse.ravel()])):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def from_poses(poses, weights=None) -> "ParticleSet":
+        """A set of :class:`Pose` objects (uniform weights by default)."""
+        poses = list(poses)
+        return ParticleSet(np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]), weights)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def pose(self, i: int) -> Pose:
+        return Pose(self.rotations[i], self.translations[i])
+
+    @property
+    def poses(self) -> list[Pose]:
+        return [Pose(R, t) for R, t in zip(self.rotations, self.translations)]
+
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rotations and translations of the distinct poses."""
+        return self.rotations[self.first], self.translations[self.first]
+
+    def weighted_center(self) -> np.ndarray:
+        """Weighted mean of the object origins in the world."""
+        return (self.weights[:, None] * object_origins(self.rotations, self.translations)).sum(axis=0)
+
+
+def compose_poses(R1: np.ndarray, t1: np.ndarray, R2: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(R1, t1)`` after ``(R2, t2)``, as :meth:`Pose.compose`; either side
+    is one pose ``(3, 3), (3,)`` or a stack ``(N, 3, 3), (N, 3)``, and each
+    row is the matrix products of composing its poses alone."""
+    return R1 @ R2, np.matmul(R1, t2[..., None])[..., 0] + t1
+
+
+def transform_stack(rotations: np.ndarray, translations: np.ndarray | None, points: np.ndarray) -> np.ndarray:
+    """Points mapped by every pose of a stack: (N, M, 3) from points (M, 3)
+    shared by all poses or (N, M, 3), one set per pose; the nine-term
+    formula of :func:`transform_pairs`, rotation only without translations."""
+    out = np.empty(np.broadcast_shapes((len(rotations), 1, 3), points.shape))
+    for i in range(3):
+        r = rotations[:, i, :, None]
+        out[..., i] = r[:, 0] * points[..., 0] + r[:, 1] * points[..., 1] + r[:, 2] * points[..., 2]
+        if translations is not None:
+            out[..., i] += translations[:, i, None]
+    return out
+
+
+def world_gradients(shape, rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """World-frame distance gradients (N, M, 3) of ``shape`` placed by each
+    pose of a stack, at world ``points`` (M, 3): ``R^T grad(R x + t)``, the
+    terms of each coordinate summed as :meth:`Pose.rotate` of the inverse
+    pose sums them."""
+    obj = transform_stack(rotations, translations, points)
+    g = shape.gradient(obj.reshape(-1, 3)).reshape(obj.shape)
+    return transform_stack(rotations.transpose(0, 2, 1), None, g)
 
 
 def transform_pairs(rotations: np.ndarray, translations: np.ndarray, pose_idx: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -270,8 +336,9 @@ def transform_pairs(rotations: np.ndarray, translations: np.ndarray, pose_idx: n
 
 
 def object_origins(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
-    """World positions (N, 3) of the object-frame origins of a pose stack."""
-    return -np.einsum("nji,nj->ni", rotations, translations)
+    """World positions (N, 3) of the object-frame origins of a pose stack,
+    ``-R^T t`` with the products of :meth:`Pose.object_center_world`."""
+    return np.matmul(-rotations.transpose(0, 2, 1), translations[..., None])[..., 0]
 
 
 def pairs_within(points: np.ndarray, origins: np.ndarray, radius: float, always=None) -> tuple[np.ndarray, np.ndarray]:

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import ParticleSet
 from .discrepancy import DiscrepancyParams
-from .geometry import ScalarField, Shape, Workspace, blockwise, distinct_poses
+from .geometry import ParticleSet, ScalarField, Shape, Workspace, blockwise
 from .semantics import SensorModel
 
 
@@ -125,22 +124,22 @@ def _accumulate(particles: ParticleSet, shape: Shape, points: np.ndarray, sensor
     """Weighted sensor probabilities and expected class costs over particles.
 
     The signed distances and sensor probabilities are evaluated once per
-    distinct particle pose (:func:`~rummage.geometry.distinct_poses`), one
+    distinct particle pose (:attr:`~rummage.geometry.ParticleSet.first`), one
     pose a block of points at a time, into (distinct poses, points) arrays;
     memory scales with the distinct poses times the points.  Every weighted
     sum is one GEMV over all particles in order, the rows gathered through
     the distinct-pose index (not gathered when every pose is distinct), so
     it reads the operands of evaluating each particle on its own."""
     w = particles.weights
-    poses, inverse = distinct_poses(particles.poses)
-    v = np.empty((len(poses), len(points)))
+    first = particles.first
+    v = np.empty((len(first), len(points)))
     f, o, s = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-    for k, T in enumerate(poses):
+    for k, T in enumerate(map(particles.pose, first)):
         v[k] = blockwise(lambda x: shape.sdf(T.transform(x)), points)
         f[k], o[k], s[k] = sensor.probabilities(v[k])
 
     def wsum(a):
-        return w @ (a if len(poses) == len(w) else a[inverse])
+        return w @ (a if len(first) == len(w) else a[particles.inverse])
 
     pf, po, ps = wsum(f), wsum(o), wsum(s)
     del f, o, s  # freed before the cost temporaries, which set no new peak

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import ParticleSet
-from .geometry import POINT_BLOCK, ScalarField, Shape, Workspace, distinct_poses, stack_poses
+from .geometry import POINT_BLOCK, ParticleSet, ScalarField, Shape, Workspace, world_gradients
 from .infogain import InfoFields
 from .semantics import downsample_positions
 
@@ -250,30 +249,16 @@ class PlanningContext:
 
     def __post_init__(self):
         self._normal_cache: dict[tuple[int, int, int], np.ndarray] = {}
-        poses, inverse = distinct_poses(self.particles.poses)
-        self._rotations, self._translations = stack_poses(poses)
+        self._rotations, self._translations = self.particles.distinct()
         # particle rows among the distinct poses; None when all are distinct
-        self._inverse = inverse if len(poses) < len(inverse) else None
+        self._inverse = self.particles.inverse if len(self._rotations) < len(self.particles) else None
 
     def _exact_normals(self, points: np.ndarray) -> np.ndarray:
         """Weighted world-frame distance gradients at world points, the
         gradients evaluated once per distinct particle pose; the weighted
         sum runs over every particle in order, the rows gathered through the
         distinct-pose index."""
-        R = self._rotations      # (K, 3, 3)
-        t = self._translations   # (K, 3)
-        x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        obj = np.empty((len(R), len(points), 3))
-        obj[..., 0] = R[:, 0, 0, None] * x + R[:, 0, 1, None] * y + R[:, 0, 2, None] * z + t[:, 0, None]
-        obj[..., 1] = R[:, 1, 0, None] * x + R[:, 1, 1, None] * y + R[:, 1, 2, None] * z + t[:, 1, None]
-        obj[..., 2] = R[:, 2, 0, None] * x + R[:, 2, 1, None] * y + R[:, 2, 2, None] * z + t[:, 2, None]
-        g = self.shape.gradient(obj.reshape(-1, 3)).reshape(obj.shape)
-        gx, gy, gz = g[..., 0], g[..., 1], g[..., 2]
-        world = np.empty(obj.shape)
-        # rotate back to the world frame with R^T
-        world[..., 0] = R[:, 0, 0, None] * gx + R[:, 1, 0, None] * gy + R[:, 2, 0, None] * gz
-        world[..., 1] = R[:, 0, 1, None] * gx + R[:, 1, 1, None] * gy + R[:, 2, 1, None] * gz
-        world[..., 2] = R[:, 0, 2, None] * gx + R[:, 1, 2, None] * gy + R[:, 2, 2, None] * gz
+        world = world_gradients(self.shape, self._rotations, self._translations, points)
         if self._inverse is not None:
             world = world[self._inverse]
         return np.einsum("n,nmi->mi", self.particles.weights, world)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Shape, distinct_poses, object_origins, pairs_within, pose_groups, stack_poses, support_radius, transform_pairs
+from .geometry import ParticleSet, Pose, Shape, object_origins, pairs_within, pose_groups, support_radius, transform_pairs
 
 
 class Semantics(enum.IntEnum):
@@ -161,7 +161,7 @@ def downsample_positions(points: np.ndarray, r: float) -> np.ndarray:
 def merge_observations(
     prev: SemanticCloud,
     new: SemanticCloud,
-    particles,
+    particles: ParticleSet,
     dT_w: Pose,
     shape: Shape,
     r_free: float = 0.010,
@@ -179,7 +179,7 @@ def merge_observations(
     moved_surf = dT_w.transform(prev.surface) if len(prev.surface) else prev.surface
 
     # whether every pose places a point outside needs each distinct pose once
-    R, t = stack_poses(distinct_poses(getattr(particles, "poses", particles))[0])
+    R, t = particles.distinct()
     origins = object_origins(R, t)
     radius = support_radius(shape)
 

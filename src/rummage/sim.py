@@ -17,20 +17,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .belief import (
-    BeliefConfig,
-    BeliefParams,
-    BeliefState,
-    ParticleSet,
-    initialize_particles,
-    update_step,
-)
+from .belief import BeliefConfig, BeliefParams, BeliefState, initialize_particles, update_step
 from .discrepancy import DiscrepancyParams
 from .geometry import (
     Annulus2D,
     Box,
     Cylinder,
     Extrusion,
+    ParticleSet,
     Pose,
     ScalarField,
     Shape,
@@ -38,10 +32,11 @@ from .geometry import (
     Union,
     Workspace,
     blockwise,
-    distinct_poses,
     mug_shape,
     rotation_z,
+    transform_stack,
     translated,
+    world_gradients,
 )
 from .infogain import InfoFields, ReachabilityModel, build_info_fields, build_reachability
 from .planner import (
@@ -424,14 +419,20 @@ def nll(
     under the belief (probabilities floored at 1e-12).
 
     The surface probabilities are evaluated once per distinct particle
-    pose; the weighted sum still adds every particle's, in particle order."""
+    pose, all in one batch; the weighted sum still adds every particle's,
+    in particle order."""
     world_pts = true_pose.inverse().transform(surface_samples)
-    poses, inverse = distinct_poses(particles.poses)
-    surf = [sensor.probabilities(shape.sdf(T.transform(world_pts)))[2] for T in poses]
-    acc = np.zeros(len(world_pts))
-    for k, w in zip(inverse, particles.weights):
-        acc += w * surf[k]
+    obj = transform_stack(*particles.distinct(), world_pts).reshape(-1, 3)
+    surf = sensor.probabilities(blockwise(shape.sdf, obj))[2].reshape(len(particles.first), -1)
+    acc = _running_sum(particles.weights[:, None] * surf[particles.inverse])
     return float(-np.sum(np.log(np.maximum(acc, 1e-12))))
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms`` (n, ...) added in order onto 0.0, as a loop of
+    ``acc += term`` adds them (the final 0.0 turns the -0.0 of all-zero
+    terms into the loop's 0.0, and changes no other sum)."""
+    return np.cumsum(terms, axis=0)[-1] + 0.0
 
 
 def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.ndarray) -> float:
@@ -446,7 +447,8 @@ def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.n
     adds the values of the scalar loop in its order."""
     n = len(particles)
     p_count = len(surface_samples)
-    poses, inverse = distinct_poses(particles.poses)
+    poses = [particles.pose(i) for i in particles.first]
+    inverse = particles.inverse
     repeated = len(poses) < n
     # column-major, as Pose.transform returns: every block of rows reads
     # contiguous coordinates
@@ -492,7 +494,7 @@ def calibrate_nll_threshold(
         for sy in (1, -1):
             pert_center = center + trans * np.array([dx, dy, 0.0])
             pert = Pose.from_placement(pert_center, yaw + sy * rot)
-            vals.append(nll(ParticleSet.uniform([pert]), shape, true_pose, surface_samples, sensor))
+            vals.append(nll(ParticleSet.from_poses([pert]), shape, true_pose, surface_samples, sensor))
     return float(np.mean(vals))
 
 
@@ -557,12 +559,9 @@ def slide_policy(
     every particle in order)."""
     q = np.asarray(q, dtype=np.float64)
     if in_contact and contact_point is not None:
-        cp = np.asarray(contact_point)
-        poses, inverse = distinct_poses(particles.poses)
-        normals = [T.inverse().rotate(shape.gradient(T.transform(cp))) for T in poses]
-        normal = np.zeros(3)
-        for k, w in zip(inverse, particles.weights):
-            normal += w * normals[k]
+        cp = np.asarray(contact_point, dtype=np.float64)
+        normals = world_gradients(shape, *particles.distinct(), cp[None])[:, 0]
+        normal = _running_sum(particles.weights[:, None] * normals[particles.inverse])
         n2 = normal[:2]
         nn = float(np.linalg.norm(n2))
         if nn > 1e-12:
@@ -665,7 +664,7 @@ def run_episode(
     chamfers: dict[bytes, float] = {}
 
     def chamfer() -> float:
-        key = state.particles.rotations().tobytes() + state.particles.translations().tobytes()
+        key = state.particles.rotations.tobytes() + state.particles.translations.tobytes()
         if key not in chamfers:
             chamfers[key] = pairwise_chamfer(state.particles, shape, surface_samples)
         return chamfers[key]

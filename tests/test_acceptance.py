@@ -135,7 +135,7 @@ def test_c04_brute_force_oracle_equivalence():
         Pose.from_placement(rng.uniform(-0.05, 0.05, 3) * [1, 1, 0] + [0.3, 0, 0], float(rng.uniform(-np.pi, np.pi)))
         for _ in range(10)
     ]
-    particles = ParticleSet.uniform(poses)
+    particles = ParticleSet.from_poses(poses)
 
     total = 0.0
     for Ti in poses:
@@ -215,7 +215,7 @@ def test_c06_info_field_handle_band():
     center = cloud.surface.mean(axis=0)
     center[2] = 0.0
     yaws = np.linspace(-math.pi, math.pi, 100, endpoint=False)
-    particles = ParticleSet.uniform([Pose.from_placement(center, y) for y in yaws])
+    particles = ParticleSet.from_poses([Pose.from_placement(center, y) for y in yaws])
     particles = weigh(particles, cloud, shape, scenario.disc, scenario.belief)
 
     t0 = time.time()

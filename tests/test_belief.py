@@ -13,8 +13,6 @@ from rummage.belief import (
     ParticleSet,
     estimate_movement,
     initialize_particles,
-    particles_from_rows,
-    particles_to_rows,
     perturb,
     resample,
     systematic_resample_indices,
@@ -22,6 +20,7 @@ from rummage.belief import (
     weigh,
 )
 from rummage.discrepancy import DiscrepancyParams, discrepancies, total_discrepancy
+from rummage.export import particles_from_rows, particles_to_rows
 from rummage.geometry import Pose, Sphere, mug_shape
 from rummage.semantics import SemanticCloud
 from rummage.sim import sample_surface
@@ -35,13 +34,13 @@ def make_particles(n, rng, center=(0.3, 0.0, 0.0), spread=0.0):
     for _ in range(n):
         c = np.asarray(center) + rng.normal(0, spread, 3) * [1, 1, 0]
         poses.append(Pose.from_placement(c, rng.uniform(-math.pi, math.pi)))
-    return ParticleSet.uniform(poses)
+    return ParticleSet.from_poses(poses)
 
 
 class TestWeigh:
     def test_equal_discrepancies_uniform(self, rng):
         shape = Sphere(0.05)
-        particles = ParticleSet.uniform([Pose.identity()] * 4)
+        particles = ParticleSet.from_poses([Pose.identity()] * 4)
         cloud = SemanticCloud.from_parts(surface=[[0.06, 0.0, 0.0]])
         out = weigh(particles, cloud, shape, DISC, BeliefParams())
         npt.assert_allclose(out.weights, 0.25)
@@ -54,7 +53,7 @@ class TestWeigh:
         p1 = Pose.identity()
         p2 = Pose(np.eye(3), np.array([d2, 0.0, 0.0]))
         cloud = SemanticCloud.from_parts(surface=[[0.05, 0.0, 0.0]])
-        particles = ParticleSet.uniform([p1, p2])
+        particles = ParticleSet.from_poses([p1, p2])
         d = [total_discrepancy(DISC, shape, cloud, p) for p in (p1, p2)]
         assert d[0] == pytest.approx(0.0, abs=1e-12)
         assert d[1] == pytest.approx(d2, abs=1e-12)
@@ -85,31 +84,29 @@ class TestWeigh:
 
 class TestPerturb:
     def test_zero_noise_identity(self, rng):
-        d = perturb(rng, 0.0, 0.0)
-        npt.assert_array_equal(d.rotation, np.eye(3))
-        npt.assert_array_equal(d.translation, np.zeros(3))
+        R, t = perturb(rng, 3, 0.0, 0.0)
+        npt.assert_array_equal(R, np.broadcast_to(np.eye(3), (3, 3, 3)))
+        npt.assert_array_equal(t, np.zeros((3, 3)))
 
     def test_translation_clt_bound(self):
         rng = np.random.default_rng(7)
         n = 100_000
         sigma = 0.01
-        samples = np.stack([perturb(rng, sigma, 0.0).translation for _ in range(n)])
+        _, samples = perturb(rng, n, sigma, 0.0)
         bound = 3 * sigma / math.sqrt(n)
         assert np.all(np.abs(samples.mean(axis=0)) < bound * 1.5)
 
     def test_planar_restriction(self, rng):
-        for _ in range(50):
-            d = perturb(rng, 0.01, 0.2, planar=True)
-            assert d.translation[2] == 0.0
-            # rotation about z only
-            npt.assert_allclose(d.rotation[2, :], (0, 0, 1), atol=1e-12)
+        R, t = perturb(rng, 50, 0.01, 0.2, planar=True)
+        assert np.all(t[:, 2] == 0.0)
+        # rotation about z only
+        npt.assert_allclose(R[:, 2, :], np.broadcast_to((0.0, 0.0, 1.0), (50, 3)), atol=1e-12)
 
     def test_rotation_axis_unit(self, rng):
         # axis sampling is exercised through the rotation being orthonormal
-        for _ in range(20):
-            d = perturb(rng, 0.0, 0.3)
-            npt.assert_allclose(d.rotation @ d.rotation.T, np.eye(3), atol=1e-12)
-            assert np.linalg.det(d.rotation) == pytest.approx(1.0, abs=1e-12)
+        R, _ = perturb(rng, 20, 0.0, 0.3)
+        npt.assert_allclose(R @ R.transpose(0, 2, 1), np.broadcast_to(np.eye(3), R.shape), atol=1e-12)
+        npt.assert_allclose(np.linalg.det(R), 1.0, atol=1e-12)
 
 
 class TestResample:
@@ -117,7 +114,7 @@ class TestResample:
         shape = Sphere(0.05)
         poses = [Pose.from_placement((0.1 * i, 0.0, 0.0), 0.0) for i in range(4)]
         w = np.array([0.0, 0.0, 1.0, 0.0])
-        particles = ParticleSet(poses, w)
+        particles = ParticleSet.from_poses(poses, w)
         params = BeliefParams(sigma_t=0.0, sigma_r=0.0, k_opt=0)
         out = resample(particles, SemanticCloud(), shape, DISC, params, rng)
         for T in out.poses:
@@ -127,7 +124,7 @@ class TestResample:
     def test_uniform_zero_noise_preserves_set(self, rng):
         shape = Sphere(0.05)
         poses = [Pose.from_placement((0.1 * i, 0.0, 0.0), 0.1 * i) for i in range(5)]
-        particles = ParticleSet.uniform(poses)
+        particles = ParticleSet.from_poses(poses)
         params = BeliefParams(sigma_t=0.0, sigma_r=0.0, k_opt=0)
         out = resample(particles, SemanticCloud(), shape, DISC, params, rng)
         for a, b in zip(out.poses, poses):
@@ -142,7 +139,7 @@ class TestResample:
             Pose.from_placement((0.3 + rng.normal(0, 0.004), rng.normal(0, 0.004), 0.0), 0.5 + rng.normal(0, 0.05))
             for _ in range(8)
         ]
-        particles = ParticleSet.uniform(poses)
+        particles = ParticleSet.from_poses(poses)
         params = BeliefParams(sigma_t=0.0, sigma_r=0.0, k_opt=10)
         before = discrepancies(DISC, mug, cloud, particles).max()
         out = resample(particles, cloud, mug, DISC, params, rng)
@@ -172,7 +169,7 @@ class TestEstimateMovement:
         T = Pose.from_placement((0.3, 0.0, 0.0), 0.2)
         samples = sample_surface(mug, 80, rng)
         cloud = SemanticCloud.from_parts(surface=T.inverse().transform(samples))
-        particles = ParticleSet.uniform([T])
+        particles = ParticleSet.from_poses([T])
         dT, _ = estimate_movement(cloud, cloud, particles, Pose.identity(), mug, DISC, BeliefParams(planar=True))
         assert np.linalg.norm(dT.translation) < 1e-3
 
@@ -187,7 +184,7 @@ class TestEstimateMovement:
         samples = sample_surface(shape, 120, rng)
         prev_cloud = SemanticCloud.from_parts(surface=T_old.inverse().transform(samples))
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
-        particles = ParticleSet.uniform([T_old])
+        particles = ParticleSet.from_poses([T_old])
         dT, dT_w = estimate_movement(
             prev_cloud, new_cloud, particles, Pose.identity(), shape, DISC, BeliefParams(planar=True)
         )
@@ -202,7 +199,7 @@ class TestEstimateMovement:
         samples = sample_surface(mug, 120, rng)
         prev_cloud = SemanticCloud.from_parts(surface=T_old.inverse().transform(samples))
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
-        particles = ParticleSet.uniform([T_old])
+        particles = ParticleSet.from_poses([T_old])
         prior = T_new.compose(T_old.inverse())  # the delta an ideal slip sensor reports
         near = Pose(prior.rotation, prior.translation + np.array([0.004, 0.0, 0.0]))
         dT, dT_w = estimate_movement(
@@ -218,7 +215,7 @@ class TestEstimateMovement:
         samples = sample_surface(mug, 60, rng)
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
         prev_cloud = SemanticCloud.from_parts(surface=T_old.inverse().transform(samples))
-        particles = ParticleSet.uniform([T_old])
+        particles = ParticleSet.from_poses([T_old])
         dT, dT_w = estimate_movement(
             prev_cloud, new_cloud, particles, Pose.identity(), mug, DISC, BeliefParams(planar=True)
         )
@@ -237,7 +234,7 @@ class TestEstimateMovement:
         prev_cloud = SemanticCloud.from_parts(surface=T_true.inverse().transform(samples))
         new_cloud = SemanticCloud.from_parts(surface=T_true.inverse().transform(samples[:10]))
         yaws = (-2.0, 0.3, 1.1, 2.5)
-        particles = ParticleSet.uniform([Pose.from_placement((0.3, 0.0, 0.0), y) for y in yaws])
+        particles = ParticleSet.from_poses([Pose.from_placement((0.3, 0.0, 0.0), y) for y in yaws])
         assert int(np.argmin(discrepancies(DISC, mug, prev_cloud, particles))) == 2
         paddle = Pose(np.eye(3), np.array([0.012, -0.007, 0.0]))
         dT, dT_w = estimate_movement(
@@ -259,7 +256,7 @@ class TestUpdateStep:
             Pose.from_placement((0.3 + rng.normal(0, 0.002), rng.normal(0, 0.002), 0.0), 0.4 + rng.normal(0, 0.02))
             for _ in range(n - 1)
         ]
-        particles = ParticleSet.uniform(poses)
+        particles = ParticleSet.from_poses(poses)
         cfg = BeliefConfig(shape=mug, params=BeliefParams(sigma_t=0.0, sigma_r=0.0, planar=True))
         return BeliefState(particles=particles, cloud=cloud), cfg, T_star
 

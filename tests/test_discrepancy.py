@@ -16,7 +16,7 @@ from rummage.discrepancy import (
     refine_pose,
     total_discrepancy,
 )
-from rummage.geometry import Box, Cylinder, Pose, Sphere, rotation_z
+from rummage.geometry import Box, Cylinder, ParticleSet, Pose, Sphere, rotation_z
 from rummage.semantics import SemanticCloud, Semantics
 
 from conftest import PRIMITIVES, random_pose
@@ -352,9 +352,9 @@ class TestBatchedKernel:
             cloud = scene_cloud(rng, shape, self.CENTER)
             planar = k != 1
             poses = near_poses(rng, self.CENTER, 9, planar=planar)
-            batch = refine_pose(params, shape, cloud, poses, steps=6, planar=planar)
-            assert isinstance(batch, list) and len(batch) == len(poses)
-            for T, B in zip(poses, batch):
+            batch = refine_pose(params, shape, cloud, ParticleSet.from_poses(poses), steps=6, planar=planar)
+            assert isinstance(batch, ParticleSet) and len(batch) == len(poses)
+            for T, B in zip(poses, batch.poses):
                 assert same_pose(refine_pose(params, shape, cloud, T, steps=6, planar=planar), B)
                 assert same_pose(reference_refine(params, shape, cloud, T, steps=6, planar=planar), B)
 
@@ -367,18 +367,18 @@ class TestBatchedKernel:
                 params = DiscrepancyParams(epsilon=eps)
                 cloud = scene_cloud(rng, shape, self.CENTER)
                 poses = near_poses(rng, self.CENTER, 12, spread=0.03)
-                d = discrepancies(params, shape, cloud, poses)
+                d = discrepancies(params, shape, cloud, ParticleSet.from_poses(poses))
                 for T, di in zip(poses, d):
                     assert di == total_discrepancy(params, shape, cloud, T)
                     assert di == unculled_total(params, shape, cloud, T)
 
     def test_duck_typed_shape_and_cull_saves_evaluations(self, rng, mug):
         cloud = scene_cloud(rng, mug, self.CENTER, n_free=500)
-        poses = near_poses(rng, self.CENTER, 10)
+        poses = ParticleSet.from_poses(near_poses(rng, self.CENTER, 10))
         counting = CountingShape(mug)
         assert np.array_equal(discrepancies(DISC_DEFAULT, counting, cloud, poses), discrepancies(DISC_DEFAULT, mug, cloud, poses))
         assert 0 < counting.sdf_points < len(poses) * len(cloud) / 2
-        for a, b in zip(refine_pose(DISC_DEFAULT, counting, cloud, poses, 4, planar=True), refine_pose(DISC_DEFAULT, mug, cloud, poses, 4, planar=True)):
+        for a, b in zip(refine_pose(DISC_DEFAULT, counting, cloud, poses, 4, planar=True).poses, refine_pose(DISC_DEFAULT, mug, cloud, poses, 4, planar=True).poses):
             assert same_pose(a, b)
 
     @pytest.mark.parametrize("eps", [0.0, 0.004])
@@ -409,7 +409,7 @@ class TestBatchedKernel:
         shape = Complement(Sphere(0.05))
         cloud = SemanticCloud.from_parts(free=rng.uniform(-1.0, 1.0, (200, 3)))
         poses = near_poses(rng, (0.0, 0.0, 0.0), 5)
-        d = discrepancies(DISC_DEFAULT, shape, cloud, poses)
+        d = discrepancies(DISC_DEFAULT, shape, cloud, ParticleSet.from_poses(poses))
         for T, di in zip(poses, d):
             assert di > 0
             assert di == unculled_total(DISC_DEFAULT, shape, cloud, T)

@@ -16,7 +16,7 @@ import pytest
 from rummage import belief as belief_mod
 from rummage.belief import BeliefConfig, BeliefParams, BeliefState, ParticleSet, update_step
 from rummage.discrepancy import DiscrepancyParams, cost_array, discrepancies
-from rummage.geometry import Pose, Workspace, distinct_poses, mug_shape
+from rummage.geometry import Pose, Workspace, mug_shape, rotation_about_axis
 from rummage.infogain import build_info_fields, build_reachability, ReachabilityModel
 from rummage.planner import ActionScale, PlanningContext
 from rummage.semantics import SemanticCloud, SensorModel, _downsample_positions, merge_observations
@@ -46,7 +46,7 @@ def particle_sets():
     out = []
     for name, poses in (("repeated", repeated), ("distinct", distinct)):
         w = rng.uniform(0.1, 1.0, len(poses))
-        out.append((name, ParticleSet(poses, w / w.sum())))
+        out.append((name, ParticleSet.from_poses(poses, w / w.sum())))
     return out
 
 
@@ -62,48 +62,41 @@ def nine_term(T, points):
     return np.stack([R[i, 0] * x + R[i, 1] * y + R[i, 2] * z + t[i] for i in range(3)], axis=-1)
 
 
+def index(poses):
+    particles = ParticleSet.from_poses(poses)
+    return particles.first, particles.inverse
+
+
 class TestDistinctPoses:
     def test_first_appearance_order_and_inverse(self):
         a = Pose.from_placement((0.1, 0.0, 0.0), 0.3)
         b = Pose.from_placement((0.2, 0.0, 0.0), -1.0)
         c = Pose.identity()
-        poses = [b, a, b, c, a, a]
-        distinct, inverse = distinct_poses(poses)
-        assert [id(p) for p in distinct] == [id(b), id(a), id(c)]
+        first, inverse = index([b, a, b, c, a, a])
+        npt.assert_array_equal(first, [0, 1, 3])
         npt.assert_array_equal(inverse, [0, 1, 0, 2, 1, 1])
-        for T, k in zip(poses, inverse):
-            assert distinct[k] is T
 
     def test_equal_valued_separate_objects_merge(self):
         T = Pose.from_placement((0.4, -0.1, 0.0), 2.0)
-        copy = Pose(np.copy(T.rotation, order="K"), np.copy(T.translation, order="K"))
-        near = Pose(np.copy(T.rotation, order="K"), T.translation + [1e-15, 0.0, 0.0])
-        distinct, inverse = distinct_poses([T, copy, near, copy])
-        assert len(distinct) == 2 and distinct[0] is T and distinct[1] is near
+        copy = Pose(np.copy(T.rotation, order="F"), np.copy(T.translation))
+        near = Pose(np.copy(T.rotation), T.translation + [1e-15, 0.0, 0.0])
+        first, inverse = index([T, copy, near, copy])
+        npt.assert_array_equal(first, [0, 2])
         npt.assert_array_equal(inverse, [0, 0, 1, 0])
 
-    def test_layout_counts(self):
-        """A rotation stored transposed can round differently in a matrix
-        product (here the inverse's translation), so it is not merged."""
-        T = Pose.from_placement((0.4, -0.1, 0.0), 2.0)
-        assert T.rotation.flags["F_CONTIGUOUS"] and not T.rotation.flags["C_CONTIGUOUS"]
-        c_order = Pose(np.ascontiguousarray(T.rotation), T.translation)
-        distinct, inverse = distinct_poses([T, c_order])
-        assert len(distinct) == 2
-        npt.assert_array_equal(inverse, [0, 1])
-
     def test_all_distinct_and_empty(self):
-        poses = [Pose.from_placement((0.01 * i, 0.0, 0.0)) for i in range(5)]
-        distinct, inverse = distinct_poses(iter(poses))
-        assert all(d is T for d, T in zip(distinct, poses)) and len(distinct) == 5
+        first, inverse = index(Pose.from_placement((0.01 * i, 0.0, 0.0)) for i in range(5))
+        npt.assert_array_equal(first, np.arange(5))
         npt.assert_array_equal(inverse, np.arange(5))
-        distinct, inverse = distinct_poses([])
-        assert distinct == [] and len(inverse) == 0
+        with pytest.raises(ValueError):
+            ParticleSet.from_poses([])
+        with pytest.raises(ValueError):
+            ParticleSet(np.zeros((0, 3, 3)), np.zeros((0, 3)))
 
     def test_particle_sets(self):
         (_, repeated), (_, distinct) = SETS
-        assert len(distinct_poses(repeated.poses)[0]) <= 36
-        assert len(distinct_poses(distinct.poses)[0]) == 100
+        assert len(repeated.first) <= 36
+        assert len(distinct.first) == 100
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +128,7 @@ class TestKernelsMatchPerParticleLoops:
         reach = build_reachability(ws, ReachabilityModel())
         ctx = PlanningContext(fields=fields, reach=reach, particles=particles, shape=shape)
         points = CENTER + rng.uniform(-0.07, 0.07, (300, 3)) * [1, 1, 0.3]
-        R = particles.rotations()
+        R = particles.rotations
         obj = np.stack([nine_term(T, points) for T in particles.poses])
         g = shape.gradient(obj.reshape(-1, 3)).reshape(obj.shape)
         # R^T g summed left to right, per particle
@@ -183,7 +176,7 @@ class TestKernelsMatchPerParticleLoops:
             surface=CENTER + rng.uniform(-0.05, 0.05, (30, 3)),
         )
         new = SemanticCloud.from_parts(free=CENTER + rng.uniform(-0.15, 0.15, (300, 3)) * [1, 1, 0.2])
-        dT_w = Pose.delta((0.004, -0.002, 0.0), (0, 0, 1), 0.03)
+        dT_w = Pose(rotation_about_axis((0, 0, 1), 0.03), np.array([0.004, -0.002, 0.0]))
         got = merge_observations(prev, new, particles, dT_w, shape, 0.01, 0.002)
         # every particle in turn: a free point stays only if all place it outside
         keep_prev = np.ones(len(prev.free), dtype=bool)

@@ -73,6 +73,22 @@ class TestPose:
         # placing the object means its origin maps to zero
         npt.assert_allclose(T.transform(center), np.zeros(3), atol=1e-12)
 
+    def test_results_do_not_depend_on_rotation_layout(self, rng):
+        """A pose built from an F-ordered copy of its rotation holds it
+        C-ordered, so its matrix products round as the C-ordered pose's."""
+        assert Pose.from_placement((0.4, -0.1, 0.0), 2.0).rotation.flags["C_CONTIGUOUS"]
+        for k in range(200):
+            T = random_pose(rng, planar=k % 2 == 0)
+            F = Pose(np.asfortranarray(T.rotation), T.translation.copy())
+            assert F.rotation.flags["C_CONTIGUOUS"] and T.inverse().rotation.flags["C_CONTIGUOUS"]
+            other = random_pose(rng)
+            x = rng.uniform(-1, 1, (5, 3))
+            pairs = [(T.inverse(), F.inverse()), (T.compose(other), F.compose(other)), (other.compose(T), other.compose(F))]
+            for a, b in pairs:
+                assert a.rotation.tobytes() == b.rotation.tobytes()
+                assert a.translation.tobytes() == b.translation.tobytes()
+            assert T.transform(x).tobytes() == F.transform(x).tobytes()
+
     def test_batch_matches_single(self, rng):
         T = random_pose(rng)
         pts = rng.uniform(-1, 1, (20, 3))
@@ -397,26 +413,26 @@ class TestSupportRadius:
 
 class TestManyPoses:
     def test_transform_pairs_bit_identical(self, rng):
-        from rummage.geometry import stack_poses, transform_pairs
+        from rummage.geometry import transform_pairs
 
         poses = [random_pose(rng) for _ in range(7)] + [Pose.from_placement((0.3, 0.1, 0.0), 0.7)]
         pts = rng.uniform(-0.5, 0.5, (40, 3))
         ii = rng.integers(0, len(poses), 300)
         pp = rng.integers(0, len(pts), 300)
-        R, t = stack_poses(poses)
+        R, t = np.stack([T.rotation for T in poses]), np.stack([T.translation for T in poses])
         got = transform_pairs(R, t, ii, pts[pp])
         for k in range(300):
             npt.assert_array_equal(got[k], poses[ii[k]].transform(pts[pp[k]]))
 
     def test_pairs_within_matches_brute_force(self, rng, monkeypatch):
         from rummage import geometry
-        from rummage.geometry import object_origins, pairs_within, stack_poses
+        from rummage.geometry import object_origins, pairs_within
 
         monkeypatch.setattr(geometry, "_TEST_BUDGET", 64)  # several chunks
         poses = [random_pose(rng, trans_scale=0.2) for _ in range(9)]
         pts = rng.uniform(-0.4, 0.4, (50, 3))
         always = rng.random(50) < 0.1
-        origins = object_origins(*stack_poses(poses))
+        origins = object_origins(np.stack([T.rotation for T in poses]), np.stack([T.translation for T in poses]))
         for radius in (0.1, 0.3, math.inf):
             ii, pp = pairs_within(pts, origins, radius, always)
             expect = [

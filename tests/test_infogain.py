@@ -26,7 +26,7 @@ class TestSemanticsProbability:
     def test_single_particle_equals_sensor(self):
         shape = Sphere(0.05)
         T = Pose.from_placement((0.1, 0.0, 0.0), 0.0)
-        particles = ParticleSet.uniform([T])
+        particles = ParticleSet.from_poses([T])
         x = np.array([0.2, 0.0, 0.0])
         expected = sensor_probabilities(SENSOR, float(shape.sdf(T.transform(x))))
         got = semantics_probability(particles, shape, x, SENSOR)
@@ -37,13 +37,13 @@ class TestSemanticsProbability:
         # particle A puts x on the surface (p_surf 1), B far away (p_surf ~ 0)
         A = Pose.identity()
         B = Pose(np.eye(3), np.array([10.0, 0.0, 0.0]))
-        particles = ParticleSet([A, B], np.array([0.5, 0.5]))
+        particles = ParticleSet.from_poses([A, B], np.array([0.5, 0.5]))
         _, _, ps = semantics_probability(particles, shape, np.array([0.05, 0.0, 0.0]), SENSOR)
         assert ps == pytest.approx(0.5, abs=1e-4)
 
     def test_far_free_space(self):
         shape = Sphere(0.05)
-        particles = ParticleSet.uniform([Pose.identity()])
+        particles = ParticleSet.from_poses([Pose.identity()])
         pf, po, ps = semantics_probability(particles, shape, np.array([0.2, 0.0, 0.0]), SENSOR)
         # sdf = 0.15 > 0.1: overwhelming free probability
         assert pf > 0.9999
@@ -53,7 +53,7 @@ class TestSemanticsProbability:
         shape = Sphere(0.05)
         poses = [Pose.from_placement(rng.uniform(-0.1, 0.1, 3) * [1, 1, 0], 0.0) for _ in range(5)]
         w = rng.uniform(0.1, 1.0, 5)
-        particles = ParticleSet(poses, w / w.sum())
+        particles = ParticleSet.from_poses(poses, w / w.sum())
         x = rng.uniform(-0.2, 0.2, 3)
         per = np.array([sensor_probabilities(SENSOR, float(shape.sdf(T.transform(x)))) for T in poses])
         got = np.array(semantics_probability(particles, shape, x, SENSOR))
@@ -64,7 +64,7 @@ class TestSemanticsProbability:
 class TestInfoGain:
     def test_unanimous_free_space_near_zero(self):
         shape = Sphere(0.05)
-        particles = ParticleSet.uniform([Pose.identity()] * 3)
+        particles = ParticleSet.from_poses([Pose.identity()] * 3)
         v = info_gain(particles, shape, np.array([0.2, 0.0, 0.0]), gamma=2.0, sensor=SENSOR)
         assert 0.0 <= v < 1e-3
 
@@ -74,7 +74,7 @@ class TestInfoGain:
         shape = Sphere(0.05)
         A = Pose.identity()                                # sdf at x: 0
         B = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))     # sdf at x: +0.1
-        particles = ParticleSet([A, B], np.array([0.5, 0.5]))
+        particles = ParticleSet.from_poses([A, B], np.array([0.5, 0.5]))
         x = np.array([0.05, 0.0, 0.0])
         assert float(shape.sdf(A.transform(x))) == pytest.approx(0.0, abs=1e-15)
         assert float(shape.sdf(B.transform(x))) == pytest.approx(0.1, abs=1e-15)
@@ -84,7 +84,7 @@ class TestInfoGain:
     def test_agreeing_particles_low_info(self, rng):
         shape = Sphere(0.05)
         T = Pose.from_placement((0.3, 0.0, 0.0), 0.0)
-        particles = ParticleSet.uniform([T] * 4)
+        particles = ParticleSet.from_poses([T] * 4)
         for _ in range(50):
             x = rng.uniform(-0.1, 0.5, 3) * [1, 1, 0]
             v_sdf = abs(float(shape.sdf(T.transform(x))))
@@ -101,8 +101,8 @@ class TestInfoGain:
         B_agree = Pose.identity()
         B_disagree = Pose(np.eye(3), np.array([-0.04, 0.0, 0.0]))  # sdf at x: 0.07-0.04-0.05 = -0.02
         x = np.array([0.07, 0.0, 0.0])
-        agree = ParticleSet([A, B_agree], np.array([0.5, 0.5]))
-        disagree = ParticleSet([A, B_disagree], np.array([0.5, 0.5]))
+        agree = ParticleSet.from_poses([A, B_agree], np.array([0.5, 0.5]))
+        disagree = ParticleSet.from_poses([A, B_disagree], np.array([0.5, 0.5]))
         assert float(shape.sdf(B_disagree.transform(x))) == pytest.approx(-0.02, abs=1e-12)
         v_agree = info_gain(agree, shape, x, 2.0, SENSOR)
         v_disagree = info_gain(disagree, shape, x, 2.0, SENSOR)
@@ -111,7 +111,7 @@ class TestInfoGain:
     def test_nonnegative(self, rng):
         shape = Sphere(0.05)
         poses = [Pose.from_placement(rng.uniform(-0.05, 0.05, 3) * [1, 1, 0], 0.0) for _ in range(4)]
-        particles = ParticleSet.uniform(poses)
+        particles = ParticleSet.from_poses(poses)
         pts = rng.uniform(-0.2, 0.2, (100, 3))
         vals = info_gain(particles, shape, pts, 2.0, SENSOR)
         assert np.all(vals >= 0.0)
@@ -120,7 +120,7 @@ class TestInfoGain:
 class TestBuildInfoFields:
     def test_probabilities_sum_to_one_at_nodes(self, rng):
         shape = Sphere(0.05)
-        particles = ParticleSet.uniform(
+        particles = ParticleSet.from_poses(
             [Pose.from_placement((0.1 + 0.02 * i, 0.0, 0.0), 0.0) for i in range(3)]
         )
         ws = Workspace(bounds=((0, 0.2), (-0.1, 0.1), (0, 0)), resolution=0.02)
@@ -131,7 +131,7 @@ class TestBuildInfoFields:
 
     def test_single_particle_peak_near_surface(self, mug):
         T = Pose.from_placement((0.3, 0.0, 0.0), 0.5)
-        particles = ParticleSet.uniform([T])
+        particles = ParticleSet.from_poses([T])
         ws = Workspace(bounds=((0.1, 0.5), (-0.2, 0.2), (0, 0)), resolution=0.01)
         fields = build_info_fields(particles, mug, ws, 2.0, SENSOR)
         flat = np.argmax(fields.info.values)
@@ -141,7 +141,7 @@ class TestBuildInfoFields:
 
     def test_outside_contract(self):
         shape = Sphere(0.05)
-        particles = ParticleSet.uniform([Pose.identity()])
+        particles = ParticleSet.from_poses([Pose.identity()])
         ws = Workspace(bounds=((-0.1, 0.1), (-0.1, 0.1), (0, 0)), resolution=0.05)
         fields = build_info_fields(particles, shape, ws, 2.0, SENSOR)
         far = np.array([5.0, 5.0, 0.0])
@@ -151,7 +151,7 @@ class TestBuildInfoFields:
 
     def test_deterministic(self):
         shape = Sphere(0.05)
-        particles = ParticleSet.uniform([Pose.from_placement((0.05, 0.0, 0.0), 0.0)])
+        particles = ParticleSet.from_poses([Pose.from_placement((0.05, 0.0, 0.0), 0.0)])
         ws = Workspace(bounds=((-0.1, 0.1), (-0.1, 0.1), (0, 0)), resolution=0.02)
         a = build_info_fields(particles, shape, ws, 2.0, SENSOR)
         b = build_info_fields(particles, shape, ws, 2.0, SENSOR)

@@ -1,0 +1,256 @@
+"""Particle sets as arrays: every batched site against a per-pose loop.
+
+Each reference below makes, one particle at a time, the ``Pose`` calls
+and draws that the batched code replaces, and the batched result must
+match it bit for bit.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rummage import discrepancy
+from rummage.belief import BeliefConfig, BeliefParams, BeliefState, resample, systematic_resample_indices, update_step
+from rummage.discrepancy import DescentSchedule, DiscrepancyParams, _step_poses, pose_descent_step, refine_pose, total_discrepancy
+from rummage.geometry import ParticleSet, Pose, orthonormalize, rotation_about_axis
+from rummage.semantics import SemanticCloud
+from rummage.sim import _running_sum
+
+from conftest import random_pose
+from test_discrepancy import scene_cloud
+
+# (planar, sigma_r): the shipped planar noise, planar with an angle draw,
+# and full 3-D noise (7 draws per particle)
+NOISE = [(True, 0.0), (True, 0.05), (False, 0.05)]
+
+
+def assert_bits(a: Pose, b: Pose):
+    assert a.rotation.tobytes() == b.rotation.tobytes()
+    assert a.translation.tobytes() == b.translation.tobytes()
+
+
+def rodrigues(axis, angle: float) -> np.ndarray:
+    ax = np.asarray(axis, dtype=np.float64)
+    n = np.linalg.norm(ax)
+    if n < 1e-12 or angle == 0.0:
+        return np.eye(3)
+    kx, ky, kz = ax / n
+    K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
+def polar(M: np.ndarray) -> np.ndarray:
+    U, _, Vt = np.linalg.svd(M)
+    out = U @ Vt
+    if np.linalg.det(out) < 0:
+        U = U.copy()
+        U[:, -1] = -U[:, -1]
+        out = U @ Vt
+    return out
+
+
+def perturb_one(rng, sigma_t: float, sigma_r: float, planar: bool) -> Pose:
+    """One particle's noise, drawn as a per-particle loop draws it."""
+    if planar:
+        dt = np.zeros(3)
+        dt[:2] = rng.normal(0.0, sigma_t, 2) if sigma_t > 0 else 0.0
+        axis = np.array([0.0, 0.0, 1.0])
+    else:
+        dt = rng.normal(0.0, sigma_t, 3) if sigma_t > 0 else np.zeros(3)
+        raw = rng.normal(size=3)
+        n = np.linalg.norm(raw)
+        axis = raw / n if n > 0 else np.array([0.0, 0.0, 1.0])
+    angle = float(rng.normal(0.0, sigma_r)) if sigma_r > 0 else 0.0
+    return Pose(rodrigues(axis, angle), dt)
+
+
+def compose_one(A: Pose, B: Pose) -> Pose:
+    """``A`` after ``B`` with the products of composing two poses."""
+    return Pose(A.rotation @ B.rotation, A.rotation @ B.translation + A.translation)
+
+
+def step_one(T: Pose, g_mean, torque, step_t: float, step_r: float) -> Pose:
+    """One pose's descent step, as a per-pose loop makes it."""
+
+    def clamp(vec, cap):
+        n = float(np.linalg.norm(vec))
+        return vec if n <= cap or n < 1e-15 else vec * (cap / n)
+
+    dt, omega = clamp(g_mean, step_t), clamp(torque, step_r)
+    new_t = T.translation - dt
+    angle = float(np.linalg.norm(omega))
+    if angle <= 1e-15:
+        return Pose(T.rotation, new_t)
+    R_delta = rodrigues(omega / angle, -angle)
+    return Pose(polar(R_delta @ T.rotation), R_delta @ new_t)
+
+
+def particle_set(rng, n: int, planar: bool) -> ParticleSet:
+    poses = [random_pose(rng, planar=planar, trans_scale=0.1) for _ in range(n)]
+    w = rng.uniform(0.1, 1.0, n)
+    return ParticleSet.from_poses(poses, w / w.sum())
+
+
+@pytest.mark.parametrize("planar, sigma_r", NOISE)
+def test_update_step_motion(planar, sigma_r, mug):
+    """Every particle becomes (noise dT) T, its noise drawn in turn."""
+    particles = particle_set(np.random.default_rng(3), 200, planar)
+    dT = Pose(rotation_about_axis((0.2, -0.1, 1.0), 0.05), np.array([0.01, -0.004, 0.0 if planar else 0.002]))
+    params = BeliefParams(sigma_t=0.01, sigma_r=sigma_r, planar=planar)
+    state = BeliefState(particles=particles, cloud=SemanticCloud())
+    out = update_step(
+        state, BeliefConfig(shape=mug, params=params), SemanticCloud(), dT,
+        np.random.default_rng(11), movement_known=True, dT_w_known=Pose.identity(),
+    )
+    rng = np.random.default_rng(11)
+    for T, got in zip(particles.poses, out.particles.poses):
+        assert_bits(got, compose_one(compose_one(perturb_one(rng, 0.01, sigma_r, planar), dT), T))
+
+
+@pytest.mark.parametrize("planar, sigma_r", NOISE)
+def test_resample_perturb_compose(planar, sigma_r, mug):
+    """Every resampled copy is noise T, its noise drawn after the indices."""
+    particles = particle_set(np.random.default_rng(4), 200, planar)
+    params = BeliefParams(sigma_t=0.01, sigma_r=sigma_r, planar=planar)
+    out = resample(particles, SemanticCloud(), mug, DiscrepancyParams(), params, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    idx = systematic_resample_indices(particles.weights, rng)
+    assert len(np.unique(idx)) < len(idx)  # some particles copied more than once
+    poses = particles.poses
+    for i, got in zip(idx, out.poses):
+        assert_bits(got, compose_one(perturb_one(rng, 0.01, sigma_r, planar), poses[i]))
+
+
+def test_step_poses(rng):
+    """Clamped and unclamped steps, rows with zero angle, and rows without
+    active points (zero direction and torque), which stay put."""
+    n = 90
+    poses = [random_pose(rng, planar=k % 2 == 0) for k in range(n)]
+    R, t = np.stack([T.rotation for T in poses]), np.stack([T.translation for T in poses])
+    g_mean = rng.normal(0.0, 0.01, (n, 3))
+    torque = rng.normal(0.0, 0.1, (n, 3))
+    torque[::4] = 0.0
+    torque[1::9] *= 1e-17
+    still = rng.random(n) < 0.2
+    g_mean[still], torque[still] = 0.0, 0.0
+    new_R, new_t = _step_poses(R, t, g_mean, torque, 0.01, 0.1)
+    for i, T in enumerate(poses):
+        assert_bits(Pose(new_R[i], new_t[i]), T if still[i] else step_one(T, g_mean[i], torque[i], 0.01, 0.1))
+
+
+def test_orthonormalize_stack(rng):
+    M = rng.normal(size=(50, 3, 3))
+    got = orthonormalize(M)
+    assert (np.linalg.det(M) < 0).any()
+    for i in range(len(M)):
+        assert got[i].tobytes() == polar(M[i]).tobytes()
+
+
+def test_refine_best_iterate(rng, mug):
+    """Each pose keeps the lowest-cost iterate, the earliest among equal
+    costs, and the last one only when it is strictly better."""
+    center = (0.4, 0.0, 0.0)
+    cloud = scene_cloud(rng, mug, center)
+    params = DiscrepancyParams()
+    schedule = DescentSchedule(step_t=0.03, step_r=0.6, decay=0.9)
+    poses = [Pose.from_placement(np.add(center, rng.normal(0, 0.01, 3) * [1, 1, 0]), rng.uniform(-math.pi, math.pi)) for _ in range(30)]
+    got = refine_pose(params, mug, cloud, ParticleSet.from_poses(poses), 5, schedule, planar=True)
+    kept_last = []
+    for T, G in zip(poses, got.poses):
+        best, best_cost, current = T, None, T
+        st, sr = schedule.step_t, schedule.step_r
+        for _ in range(5):
+            cost = total_discrepancy(params, mug, cloud, current)
+            nxt = pose_descent_step(params, mug, cloud, current, st, sr, planar=True)
+            if best_cost is None or cost < best_cost:
+                best, best_cost = current, cost
+            current, st, sr = nxt, st * schedule.decay, sr * schedule.decay
+        kept_last.append(total_discrepancy(params, mug, cloud, current) < best_cost)
+        assert_bits(G, current if kept_last[-1] else best)
+    assert any(kept_last) and not all(kept_last)
+
+
+def test_running_sum():
+    """Adds in order onto 0.0, as ``acc += term`` does, signed zeros too."""
+    terms = np.array([[-0.0, -0.0, 1e-300], [-0.0, 0.0, -1e-300], [-0.0, 3.0, 1e16], [-0.0, 0.5, 1.0]])
+    acc = np.zeros(3)
+    for term in terms:
+        acc += term
+    assert _running_sum(terms).tobytes() == acc.tobytes()
+
+
+def test_refine_best_iterate_ties(rng, monkeypatch):
+    """Among equal costs the earliest iterate is kept: a scripted kernel
+    moves every pose by 1 per step and reports costs full of ties."""
+    steps, n = 6, 40
+    costs = rng.integers(0, 3, (steps + 1, n)).astype(np.float64)
+
+    class Scripted:
+        def __init__(self, *args, **kwargs):
+            self.k = 0
+
+        def descent_steps(self, R, t, step_t, step_r, planar):
+            self.k += 1
+            return R, t + 1.0, costs[self.k - 1].copy()
+
+        def totals(self, R, t):
+            return costs[steps].copy()
+
+    monkeypatch.setattr(discrepancy, "_CloudKernel", Scripted)
+    start = ParticleSet.from_poses([random_pose(rng) for _ in range(n)])
+    cloud = SemanticCloud.from_parts(surface=[[0.0, 0.0, 0.0]])
+    got = refine_pose(DiscrepancyParams(), None, cloud, start, steps)
+    for i in range(n):
+        best, best_cost, current = None, None, start.translations[i]
+        for k in range(steps + 1):
+            if best_cost is None or costs[k, i] < best_cost:
+                best, best_cost = current, costs[k, i]
+            current = current + 1.0
+        assert got.translations[i].tobytes() == best.tobytes()
+
+
+def test_weighted_center(rng):
+    for planar in (True, False):
+        particles = particle_set(rng, 100, planar)
+        centers = np.stack([T.object_center_world() for T in particles.poses])
+        want = (particles.weights[:, None] * centers).sum(axis=0)
+        assert particles.weighted_center().tobytes() == want.tobytes()
+
+
+def test_arrays_are_read_only_copies(rng):
+    """A set keeps its own C-ordered copies, and nothing can write to them
+    later (a caller may keep a set and read it again)."""
+    R = np.asfortranarray(np.stack([random_pose(rng).rotation for _ in range(4)]))
+    t = rng.normal(size=(4, 3))
+    w = np.full(4, 0.25)
+    particles = ParticleSet(R, t, w)
+    assert particles.rotations.flags["C_CONTIGUOUS"]
+    R[0], t[0], w[0] = 0.0, 0.0, 0.0
+    assert particles.rotations[0].any() and particles.translations[0].any() and particles.weights[0] == 0.25
+    pose = particles.pose(1)
+    for a in (particles.rotations, particles.translations, particles.weights, pose.rotation, pose.translation):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_loopbench_tracer_fits_the_package():
+    """The benchmark's tracer patches the package from outside: every
+    attribute it wraps must exist, and restoring puts each one back."""
+    path = Path(__file__).resolve().parent.parent / "loopbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("loopbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patches = tracing.Patches()
+    try:
+        tracing.instrument(tracing.Tracer(), patches)
+        saved = list(patches._saved)
+        assert len(saved) > 20
+        for owner, attr, original in saved:
+            assert getattr(owner, attr) is not original, f"{owner.__name__}.{attr} not wrapped"
+    finally:
+        patches.restore()
+    for owner, attr, original in saved:
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"

@@ -38,7 +38,7 @@ SENSOR = SensorModel()
 def make_context(particle_poses, shape=None, bounds=((0.0, 0.6), (-0.3, 0.3), (0, 0)), res=0.01, with_table=False):
     shape = shape or Sphere(0.05)
     ws = Workspace(bounds=bounds, resolution=res)
-    particles = ParticleSet.uniform(particle_poses)
+    particles = ParticleSet.from_poses(particle_poses)
     fields = build_info_fields(particles, shape, ws, 2.0, SENSOR)
     reach = build_reachability(ws, ReachabilityModel(base=(0, 0, 0), r_mid=0.3, r_half=0.2, psi=0.4))
     table = ReachTable(fields.info, reach) if with_table else None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rummage.belief import ParticleSet
-from rummage.geometry import Pose, Sphere
+from rummage.geometry import Pose, Sphere, rotation_about_axis
 from rummage.semantics import (
     SemanticCloud,
     SemanticPoint,
@@ -132,7 +132,7 @@ class TestVoxelDownsample:
 class TestMergeObservations:
     def setup_method(self):
         self.shape = Sphere(0.05)
-        self.particles = ParticleSet.uniform([Pose.identity()])
+        self.particles = ParticleSet.from_poses([Pose.identity()])
 
     def test_identity_merge_is_downsample_idempotent(self):
         prev = voxel_downsample(
@@ -157,7 +157,7 @@ class TestMergeObservations:
         npt.assert_allclose(out.surface[0], (0.10, 0.0, 0.0), atol=1e-9)
 
     def test_never_outputs_inconsistent_free(self, rng):
-        particles = ParticleSet.uniform(
+        particles = ParticleSet.from_poses(
             [Pose.from_placement((x, 0.0, 0.0), 0.0) for x in (0.0, 0.02, -0.02)]
         )
         prev = SemanticCloud.from_parts(free=rng.uniform(-0.1, 0.1, (200, 3)))
@@ -206,8 +206,8 @@ class TestMergeCull:
                 surface=center + rng.uniform(-0.06, 0.06, (20, 3)),
             )
             new = SemanticCloud.from_parts(free=center + rng.uniform(-0.2, 0.2, (200, 3)) * [1, 1, 0.2])
-            dT_w = Pose.delta((0.01, -0.005, 0.0), (0, 0, 1), 0.05)
-            got = merge_observations(prev, new, ParticleSet.uniform(poses), dT_w, mug, 0.01, 0.002)
+            dT_w = Pose(rotation_about_axis((0, 0, 1), 0.05), np.array([0.01, -0.005, 0.0]))
+            got = merge_observations(prev, new, ParticleSet.from_poses(poses), dT_w, mug, 0.01, 0.002)
             want = reference_merge(prev, new, poses, dT_w, mug, 0.01, 0.002)
             npt.assert_array_equal(got.positions, want.positions)
             npt.assert_array_equal(got.labels, want.labels)

@@ -232,7 +232,7 @@ class TestNll:
     def test_zero_at_truth(self, rng, mug):
         T = Pose.from_placement((0.4, 0.0, 0.0), 0.7)
         samples = sample_surface(mug, 150, rng)
-        particles = ParticleSet.uniform([T])
+        particles = ParticleSet.from_poses([T])
         assert nll(particles, mug, T, samples, SENSOR) == 0.0
 
     def test_monotone_in_offset(self, rng, mug):
@@ -240,7 +240,7 @@ class TestNll:
         samples = sample_surface(mug, 150, rng)
         values = []
         for off in (0.0, 0.01, 0.02, 0.04):
-            P = ParticleSet.uniform([Pose.from_placement((0.4 + off, 0.0, 0.0), 0.7)])
+            P = ParticleSet.from_poses([Pose.from_placement((0.4 + off, 0.0, 0.0), 0.7)])
             values.append(nll(P, mug, T, samples, SENSOR))
         assert values == sorted(values)
         assert values[1] > 0
@@ -249,7 +249,7 @@ class TestNll:
         T = Pose.from_placement((0.4, 0.0, 0.0), 0.3)
         samples = sample_surface(mug, 200, rng)
         threshold = calibrate_nll_threshold(mug, T, samples, SENSOR)
-        opposed = ParticleSet.uniform(
+        opposed = ParticleSet.from_poses(
             [Pose.from_placement((0.4, 0.0, 0.0), 0.3 + math.pi), Pose.from_placement((0.4, 0.0, 0.0), 0.3 - math.pi / 2)]
         )
         assert nll(opposed, mug, T, samples, SENSOR) > threshold
@@ -257,7 +257,7 @@ class TestNll:
     def test_finite_under_hopeless_belief(self, rng, mug):
         T = Pose.from_placement((0.4, 0.0, 0.0), 0.0)
         samples = sample_surface(mug, 100, rng)
-        P = ParticleSet.uniform([Pose.from_placement((5.0, 5.0, 0.0), 0.0)])
+        P = ParticleSet.from_poses([Pose.from_placement((5.0, 5.0, 0.0), 0.0)])
         v = nll(P, mug, T, samples, SENSOR)
         assert np.isfinite(v)
         assert v == pytest.approx(-100 * math.log(1e-12))
@@ -267,14 +267,14 @@ class TestPairwiseChamfer:
     def test_identical_particles_zero(self, rng, mug):
         samples = sample_surface(mug, 80, rng)
         T = Pose.from_placement((0.3, 0.0, 0.0), 0.2)
-        particles = ParticleSet.uniform([T, T, T])
+        particles = ParticleSet.from_poses([T, T, T])
         assert pairwise_chamfer(particles, mug, samples) < 1e-7
 
     def test_relabeling_invariance(self, rng, mug):
         samples = sample_surface(mug, 60, rng)
         poses = [Pose.from_placement((0.3 + 0.01 * i, 0.0, 0.0), 0.1 * i) for i in range(4)]
-        a = pairwise_chamfer(ParticleSet.uniform(poses), mug, samples)
-        b = pairwise_chamfer(ParticleSet.uniform(poses[::-1]), mug, samples)
+        a = pairwise_chamfer(ParticleSet.from_poses(poses), mug, samples)
+        b = pairwise_chamfer(ParticleSet.from_poses(poses[::-1]), mug, samples)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_matches_scalar_oracle_exactly(self, rng):
@@ -286,7 +286,7 @@ class TestPairwiseChamfer:
             Pose.from_placement((0.31, 0.0, 0.0), 0.4),
             Pose.from_placement((0.29, 0.02, 0.0), -0.3),
         ]
-        particles = ParticleSet.uniform(poses)
+        particles = ParticleSet.from_poses(poses)
         total = 0.0
         for Ti in poses:
             for Tj in poses:
@@ -301,7 +301,7 @@ class TestPairwiseChamfer:
         shape = Sphere(0.05)
         samples = sample_surface(shape, 500, rng)
         poses = [Pose.from_placement((0.3, 0.0, 0.0), 0.0), Pose.from_placement((0.31, 0.0, 0.0), 0.0)]
-        particles = ParticleSet.uniform(poses)
+        particles = ParticleSet.from_poses(poses)
         got = pairwise_chamfer(particles, shape, samples)
         # diagonal pairs contribute ~0; each cross pair is the mean |sdf| of
         # the other particle's surface samples seen 10 mm shifted
@@ -321,7 +321,7 @@ class TestPairwiseChamfer:
 
         samples = sample_surface(mug, 70, rng)
         poses = [Pose.from_placement((0.4 + 0.01 * i, -0.005 * i, 0.0), 0.9 * i) for i in range(5)]
-        particles = ParticleSet.uniform(poses)
+        particles = ParticleSet.from_poses(poses)
         assert pairwise_chamfer(particles, Counting(), samples) == pairwise_chamfer(particles, mug, samples)
         assert sum(counted) == 5 * 5 * 70
 
@@ -334,7 +334,7 @@ class TestPairwiseChamferMemory:
         rng = np.random.default_rng(3)
         samples = sample_surface(mug, 500, rng)
         poses = [Pose.from_placement((0.4 + rng.normal(0, 0.01), rng.normal(0, 0.01), 0.0), rng.uniform(-3, 3)) for _ in range(100)]
-        particles = ParticleSet.uniform(poses)
+        particles = ParticleSet.from_poses(poses)
         tracemalloc.start()
         try:
             value = pairwise_chamfer(particles, mug, samples)
@@ -347,19 +347,19 @@ class TestPairwiseChamferMemory:
 
 class TestSlidePolicy:
     def test_heads_toward_center_when_free(self):
-        particles = ParticleSet.uniform([Pose.from_placement((0.4, 0.0, 0.0), 0.0)])
+        particles = ParticleSet.from_poses([Pose.from_placement((0.4, 0.0, 0.0), 0.0)])
         a = slide_policy(particles, Sphere(0.05), np.array([0.2, 0.0, 0.0]), False, None, 1.0, ActionScale())
         assert a[0] > 0
         assert a[1] == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(a[:2]) == pytest.approx(0.5)
 
     def test_zero_at_center(self):
-        particles = ParticleSet.uniform([Pose.from_placement((0.2, 0.0, 0.0), 0.0)])
+        particles = ParticleSet.from_poses([Pose.from_placement((0.2, 0.0, 0.0), 0.0)])
         a = slide_policy(particles, Sphere(0.05), np.array([0.2, 0.0, 0.0]), False, None, 1.0, ActionScale())
         npt.assert_array_equal(a, np.zeros(3))
 
     def test_tangent_when_in_contact(self):
-        particles = ParticleSet.uniform([Pose.from_placement((0.3, 0.0, 0.0), 0.0)])
+        particles = ParticleSet.from_poses([Pose.from_placement((0.3, 0.0, 0.0), 0.0)])
         contact = np.array([0.25, 0.0, 0.0])  # normal points -x here
         a_ccw = slide_policy(particles, Sphere(0.05), np.array([0.24, 0.0, 0.0]), True, contact, 1.0, ActionScale())
         # normal -x, counterclockwise tangent: (-n_y, n_x) = (0, -1)
