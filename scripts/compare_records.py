@@ -9,6 +9,11 @@ change meant to leave results bit-identical can be checked end to end:
 
     python scripts/compare_records.py --workload mug-mpc --seeds 0-4 --base ../parent
 
+Each episode that differs gets a ``MISMATCH`` line naming its first
+differing record.  When any differ, a ``DRIFT`` line per numeric field then
+gives the size: how many compared records differ in it and their largest
+relative difference.
+
 ``--before-contact`` compares only the records before the first one that
 reports contact in the base run (for changes meant to alter the loop from
 first contact on).  The workload definitions and the scenario file are
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,15 +84,20 @@ def run_tree(tree: Path, spec: dict) -> list[dict]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _compared(records: list[dict], before_contact: bool) -> list[dict]:
+    """The base records of an episode that are compared."""
+    if not before_contact:
+        return records
+    first = next((k for k, r in enumerate(records) if r["contact"] == "True"), len(records))
+    return records[:first]
+
+
 def compare(base: list[dict], head: list[dict], before_contact: bool) -> tuple[list[str], int]:
     """Mismatches (the first differing record of each episode) and the
     number of base records compared."""
     problems, compared = [], 0
     for b, h in zip(base, head):
-        records = b["records"]
-        if before_contact:
-            first = next((k for k, r in enumerate(records) if r["contact"] == "True"), len(records))
-            records = records[:first]
+        records = _compared(b["records"], before_contact)
         compared += len(records)
         if len(h["records"]) < len(records) or (not before_contact and len(h["records"]) != len(records)):
             problems.append(f"seed {b['seed']}: {len(records)} records in base, {len(h['records'])} in head")
@@ -99,6 +110,42 @@ def compare(base: list[dict], head: list[dict], before_contact: bool) -> tuple[l
                 )
                 break
     return problems, compared
+
+
+def _numbers(text: str) -> list[float] | None:
+    """The numbers of a field's ``repr`` (a number or a tuple of them), or
+    None for a field that is not numeric."""
+    try:
+        return [float(part) for part in text.strip("()").split(",") if part.strip()]
+    except ValueError:
+        return None
+
+
+def _relative(a: float, b: float) -> float:
+    """``|a - b| / max(|a|, |b|)``, infinite where that is undefined."""
+    scale = max(abs(a), abs(b))
+    d = abs(a - b) / scale if scale > 0 else math.nan
+    return d if d == d else math.inf
+
+
+def drift(base: list[dict], head: list[dict], before_contact: bool) -> dict[str, tuple[int, float]]:
+    """The size of a difference, per numeric field over every compared
+    record (not only the first mismatch of an episode): the number of
+    records whose values differ and the largest relative difference."""
+    out: dict[str, tuple[int, float]] = {}
+    for b, h in zip(base, head):
+        for rb, rh in zip(_compared(b["records"], before_contact), h["records"]):
+            for name, text in rb.items():
+                x, y = _numbers(text), _numbers(rh[name])
+                if x is None or y is None:
+                    continue
+                count, worst = out.get(name, (0, 0.0))
+                if text != rh[name]:
+                    count += 1
+                    rel = [_relative(a, c) for a, c in zip(x, y) if a != c] if len(x) == len(y) else [math.inf]
+                    worst = max([worst, *rel])
+                out[name] = (count, worst)
+    return out
 
 
 def main(argv=None) -> int:
@@ -121,6 +168,9 @@ def main(argv=None) -> int:
     problems, compared = compare(base, head, args.before_contact)
     for p in problems:
         print(f"MISMATCH {p}")
+    if problems:
+        for name, (count, worst) in drift(base, head, args.before_contact).items():
+            print(f"DRIFT {name}: {count} records differ, max relative difference {worst:.3g}")
     verdict = "differ" if problems else "bit-identical"
     print(f"{args.workload}: {len(base)} episodes, {compared} records compared, {verdict}")
     return 1 if problems else 0

@@ -23,10 +23,8 @@ least ``epsilon``, so its cost and its descent direction are exactly zero;
 such pairs are dropped before the distance is evaluated.  Dropping an
 exact 0.0 from a sequential sum leaves the sum unchanged.  The radius rests
 on the contract that ``bounding_box()`` encloses every point with sdf <= 0
-and that the distance outside it is at least the distance to the box;
-:class:`~rummage.geometry.Complement` (no cull) and
-:class:`~rummage.geometry.VoxelizedShape` (radius widened by a voxel
-diagonal) are the exceptions, see :func:`~rummage.geometry.support_radius`.
+and that the distance outside it is at least the distance to the box, see
+:func:`~rummage.geometry.support_radius`.
 """
 
 from __future__ import annotations

@@ -140,12 +140,6 @@ def write_particles_csv(particles: ParticleSet, path) -> None:
             w.writerow([_fmt(r[c]) for c in cols])
 
 
-def read_particles_csv(path) -> ParticleSet:
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    return particles_from_rows(rows)
-
-
 METRICS_COLUMNS = ["step", "nll", "chamfer", "contact", "ax", "ay", "ayaw", "reach_true"]
 
 

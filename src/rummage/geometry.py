@@ -7,15 +7,13 @@ Conventions used throughout the package:
   the world.
 - Signed distances are negative strictly inside a shape, positive
   strictly outside, zero on the surface, in meters.
-- CSG unions take the min of child distances and intersections the max.
-  Off the surface this is only a (sign-correct) lower bound on the true
-  Euclidean distance for unions; every consumer in this package only
-  thresholds near zero, where the bound is tight.
+- Unions take the min of child distances.  Off the surface this is only
+  a (sign-correct) lower bound on the true Euclidean distance; every
+  consumer in this package only thresholds near zero, where the bound is
+  tight.
 - ``bounding_box()`` encloses every point with signed distance <= 0, and
-  outside it the distance is at least the distance to the box.  Two shapes
-  break this: a :class:`Complement` (its negative region is unbounded) and a
-  :class:`VoxelizedShape` (interpolation can go negative just outside the
-  box).  :meth:`Shape.support_radius` accounts for both.
+  outside it the distance is at least the distance to the box, which is
+  what :meth:`Shape.support_radius` rests on.
 """
 
 from __future__ import annotations
@@ -213,10 +211,6 @@ class Pose:
 
     def is_identity(self, trans_tol: float = 1e-6, rot_tol: float = 1e-6) -> bool:
         return float(np.linalg.norm(self.translation)) <= trans_tol and self.rotation_angle() <= rot_tol
-
-
-def transform_point(pose: Pose, x) -> np.ndarray:
-    return pose.transform(x)
 
 
 # ---------------------------------------------------------------------------
@@ -511,37 +505,6 @@ class Annulus2D:
         return (-r, -r), (r, r)
 
 
-@dataclass(frozen=True)
-class Rect2D:
-    half_x: float
-    half_y: float
-
-    def sdf(self, x, y):
-        qx = np.abs(x)
-        qx -= self.half_x
-        qy = np.abs(y)
-        qy -= self.half_y
-        return _box_distance(qx, qy)
-
-    def gradient(self, x, y):
-        qx = np.abs(x) - self.half_x
-        qy = np.abs(y) - self.half_y
-        sx = np.where(x >= 0, 1.0, -1.0)
-        sy = np.where(y >= 0, 1.0, -1.0)
-        out = (qx > 0) | (qy > 0)
-        ox = np.maximum(qx, 0.0)
-        oy = np.maximum(qy, 0.0)
-        n = np.maximum(np.sqrt(ox**2 + oy**2), _GRAD_EPS)
-        gx_out, gy_out = sx * ox / n, sy * oy / n
-        # inside: move along the axis of maximal q (ties: x first)
-        gx_in = np.where(qx >= qy, sx, 0.0)
-        gy_in = np.where(qx >= qy, 0.0, sy)
-        return np.where(out, gx_out, gx_in), np.where(out, gy_out, gy_in)
-
-    def bounds(self):
-        return (-self.half_x, -self.half_y), (self.half_x, self.half_y)
-
-
 # ---------------------------------------------------------------------------
 # Shapes
 # ---------------------------------------------------------------------------
@@ -729,8 +692,7 @@ class Union(Shape):
     widened by that min.  Beyond the ball a child reads at least the
     distance past it, strictly above the running min, so ``np.minimum``
     would have returned the running min there: the values are those of
-    evaluating every child everywhere, bit for bit.  A child with an
-    infinite radius (a :class:`Complement`) is evaluated everywhere.
+    evaluating every child everywhere, bit for bit.
     """
 
     children: tuple[Shape, ...]
@@ -742,8 +704,6 @@ class Union(Shape):
     def _candidates(self, k: int, p: np.ndarray, v: np.ndarray):
         """Rows where child ``k`` could be below ``v``; ``None`` for all rows."""
         center, radius = self._balls[k]
-        if not math.isfinite(radius):
-            return None
         rows = _rows_within(p, center, radius, v)
         return None if len(rows) == len(p) else rows
 
@@ -796,61 +756,6 @@ class Union(Shape):
 
 
 @dataclass(frozen=True)
-class Intersection(Shape):
-    children: tuple[Shape, ...]
-
-    def __init__(self, *children: Shape):
-        object.__setattr__(self, "children", tuple(children))
-
-    def sdf(self, points):
-        p, single = self._pts(points)
-        v = self.children[0].sdf(p)
-        for c in self.children[1:]:
-            v = np.maximum(v, c.sdf(p))
-        return self._ret(v, single)
-
-    def gradient(self, points):
-        p, single = self._pts(points)
-        vals = np.stack([c.sdf(p) for c in self.children], axis=0)
-        pick = np.argmax(vals, axis=0)
-        grads = np.stack([c.gradient(p) for c in self.children], axis=0)
-        g = np.take_along_axis(grads, pick[None, ..., None], axis=0)[0]
-        return self._retg(g, single)
-
-    def bounding_box(self):
-        los, his = zip(*(c.bounding_box() for c in self.children))
-        return np.max(np.stack(los), axis=0), np.min(np.stack(his), axis=0)
-
-    def support_radius(self):
-        # the max is at least every child's distance, so the smallest child
-        # radius bounds it; the intersected box would not (a complemented
-        # child's box delimits its hole, not its negative region)
-        return min(support_radius(c) for c in self.children)
-
-
-@dataclass(frozen=True)
-class Complement(Shape):
-    """Sign-flipped child.  The bounding box is the child's (the complement is
-    unbounded; the box only delimits the region of interest)."""
-
-    child: Shape
-
-    def sdf(self, points):
-        p, single = self._pts(points)
-        return self._ret(-self.child.sdf(p), single)
-
-    def gradient(self, points):
-        p, single = self._pts(points)
-        return self._retg(-self.child.gradient(p), single)
-
-    def bounding_box(self):
-        return self.child.bounding_box()
-
-    def support_radius(self):
-        return math.inf
-
-
-@dataclass(frozen=True)
 class Transformed(Shape):
     """Child shape placed in the parent frame: sdf(p) = child.sdf(T p)."""
 
@@ -893,71 +798,6 @@ def mug_shape(
     hs = np.asarray(handle_size, dtype=np.float64) / 2.0
     handle = translated(Box((hs[0], hs[1], hs[2])), (outer_radius + hs[0], 0.0, 0.0))
     return Union(body, handle)
-
-
-def sdf_eval(shape: Shape, p) -> float:
-    return shape.sdf(p)
-
-
-def sdf_gradient(shape: Shape, p):
-    return shape.gradient(p)
-
-
-# ---------------------------------------------------------------------------
-# Voxelized shapes
-# ---------------------------------------------------------------------------
-
-
-class VoxelizedShape(Shape):
-    """Shape baked into a regular grid, queried by interpolation.
-
-    Gradients use central finite differences with step = half the voxel
-    resolution.  Outside the baked grid the distance is the clamped-grid
-    value plus the distance to the grid box (an upper bound on the true
-    distance by the Lipschitz property, sign-correct beyond the padding).
-    """
-
-    def __init__(self, source: Shape, resolution: float, padding: float = 0.02):
-        lo, hi = source.bounding_box()
-        lo = lo - padding
-        hi = hi + padding
-        # the last node reaches at least ``hi``: queries clamp to the nodes
-        dims = np.maximum(np.ceil((hi - lo) / resolution - 1e-9).astype(int) + 1, 2)
-        axes = [lo[i] + resolution * np.arange(dims[i]) for i in range(3)]
-        X, Y, Z = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-        vals = source.sdf(pts).reshape(dims)
-        self.field = ScalarField(origin=lo, resolution=resolution, values=vals, outside_value=np.nan)
-        self._lo = lo
-        self._hi = lo + resolution * (dims - 1)
-        self.resolution = resolution
-        self._bbox = source.bounding_box()
-        # interpolation mixes nodes up to one voxel diagonal away
-        self._support = support_radius(source) + math.sqrt(3.0) * resolution
-
-    def sdf(self, points):
-        p, single = self._pts(points)
-        clamped = np.clip(p, self._lo, self._hi)
-        base = self.field.query(clamped)
-        extra = np.sqrt(np.sum((p - clamped) ** 2, axis=-1))
-        v = base + extra
-        return self._ret(v, single)
-
-    def gradient(self, points):
-        p, single = self._pts(points)
-        h = 0.5 * self.resolution
-        g = np.empty(p.shape, dtype=np.float64)
-        for i in range(3):
-            dp = np.zeros(3)
-            dp[i] = h
-            g[..., i] = (self.sdf(p + dp) - self.sdf(p - dp)) / (2 * h)
-        return self._retg(_normalize_rows(g), single)
-
-    def bounding_box(self):
-        return self._bbox
-
-    def support_radius(self):
-        return self._support
 
 
 # ---------------------------------------------------------------------------
@@ -1059,10 +899,6 @@ class ScalarField:
         return np.where(inside, v, self.outside_value)
 
 
-def field_query(f: ScalarField, x):
-    return f.query(x)
-
-
 @dataclass(frozen=True)
 class Workspace:
     """Axis-aligned box sampled as a regular grid of query positions."""
@@ -1073,6 +909,8 @@ class Workspace:
     def __post_init__(self):
         if self.resolution <= 0:
             raise ValueError("workspace resolution must be positive")
+        if len(self.bounds) != 3 or any(len(b) != 2 or not b[0] <= b[1] for b in self.bounds):
+            raise ValueError(f"workspace bounds must be three (lo, hi) pairs with lo <= hi, got {self.bounds!r}")
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -1101,6 +939,3 @@ class Workspace:
             outside_value=outside_value,
         )
 
-
-def enumerate_workspace(w: Workspace) -> np.ndarray:
-    return w.grid_points()

@@ -19,7 +19,6 @@ import numpy as np
 
 from .geometry import POINT_BLOCK, ParticleSet, ScalarField, Shape, Workspace, world_gradients
 from .infogain import InfoFields
-from .semantics import downsample_positions
 
 
 @dataclass(frozen=True)
@@ -403,50 +402,9 @@ def _rollout_batch(
     return q_traj, d_traj
 
 
-def dynamics_step(
-    q,
-    d,
-    u,
-    ctx: PlanningContext,
-    robot: PaddleRobot,
-    params: PlannerParams,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-step form of the stochastic dynamics (one action, mini-stepped)."""
-    actions = np.asarray(u, dtype=np.float64).reshape(1, 1, 3)
-    q_traj, d_traj = _rollout_batch(
-        np.asarray(q, dtype=np.float64).reshape(1, 3),
-        np.asarray(d, dtype=np.float64).reshape(1, 3),
-        actions,
-        ctx,
-        robot,
-        params,
-        rng,
-    )
-    return q_traj[0, 0], d_traj[0, 0]
-
-
 # ---------------------------------------------------------------------------
 # Costs
 # ---------------------------------------------------------------------------
-
-
-def info_cost(
-    config_traj: np.ndarray,
-    displacement_traj: np.ndarray,
-    info_field: ScalarField,
-    robot: PaddleRobot,
-    r_ds: float = 0.01,
-) -> float:
-    """Negated information over the deduplicated sweep of the sensing points,
-    each shifted back by the object displacement at its time."""
-    config_traj = np.asarray(config_traj, dtype=np.float64).reshape(-1, 3)
-    displacement_traj = np.asarray(displacement_traj, dtype=np.float64).reshape(-1, 3)
-    pts = robot.info_points_world(config_traj) - displacement_traj[:, None, :]
-    centers = downsample_positions(pts.reshape(-1, 3), r_ds)
-    if len(centers) == 0:
-        return 0.0
-    return float(-np.sum(info_field.query(centers)))
 
 
 def batched_sweep_cost(
@@ -456,10 +414,11 @@ def batched_sweep_cost(
     robot: PaddleRobot,
     r_ds: float,
 ) -> np.ndarray:
-    """info_cost for every rollout at once: (B, H, 3) trajectories -> (B,).
-
-    Identical semantics to the scalar op (per-rollout grids anchored at the
-    rollout's own point extent), vectorized through composite cell keys.
+    """Negated information over each rollout's deduplicated sweep: (B, H, 3)
+    trajectories -> (B,).  The sensing points, shifted back by the object
+    displacement at their time, count once per cell of a grid of side
+    ``r_ds`` anchored at the rollout's own point extent (the field is read
+    at the cell centers); all rollouts at once, through composite cell keys.
     """
     B, H, _ = q_traj.shape
     pts = robot.info_points_world(q_traj.reshape(-1, 3)).reshape(B, H, -1, 3)
@@ -476,31 +435,6 @@ def batched_sweep_cost(
     centers = anchors[rows] + (cells + 0.5) * r_ds
     vals = info_field.query(centers)
     return -np.bincount(rows, weights=vals, minlength=B)
-
-
-def reach_cost(
-    displacement_traj: np.ndarray,
-    workspace: Workspace,
-    info_field: ScalarField,
-    reach_field: ScalarField,
-) -> float:
-    """Fraction of workspace information that stays reachable, negated.
-
-    Averages the displaced information over the horizon at every workspace
-    node, weighs it by reachability, and normalizes by the total
-    information; 0 when there is no information at all.
-    """
-    disp = np.asarray(displacement_traj, dtype=np.float64).reshape(-1, 3)
-    nodes = workspace.grid_points()
-    total = float(np.sum(info_field.query(nodes)))
-    if total <= 0.0:
-        return 0.0
-    avg = np.zeros(len(nodes))
-    for d_t in disp:
-        avg += info_field.query(nodes - d_t)
-    avg /= len(disp)
-    reachable = float(np.sum(avg * reach_field.query(nodes)))
-    return -min(1.0, max(0.0, reachable / total))
 
 
 class ReachTable:
@@ -617,8 +551,9 @@ def make_rollout_cost(
 ):
     """Average stochastic-rollout cost of sampled action sequences.
 
-    The reach cost reads ``ctx.reach_table``; ``workspace`` is accepted
-    from callers that pass the planning workspace and not needed."""
+    The reach cost reads ``ctx.reach_table``.  ``workspace`` is not read; it
+    stays because the wrapper that ``loopbench/tracing.py`` puts around this
+    function passes it positionally."""
     if ctx.reach_table is None and params.reach_weight != 0.0:
         raise ValueError("reach cost requires a reach table")
 
@@ -638,23 +573,6 @@ def make_rollout_cost(
         return per_rollout.reshape(S, R).mean(axis=1)
 
     return cost_fn
-
-
-def plan(
-    q0,
-    ctx: PlanningContext,
-    robot: PaddleRobot,
-    nominal_theta: np.ndarray,
-    params: PlannerParams,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One planning call: optimize around the nominal control points and
-    return (next action, shifted nominal)."""
-    cost_fn = make_rollout_cost(np.asarray(q0, dtype=np.float64), ctx, robot, params, rng)
-    theta_new, _ = mppi_update(np.asarray(nominal_theta, dtype=np.float64), cost_fn, params, rng)
-    actions = np.clip(kernel_interpolate(theta_new, params.horizon, params.kernel, params.kernel_scale), -1.0, 1.0)
-    shifted = np.vstack([theta_new[1:], np.zeros((1, theta_new.shape[1]))])
-    return actions[0], shifted
 
 
 class Planner:

@@ -20,12 +20,6 @@ class Semantics(enum.IntEnum):
 _CLASS_ORDER = (Semantics.FREE, Semantics.OCCUPIED, Semantics.SURFACE)
 
 
-@dataclass(frozen=True)
-class SemanticPoint:
-    position: np.ndarray
-    semantics: Semantics
-
-
 @dataclass
 class SemanticCloud:
     """Labeled world-frame points, partitioned by semantics.
@@ -55,14 +49,6 @@ class SemanticCloud:
         if not chunks:
             return SemanticCloud()
         return SemanticCloud(np.concatenate(chunks), np.concatenate(labs))
-
-    @staticmethod
-    def from_points(points: list[SemanticPoint]) -> "SemanticCloud":
-        if not points:
-            return SemanticCloud()
-        pos = np.stack([np.asarray(p.position, dtype=np.float64) for p in points])
-        lab = np.array([int(p.semantics) for p in points], dtype=np.int8)
-        return SemanticCloud(pos, lab)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -151,11 +137,6 @@ def voxel_downsample(cloud: SemanticCloud, r: float) -> SemanticCloud:
         occupied=_downsample_positions(cloud.occupied, r),
         surface=_downsample_positions(cloud.surface, r),
     )
-
-
-def downsample_positions(points: np.ndarray, r: float) -> np.ndarray:
-    """Class-free position downsampling (used for trajectory sweeps)."""
-    return _downsample_positions(np.asarray(points, dtype=np.float64).reshape(-1, 3), r)
 
 
 def merge_observations(

@@ -106,7 +106,7 @@ class SimParams:
     tactile_tol: float = 0.003
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str = "planar_mug"
     shape_config: dict = field(default_factory=lambda: {"type": "mug"})
@@ -135,11 +135,19 @@ class Scenario:
     slide_speed: float = 0.5
     nll_threshold: float | None = None     # None: calibrated per scenario
 
+    def __post_init__(self):
+        # built once, so a bad shape or workspace fails when the scenario is
+        # loaded rather than at an episode's first step (frozen: they cannot
+        # go stale)
+        workspace = Workspace(bounds=self.workspace_bounds, resolution=self.workspace_resolution)
+        object.__setattr__(self, "_shape", shape_from_config(self.shape_config))
+        object.__setattr__(self, "_workspace", workspace)
+
     def build_shape(self) -> Shape:
-        return shape_from_config(self.shape_config)
+        return self._shape
 
     def build_workspace(self) -> Workspace:
-        return Workspace(bounds=self.workspace_bounds, resolution=self.workspace_resolution)
+        return self._workspace
 
     def true_pose(self) -> Pose:
         return Pose.from_placement(self.true_center, self.true_yaw)

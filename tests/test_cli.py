@@ -135,6 +135,31 @@ class TestRunCommand:
         rc = main(["run", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def _run_with(self, tmp_path, tiny_scenario_file, capsys, **overrides):
+        cfg = json.loads(tiny_scenario_file.read_text())
+        cfg.update(overrides)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["run", "--scenario", str(path), "--method", "slide", "--out", str(tmp_path / "o")])
+        return rc, capsys.readouterr().err
+
+    def test_unknown_shape_type_is_config_error(self, tmp_path, tiny_scenario_file, capsys):
+        rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, shape_config={"type": "cone"})
+        assert rc == 1
+        assert err.startswith("config error:") and "cone" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_workspace_resolution_is_config_error(self, tmp_path, tiny_scenario_file, capsys):
+        rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, workspace_resolution=0)
+        assert rc == 1
+        assert err.startswith("config error:") and "resolution" in err
+
+    def test_inverted_workspace_bound_is_config_error(self, tmp_path, tiny_scenario_file, capsys):
+        bounds = [[0.8, 0.0], [-0.4, 0.4], [0.0, 0.0]]
+        rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, workspace_bounds=bounds)
+        assert rc == 1
+        assert err.startswith("config error:") and "lo <= hi" in err
+
     def test_seed_ranges(self, tmp_path, tiny_scenario_file):
         out = tmp_path / "out"
         rc = main([

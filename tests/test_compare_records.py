@@ -39,3 +39,33 @@ def test_before_contact_stops_at_first_contact():
     short = [episode(0, ("False", "1.0"))]
     assert compare_records.compare(base, short, True) == ([], 1)
     assert compare_records.compare(base, short, False)[0] == ["seed 0: 2 records in base, 1 in head"]
+
+
+def test_drift_sizes_every_numeric_field():
+    base = [
+        episode(0, ("False", "1.0"), ("True", "2.0"), ("True", "4.0")),
+        episode(1, ("False", "1.0"), ("False", "0.0")),
+    ]
+    head = [
+        episode(0, ("False", "1.0"), ("True", "2.5"), ("True", "3.0")),
+        episode(1, ("False", "1.0"), ("False", "-0.0")),
+    ]
+    for b, h in zip(base, head):
+        for k, (rb, rh) in enumerate(zip(b["records"], h["records"])):
+            rb["action"] = rh["action"] = "(0.5, -0.25, 0.0)"
+            if (b["seed"], k) == (1, 1):
+                rh["action"] = "(0.25, -0.25, 0.0)"
+    # the per-episode report names only the first differing record
+    problems, _ = compare_records.compare(base, head, False)
+    assert problems == [
+        "seed 0 step 1: nll 2.0 != 2.5",
+        "seed 1 step 1: nll 0.0 != -0.0, action (0.5, -0.25, 0.0) != (0.25, -0.25, 0.0)",
+    ]
+    drift = compare_records.drift(base, head, False)
+    # every record counts; a signed zero differs by repr at no relative size
+    assert drift["nll"] == (3, 0.25)
+    assert drift["action"] == (1, 0.5)
+    assert drift["step"] == (0, 0.0)
+    assert "contact" not in drift
+    # before contact only the first record of episode 0 is compared
+    assert compare_records.drift(base, head, True)["nll"] == (1, 0.0)

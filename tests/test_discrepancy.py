@@ -401,30 +401,3 @@ class TestBatchedKernel:
         counting = CountingShape(shape)
         total_discrepancy(params, counting, cloud, T)
         assert counting.sdf_points == 2  # only the two inside the radius
-
-    def test_complement_is_not_culled(self, rng):
-        """A complement's negative region is unbounded: far free points cost."""
-        from rummage.geometry import Complement
-
-        shape = Complement(Sphere(0.05))
-        cloud = SemanticCloud.from_parts(free=rng.uniform(-1.0, 1.0, (200, 3)))
-        poses = near_poses(rng, (0.0, 0.0, 0.0), 5)
-        d = discrepancies(DISC_DEFAULT, shape, cloud, ParticleSet.from_poses(poses))
-        for T, di in zip(poses, d):
-            assert di > 0
-            assert di == unculled_total(DISC_DEFAULT, shape, cloud, T)
-
-    def test_voxelized_shape_culls_at_widened_radius(self, rng, mug):
-        from rummage.geometry import VoxelizedShape, support_radius
-
-        vox = VoxelizedShape(mug, resolution=0.02)
-        R = support_radius(mug)
-        for eps in (0.0, 0.004):
-            params = DiscrepancyParams(epsilon=eps)
-            T = Pose.from_placement(self.CENTER, 0.2)
-            d = rng.normal(size=(400, 3))
-            d /= np.linalg.norm(d, axis=1)[:, None]
-            pts = d * rng.uniform(R - 0.03, support_radius(vox) + 0.01, 400)[:, None]
-            cloud = SemanticCloud.from_parts(free=T.inverse().transform(pts))
-            assert total_discrepancy(params, vox, cloud, T) == unculled_total(params, vox, cloud, T)
-

@@ -20,16 +20,12 @@ from rummage.planner import (
     PlanningContext,
     ReachTable,
     control_times,
-    dynamics_step,
-    info_cost,
     interpolate_at,
     kernel_interpolate,
     mppi_update,
-    plan,
-    reach_cost,
     total_cost,
 )
-from rummage.semantics import SensorModel
+from rummage.semantics import SensorModel, _downsample_positions
 
 
 SENSOR = SensorModel()
@@ -43,6 +39,61 @@ def make_context(particle_poses, shape=None, bounds=((0.0, 0.6), (-0.3, 0.3), (0
     reach = build_reachability(ws, ReachabilityModel(base=(0, 0, 0), r_mid=0.3, r_half=0.2, psi=0.4))
     table = ReachTable(fields.info, reach) if with_table else None
     return PlanningContext(fields=fields, reach=reach, particles=particles, shape=shape, reach_table=table), ws
+
+
+def dynamics_step(q, d, u, ctx, robot, params, rng):
+    """One action of the rollout dynamics: a single-row, single-step batch."""
+    q_traj, d_traj = planner_mod._rollout_batch(
+        np.reshape(q, (1, 3)), np.reshape(d, (1, 3)), np.reshape(u, (1, 1, 3)), ctx, robot, params, rng
+    )
+    return q_traj[0, 0], d_traj[0, 0]
+
+
+# Scalar references for the batched costs: one trajectory at a time, read
+# straight from the definitions.
+
+
+def info_cost(
+    config_traj: np.ndarray,
+    displacement_traj: np.ndarray,
+    info_field: ScalarField,
+    robot: PaddleRobot,
+    r_ds: float = 0.01,
+) -> float:
+    """Negated information over the deduplicated sweep of the sensing points,
+    each shifted back by the object displacement at its time."""
+    config_traj = np.asarray(config_traj, dtype=np.float64).reshape(-1, 3)
+    displacement_traj = np.asarray(displacement_traj, dtype=np.float64).reshape(-1, 3)
+    pts = robot.info_points_world(config_traj) - displacement_traj[:, None, :]
+    centers = _downsample_positions(pts.reshape(-1, 3), r_ds)
+    if len(centers) == 0:
+        return 0.0
+    return float(-np.sum(info_field.query(centers)))
+
+
+def reach_cost(
+    displacement_traj: np.ndarray,
+    workspace: Workspace,
+    info_field: ScalarField,
+    reach_field: ScalarField,
+) -> float:
+    """Fraction of workspace information that stays reachable, negated.
+
+    Averages the displaced information over the horizon at every workspace
+    node, weighs it by reachability, and normalizes by the total
+    information; 0 when there is no information at all.
+    """
+    disp = np.asarray(displacement_traj, dtype=np.float64).reshape(-1, 3)
+    nodes = workspace.grid_points()
+    total = float(np.sum(info_field.query(nodes)))
+    if total <= 0.0:
+        return 0.0
+    avg = np.zeros(len(nodes))
+    for d_t in disp:
+        avg += info_field.query(nodes - d_t)
+    avg /= len(disp)
+    reachable = float(np.sum(avg * reach_field.query(nodes)))
+    return -min(1.0, max(0.0, reachable / total))
 
 
 class TestKernelInterpolation:
@@ -488,28 +539,36 @@ class TestMppi:
     def test_plan_deterministic_given_seed(self):
         poses = [Pose.from_placement((0.3, 0.0, 0.0), y) for y in (0.0, 1.0, 2.0)]
         ctx, ws = make_context(poses, with_table=True)
-        params = PlannerParams(horizon=5, control_points=3, samples=16, rollouts=2, mini_steps=2)
-        robot = PaddleRobot()
+        params = PlannerParams(horizon=5, control_points=3, samples=16, rollouts=2, mini_steps=2, warm_start_iters=1)
         q0 = np.array([0.1, 0.0, 0.0])
-        theta = np.zeros((3, 3))
-        a1, n1 = plan(q0, ctx, robot, theta, params, np.random.default_rng(3))
-        a2, n2 = plan(q0, ctx, robot, theta, params, np.random.default_rng(3))
-        npt.assert_array_equal(a1, a2)
-        npt.assert_array_equal(n1, n2)
+        planners = [Planner(params, PaddleRobot()) for _ in range(2)]
+        for p in planners:
+            p.replan(q0, ctx, np.random.default_rng(3))
+        a, b = planners
+        npt.assert_array_equal(a.theta, b.theta)
+        npt.assert_array_equal(np.array(a._queue), np.array(b._queue))
 
     def test_plan_clamps_action(self):
         poses = [Pose.from_placement((0.3, 0.0, 0.0), 0.0)]
         ctx, ws = make_context(poses, with_table=True)
-        params = PlannerParams(horizon=4, control_points=2, samples=8, rollouts=1, mini_steps=1, noise_cov=25.0)
-        a, _ = plan(np.array([0.1, 0.0, 0.0]), ctx, PaddleRobot(), np.zeros((2, 3)), params, np.random.default_rng(0))
+        params = PlannerParams(
+            horizon=4, control_points=2, samples=8, rollouts=1, mini_steps=1, noise_cov=25.0, warm_start_iters=1
+        )
+        planner = Planner(params, PaddleRobot())
+        a = planner.get_action(np.array([0.1, 0.0, 0.0]), ctx, np.random.default_rng(0))
+        assert np.abs(planner.theta).max() > 1.0  # the nominal itself leaves the box
         assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
     def test_nominal_shift_appends_zero(self):
         poses = [Pose.from_placement((0.3, 0.0, 0.0), 0.0)]
         ctx, ws = make_context(poses, with_table=True)
-        params = PlannerParams(horizon=4, control_points=3, samples=8, rollouts=1, mini_steps=1)
-        _, nominal = plan(np.array([0.1, 0.0, 0.0]), ctx, PaddleRobot(), np.zeros((3, 3)), params, np.random.default_rng(0))
-        npt.assert_array_equal(nominal[-1], np.zeros(3))
+        params = PlannerParams(horizon=4, control_points=3, samples=8, rollouts=1, mini_steps=1, warm_start_iters=1)
+        planner = Planner(params, PaddleRobot())
+        planner.replan(np.array([0.1, 0.0, 0.0]), ctx, np.random.default_rng(0))
+        theta = planner.theta.copy()
+        planner._shift_nominal(1)
+        npt.assert_array_equal(planner.theta[:-1], theta[1:])
+        npt.assert_array_equal(planner.theta[-1], np.zeros(3))
 
 
 def _integrator_mssd(h_c: int, seed: int) -> float:

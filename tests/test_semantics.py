@@ -12,7 +12,6 @@ from rummage.belief import ParticleSet
 from rummage.geometry import Pose, Sphere, rotation_about_axis
 from rummage.semantics import (
     SemanticCloud,
-    SemanticPoint,
     Semantics,
     SensorModel,
     merge_observations,
@@ -63,15 +62,6 @@ class TestSemanticCloud:
         labels = rng.integers(0, 3, 30).astype(np.int8)
         cloud = SemanticCloud(pos, labels)
         assert len(cloud.free) + len(cloud.occupied) + len(cloud.surface) == len(cloud)
-
-    def test_from_points_round_trip(self):
-        pts = [
-            SemanticPoint(np.array([0.0, 0.0, 0.0]), Semantics.FREE),
-            SemanticPoint(np.array([1.0, 0.0, 0.0]), Semantics.SURFACE),
-        ]
-        cloud = SemanticCloud.from_points(pts)
-        assert len(cloud.free) == 1
-        assert len(cloud.surface) == 1
 
     def test_extend_preserves_order(self):
         a = SemanticCloud.from_parts(free=[[0, 0, 0]])
