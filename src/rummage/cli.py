@@ -29,12 +29,16 @@ def _parse_seeds(text: str) -> list[int]:
         if not part:
             continue
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"seed range {part!r} is reversed")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))
     if not seeds:
         raise ValueError("no seeds given")
+    if min(seeds) < 0:
+        raise ValueError(f"seed {min(seeds)} is negative")
     return seeds
 
 

@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .geometry import ParticleSet, ScalarField, matrix_from_quaternion, quaternion_from_matrix
+from .geometry import ParticleSet, ScalarField, quaternion_from_matrix
 from .semantics import SemanticCloud, Semantics
 from .sim import Metrics
 
@@ -32,8 +32,13 @@ def write_field_csv(field: ScalarField, path) -> None:
 
 
 def read_field_csv(path) -> ScalarField:
+    """Field written by :func:`write_field_csv`: one row per node of a dense
+    grid with one spacing on every axis (up to a relative 1e-9 per step),
+    in node order, x outer and z inner."""
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError("field CSV has no rows")
     pts = np.array([[float(r["x"]), float(r["y"]), float(r["z"])] for r in rows])
     vals = np.array([float(r["value"]) for r in rows])
     axes = [np.unique(pts[:, i]) for i in range(3)]
@@ -42,6 +47,11 @@ def read_field_csv(path) -> ScalarField:
         raise ValueError("field CSV is not a dense regular grid")
     diffs = np.concatenate([np.diff(a) for a in axes if len(a) > 1])
     res = float(diffs[0]) if len(diffs) else 1.0
+    if np.any(np.abs(diffs - res) > 1e-9 * res):
+        raise ValueError(f"field CSV grid spacing is not uniform: steps from {diffs.min()!r} to {diffs.max()!r}")
+    node = np.ravel_multi_index([np.searchsorted(a, pts[:, i]) for i, a in enumerate(axes)], dims)
+    if np.any(node != np.arange(len(rows))):
+        raise ValueError("field CSV rows are not in node order (x outer, z inner)")
     origin = np.array([a[0] for a in axes])
     return ScalarField(origin=origin, resolution=res, values=vals.reshape(dims))
 
@@ -103,16 +113,6 @@ def write_cloud_csv(cloud: SemanticCloud, path) -> None:
             w.writerow([_fmt(p[0]), _fmt(p[1]), _fmt(p[2]), Semantics(int(lab)).name])
 
 
-def read_cloud_csv(path) -> SemanticCloud:
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        return SemanticCloud()
-    pos = np.array([[float(r["x"]), float(r["y"]), float(r["z"])] for r in rows])
-    labels = np.array([int(Semantics[r["semantics"]]) for r in rows], dtype=np.int8)
-    return SemanticCloud(pos, labels)
-
-
 def particles_to_rows(particles: ParticleSet) -> list[dict]:
     """Serializable rows (translation + quaternion + weight) for logging."""
     names = ("tx", "ty", "tz", "qw", "qx", "qy", "qz", "weight")
@@ -120,14 +120,6 @@ def particles_to_rows(particles: ParticleSet) -> list[dict]:
         dict(zip(names, (*t, *quaternion_from_matrix(R), float(w))))
         for R, t, w in zip(particles.rotations, particles.translations, particles.weights)
     ]
-
-
-def particles_from_rows(rows: list[dict]) -> ParticleSet:
-    return ParticleSet(
-        [matrix_from_quaternion([float(r["qw"]), float(r["qx"]), float(r["qy"]), float(r["qz"])]) for r in rows],
-        [[float(r["tx"]), float(r["ty"]), float(r["tz"])] for r in rows],
-        [float(r["weight"]) for r in rows],
-    )
 
 
 def write_particles_csv(particles: ParticleSet, path) -> None:

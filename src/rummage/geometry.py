@@ -101,17 +101,6 @@ def quaternion_from_matrix(R: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def matrix_from_quaternion(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid world-to-object transform: ``x_obj = rotation @ x_world + translation``."""
@@ -835,68 +824,56 @@ class ScalarField:
 
     def query(self, points):
         p, single = _as_points(points)
-        evaluate = self._query_planar if self.dims[2] == 1 else self._query_general
-        v = blockwise(evaluate, p.reshape(-1, 3)).reshape(p.shape[:-1])
+        v = blockwise(self._interpolate, p.reshape(-1, 3)).reshape(p.shape[:-1])
         return float(v[0]) if single else v
 
-    def _query_planar(self, p: np.ndarray) -> np.ndarray:
-        nx, ny, _ = self.dims
+    def _interpolate(self, p: np.ndarray) -> np.ndarray:
+        """Values at points ``(n, 3)``: the grid's corners gathered through
+        flat indices, then one linear level per axis with more than one
+        node, the last such axis innermost."""
         eps = 1e-9
-        ux = (p[..., 0] - self.origin[0]) / self.resolution
-        uy = (p[..., 1] - self.origin[1]) / self.resolution
-        uz = (p[..., 2] - self.origin[2]) / self.resolution
-        inside = (
-            (ux >= -eps) & (ux <= nx - 1 + eps)
-            & (uy >= -eps) & (uy <= ny - 1 + eps)
-            & (uz >= -eps) & (uz <= eps)
-        )
-        np.clip(ux, 0.0, nx - 1, out=ux)
-        np.clip(uy, 0.0, ny - 1, out=uy)
-        ix = np.minimum(ux.astype(np.intp), max(nx - 2, 0))
-        iy = np.minimum(uy.astype(np.intp), max(ny - 2, 0))
-        fx = ux - ix
-        fy = uy - iy
-        # gather the four corners through flat indices into the plane; the
-        # upper corner is one node on unless the axis is a single node
-        plane = self.values[:, :, 0].ravel()
-        k00 = ix * ny
-        k00 += iy
-        dx = ny if nx > 1 else 0
-        dy = 1 if ny > 1 else 0
-        gy = 1.0 - fy
-        lo = gy * plane.take(k00)
-        lo += fy * plane.take(k00 + dy)
-        hi = gy * plane.take(k00 + dx)
-        hi += fy * plane.take(k00 + (dx + dy))
-        v = (1.0 - fx) * lo
-        v += fx * hi
-        return np.where(inside, v, self.outside_value)
-
-    def _query_general(self, p: np.ndarray) -> np.ndarray:
-        u = (p - self.origin) / self.resolution
-        dims = np.asarray(self.dims)
-        eps = 1e-9
-        inside = np.all((u >= -eps) & (u <= dims - 1 + eps), axis=-1)
-        uc = np.clip(u, 0.0, np.maximum(dims - 1, 0))
-        i0 = np.minimum(np.floor(uc).astype(int), np.maximum(dims - 2, 0))
-        f = uc - i0
-        # degenerate axes (single node): index 0, weight on the low corner
-        for ax in range(3):
-            if self.dims[ax] == 1:
-                i0[..., ax] = 0
-                f[..., ax] = 0.0
-        i1 = np.minimum(i0 + 1, dims - 1)
-        v = np.zeros(p.shape[:-1], dtype=np.float64)
-        fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-        for cx, wx in ((0, 1.0 - fx), (1, fx)):
-            ix = i0[..., 0] if cx == 0 else i1[..., 0]
-            for cy, wy in ((0, 1.0 - fy), (1, fy)):
-                iy = i0[..., 1] if cy == 0 else i1[..., 1]
-                for cz, wz in ((0, 1.0 - fz), (1, fz)):
-                    iz = i0[..., 2] if cz == 0 else i1[..., 2]
-                    w = wx * wy * wz
-                    v += w * self.values[ix, iy, iz]
-        return np.where(inside, v, self.outside_value)
+        dims = self.dims
+        strides = (dims[1] * dims[2], dims[2], 1)
+        # temporaries are updated in place: every rollout sub-move queries
+        # the fields, most calls on a few hundred to a few thousand points
+        inside = k = None  # k: flat index of the lowest corner
+        levels = []
+        for ax, n in enumerate(dims):
+            u = (p[:, ax] - self.origin[ax]) / self.resolution
+            within = u >= -eps
+            within &= u <= n - 1 + eps
+            if inside is None:
+                inside = within
+            else:
+                inside &= within
+            if n == 1:
+                continue
+            np.clip(u, 0.0, n - 1, out=u)
+            i = np.minimum(u.astype(np.intp), n - 2)
+            u -= i
+            levels.append((u, strides[ax]))
+            if strides[ax] != 1:
+                i *= strides[ax]
+            if k is None:
+                k = i
+            else:
+                k += i
+        if k is None:
+            k = np.zeros(len(p), dtype=np.intp)
+        # corners with the last live axis varying fastest, so that each
+        # level combines neighbouring pairs, innermost axis first
+        corners = [k]
+        for _, step in levels:
+            corners = [c for lo in corners for c in (lo, lo + step)]
+        flat = np.ravel(self.values)
+        v = [flat.take(c) for c in corners]
+        for f, _ in reversed(levels):
+            g = 1.0 - f
+            for lo, hi in zip(v[::2], v[1::2]):
+                lo *= g
+                lo += f * hi
+            v = v[::2]
+        return np.where(inside, v[0], self.outside_value)
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,6 @@ class PaddleRobot:
     plane_z: float = 0.0
     info_depth: int = 1
     sense_resolution: float = 0.002
-    base: tuple[float, float] | None = None   # arm base; None: unconstrained
-    max_range: float | None = None            # radial workspace limit, meters
 
     def __post_init__(self):
         hx, hy = self.half_extents
@@ -109,27 +107,14 @@ class PaddleRobot:
         return self._transform_body(q, self.pad_points)
 
     def free_dynamics(self, q, u_phys):
-        """Free-space motion: configuration-space addition, radially clamped
-        to the arm's workspace when a range limit is set."""
-        out = np.asarray(q, dtype=np.float64) + np.asarray(u_phys, dtype=np.float64)
-        if self.max_range is not None:
-            base = np.asarray(self.base if self.base is not None else (0.0, 0.0))
-            rel = out[..., :2] - base
-            r = np.sqrt(rel[..., 0] ** 2 + rel[..., 1] ** 2)
-            over = r > self.max_range
-            if np.any(over):
-                out = out.copy()
-                scale = np.where(over, self.max_range / np.maximum(r, 1e-12), 1.0)
-                out[..., 0] = base[0] + rel[..., 0] * scale
-                out[..., 1] = base[1] + rel[..., 1] * scale
-        return out
+        """Free-space motion: configuration-space addition."""
+        return np.asarray(q, dtype=np.float64) + np.asarray(u_phys, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class PlannerParams:
     horizon: int = 15
     control_points: int = 8
-    kernel: str = "rbf"
     kernel_scale: float = 2.0
     samples: int = 500
     rollouts: int = 5
@@ -155,19 +140,10 @@ class PlannerParams:
 # ---------------------------------------------------------------------------
 
 
-def kernel_value(a: np.ndarray, b: np.ndarray, kind: str = "rbf", scale: float = 2.0) -> np.ndarray:
+def kernel_value(a: np.ndarray, b: np.ndarray, scale: float = 2.0) -> np.ndarray:
+    """RBF kernel between time coordinates."""
     d = np.abs(a[..., :, None] - b[..., None, :])
-    if kind == "rbf":
-        return np.exp(-(d**2) / (2.0 * scale**2))
-    if kind == "bspline":
-        u = d / scale
-        out = np.zeros_like(u)
-        near = u < 1.0
-        mid = (u >= 1.0) & (u < 2.0)
-        out[near] = 2.0 / 3.0 - u[near] ** 2 + 0.5 * u[near] ** 3
-        out[mid] = ((2.0 - u[mid]) ** 3) / 6.0
-        return out
-    raise ValueError(f"unknown kernel {kind!r}")
+    return np.exp(-(d**2) / (2.0 * scale**2))
 
 
 def control_times(H: int, H_c: int) -> np.ndarray:
@@ -175,9 +151,7 @@ def control_times(H: int, H_c: int) -> np.ndarray:
     return np.linspace(0.0, float(H - 1), H_c)
 
 
-def interpolation_weights(
-    times: np.ndarray, H: int, H_c: int, kind: str = "rbf", scale: float = 2.0
-) -> np.ndarray:
+def interpolation_weights(times: np.ndarray, H: int, H_c: int, scale: float = 2.0) -> np.ndarray:
     """Weights W with ``u(times) = W @ theta``.
 
     Rows at (numerically) exact control times are snapped to unit rows so
@@ -185,8 +159,8 @@ def interpolation_weights(
     iterative refinement step tightens the rest.
     """
     tc = control_times(H, H_c)
-    K2 = kernel_value(tc, tc, kind, scale)
-    Kt = kernel_value(np.asarray(times, dtype=np.float64), tc, kind, scale)
+    K2 = kernel_value(tc, tc, scale)
+    Kt = kernel_value(np.asarray(times, dtype=np.float64), tc, scale)
     try:
         X = np.linalg.solve(K2, Kt.T)
         R = Kt.T - K2 @ X
@@ -206,21 +180,17 @@ def interpolation_weights(
     return W
 
 
-def kernel_interpolate(
-    theta: np.ndarray, H: int, kind: str = "rbf", scale: float = 2.0
-) -> np.ndarray:
+def kernel_interpolate(theta: np.ndarray, H: int, scale: float = 2.0) -> np.ndarray:
     """Expand control points ``(H_c, dim)`` to a full action sequence ``(H, dim)``."""
     theta = np.asarray(theta, dtype=np.float64)
     H_c = theta.shape[0]
-    W = interpolation_weights(np.arange(H, dtype=np.float64), H, H_c, kind, scale)
+    W = interpolation_weights(np.arange(H, dtype=np.float64), H, H_c, scale)
     return W @ theta
 
 
-def interpolate_at(
-    theta: np.ndarray, H: int, times, kind: str = "rbf", scale: float = 2.0
-) -> np.ndarray:
+def interpolate_at(theta: np.ndarray, H: int, times, scale: float = 2.0) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
-    W = interpolation_weights(np.asarray(times, dtype=np.float64), H, theta.shape[0], kind, scale)
+    W = interpolation_weights(np.asarray(times, dtype=np.float64), H, theta.shape[0], scale)
     return W @ theta
 
 
@@ -229,25 +199,41 @@ def interpolate_at(
 # ---------------------------------------------------------------------------
 
 
+# cell keys pack into one int64 code at these many bits per axis
+_CELL_BITS = 21
+_CELL_HALF = 1 << (_CELL_BITS - 1)
+
+
+def _cell_codes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer-valued cell keys ``(n, 3)`` as int64 keys and as one int64
+    code per key, ordered as the keys are lexicographically; every key must
+    lie in ``[-2**20, 2**20)``."""
+    if not np.all((cells >= -_CELL_HALF) & (cells < _CELL_HALF)):
+        raise ValueError(f"normal cache cell keys must lie in [-{_CELL_HALF}, {_CELL_HALF})")
+    keys = cells.astype(np.int64)
+    k = keys + _CELL_HALF
+    return keys, (k[:, 0] << (2 * _CELL_BITS)) | (k[:, 1] << _CELL_BITS) | k[:, 2]
+
+
 @dataclass
 class PlanningContext:
     """Immutable per-step snapshot the planner rolls out against.
 
-    ``normal_quantization`` trades exactness for speed in the rollout
-    normals: when set, query points snap to that cell size and the exact
-    belief-averaged normal is computed once per cell and memoized for the
-    lifetime of the context (one planning step).
+    The rollout normals snap each query point to a cell of side half the
+    field resolution: the exact belief-averaged normal is computed once per
+    cell, at its center, and kept for the lifetime of the context (one
+    planning step) as sorted cell codes with their normals.
     """
 
     fields: InfoFields
-    reach: ScalarField
     particles: ParticleSet
     shape: Shape
     reach_table: "ReachTable | None" = None
-    normal_quantization: float | None = None
 
     def __post_init__(self):
-        self._normal_cache: dict[tuple[int, int, int], np.ndarray] = {}
+        self._cell = self.fields.info.resolution / 2.0
+        self._codes = np.empty(0, dtype=np.int64)
+        self._normals = np.empty((0, 3))
         self._rotations, self._translations = self.particles.distinct()
         # particle rows among the distinct poses; None when all are distinct
         self._inverse = self.particles.inverse if len(self._rotations) < len(self.particles) else None
@@ -263,49 +249,23 @@ class PlanningContext:
         return np.einsum("n,nmi->mi", self.particles.weights, world)
 
     def weighted_normals(self, points: np.ndarray) -> np.ndarray:
-        """Belief-averaged world-frame surface normals at world points."""
-        q = self.normal_quantization
-        if q is None:
-            return self._exact_normals(points)
-        keys = np.round(points / q).astype(np.int64)
-        if len(keys) == 0:
-            return np.empty((0, 3))
-        first, inverse = _distinct_rows(keys)
-        # distinct cells in order of first appearance; cells not cached yet
-        # are evaluated together, in that order
-        order = np.argsort(first, kind="stable")
-        cell_keys = [tuple(k) for k in keys[first[order]].tolist()]
-        normals = np.empty((len(first), 3))
-        missing = []
-        for slot, key in zip(order, cell_keys):
-            hit = self._normal_cache.get(key)
-            if hit is None:
-                missing.append((slot, key))
-            else:
-                normals[slot] = hit
-        if missing:
-            centers = np.array([key for _, key in missing], dtype=np.float64) * q
-            for (slot, key), n in zip(missing, self._exact_normals(centers)):
-                self._normal_cache[key] = n
-                normals[slot] = n
-        return normals[inverse]
-
-
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First row of each distinct row of integer ``keys`` (N, 3) and each
-    row's distinct index, through one int64 code per row when the key
-    ranges allow it."""
-    lo = keys.min(axis=0)
-    hi = keys.max(axis=0)
-    # spans in floating point first: far-apart keys would overflow int64
-    if float(np.prod(hi.astype(np.float64) - lo.astype(np.float64) + 1.0)) < 2.0**62:
-        span = hi - lo + 1
-        k = keys - lo
-        codes = (k[:, 0] * span[1] + k[:, 1]) * span[2] + k[:, 2]
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+        """Belief-averaged world-frame surface normals at world points: each
+        point reads the normal at its cell's center.  Cells not cached yet
+        are evaluated together, in order of first appearance."""
+        keys, codes = _cell_codes(np.round(points / self._cell))
+        slot = np.searchsorted(self._codes, codes)
+        missing = slot == len(self._codes)
+        missing[~missing] = self._codes[slot[~missing]] != codes[~missing]
+        if missing.any():
+            new, first = np.unique(codes[missing], return_index=True)
+            order = np.argsort(first, kind="stable")
+            normals = np.empty((len(new), 3))
+            normals[order] = self._exact_normals(keys[missing][first[order]] * self._cell)
+            at = np.searchsorted(self._codes, new)
+            self._codes = np.insert(self._codes, at, new)
+            self._normals = np.insert(self._normals, at, normals, axis=0)
+            slot = np.searchsorted(self._codes, codes)
+        return self._normals[slot]
 
 
 def _contact_points(
@@ -529,9 +489,7 @@ def mppi_update(
     H_c, dim = theta.shape
     eps = rng.normal(0.0, math.sqrt(params.noise_cov), size=(params.samples, H_c, dim))
     cand = theta[None] + eps
-    W = interpolation_weights(
-        np.arange(params.horizon, dtype=np.float64), params.horizon, H_c, params.kernel, params.kernel_scale
-    )
+    W = interpolation_weights(np.arange(params.horizon, dtype=np.float64), params.horizon, H_c, params.kernel_scale)
     actions = np.clip(np.einsum("ht,sta->sha", W, cand), -1.0, 1.0)
     costs = np.asarray(cost_fn(actions), dtype=np.float64)
     shifted = (costs - costs.min()) / params.temperature
@@ -607,11 +565,7 @@ class Planner:
         cost_fn = make_rollout_cost(np.asarray(q, dtype=np.float64), ctx, self.robot, self.params, rng)
         for it in range(max(1, iters)):
             self.theta, costs = mppi_update(self.theta, cost_fn, self.params, rng)
-            actions = np.clip(
-                kernel_interpolate(self.theta, self.params.horizon, self.params.kernel, self.params.kernel_scale),
-                -1.0,
-                1.0,
-            )
+            actions = np.clip(kernel_interpolate(self.theta, self.params.horizon, self.params.kernel_scale), -1.0, 1.0)
             self.trace.append(
                 {"iteration": len(self.trace), "costs": costs.copy(), "chosen_action": actions[0].copy()}
             )

@@ -703,14 +703,7 @@ def run_episode(
                 state.particles, shape, workspace, scenario.belief.gamma, sensor, scenario.disc
             )
             table = ReachTable(fields.info, reach_field) if pparams.reach_weight != 0.0 else None
-            ctx = PlanningContext(
-                fields=fields,
-                reach=reach_field,
-                particles=state.particles,
-                shape=shape,
-                reach_table=table,
-                normal_quantization=scenario.workspace_resolution / 2.0,
-            )
+            ctx = PlanningContext(fields=fields, particles=state.particles, shape=shape, reach_table=table)
             if artifacts is not None:
                 artifacts.fields.append((t, fields, reach_field))
             action = planner.get_action(world.q, ctx, rng, contact=in_contact)

@@ -20,8 +20,8 @@ from rummage.belief import (
     weigh,
 )
 from rummage.discrepancy import DiscrepancyParams, discrepancies, total_discrepancy
-from rummage.export import particles_from_rows, particles_to_rows
-from rummage.geometry import Pose, Sphere, mug_shape
+from rummage.export import particles_to_rows
+from rummage.geometry import Pose, Sphere, mug_shape, rotation_about_axis
 from rummage.semantics import SemanticCloud
 from rummage.sim import sample_surface
 
@@ -352,10 +352,27 @@ class TestInitializeParticles:
 
 class TestSerialization:
     def test_round_trip(self, rng):
-        particles = make_particles(5, rng, spread=0.03)
+        """Rows hold each particle's translation, a unit quaternion of its
+        rotation and its weight."""
+
+        def matrix(w, x, y, z):
+            return np.array([
+                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+            ])
+
+        planar = make_particles(5, rng, spread=0.03)
+        # half turns about each axis take each branch of the conversion
+        turns = [rotation_about_axis(axis, math.pi) for axis in np.eye(3)]
+        tilted = [rotation_about_axis(rng.normal(size=3), rng.uniform(-math.pi, math.pi)) for _ in range(3)]
+        rotations = np.concatenate([planar.rotations, turns, tilted])
+        translations = np.concatenate([planar.translations, rng.normal(size=(6, 3))])
+        particles = ParticleSet(rotations, translations, rng.dirichlet(np.ones(11)))
         rows = particles_to_rows(particles)
-        back = particles_from_rows(rows)
-        for a, b in zip(particles.poses, back.poses):
-            npt.assert_allclose(a.rotation, b.rotation, atol=1e-12)
-            npt.assert_allclose(a.translation, b.translation, atol=1e-12)
-        npt.assert_allclose(particles.weights, back.weights)
+        for r, R, t, w in zip(rows, particles.rotations, particles.translations, particles.weights):
+            q = np.array([r["qw"], r["qx"], r["qy"], r["qz"]])
+            assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
+            npt.assert_allclose(matrix(*q), R, atol=1e-12)
+            npt.assert_array_equal([r["tx"], r["ty"], r["tz"]], t)
+            assert r["weight"] == w

@@ -1,5 +1,6 @@
 """CLI subcommands, CSV schemas, SVG export, correlation report."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -14,7 +15,7 @@ from rummage import export
 from rummage.belief import ParticleSet
 from rummage.cli import main
 from rummage.geometry import Pose, ScalarField, Workspace
-from rummage.semantics import SemanticCloud
+from rummage.semantics import SemanticCloud, Semantics
 from rummage.sim import Scenario, run_episode
 from rummage.planner import PlannerParams
 
@@ -50,6 +51,42 @@ class TestFieldCsv:
         npt.assert_allclose(back.values, f.values)
         assert back.resolution == pytest.approx(f.resolution)
         npt.assert_allclose(back.origin, f.origin)
+
+    def write_rows(self, path, xs, ys, zs, order=None):
+        nodes = [(x, y, z) for x in xs for y in ys for z in zs]
+        with open(path, "w") as fh:
+            fh.write("x,y,z,value\n")
+            for k in order if order is not None else range(len(nodes)):
+                fh.write("{!r},{!r},{!r},{!r}\n".format(*nodes[k], 0.01 * int(k)))
+
+    def test_non_uniform_spacing_rejected(self, tmp_path, capsys):
+        """A grid of spacings 0.01, 0.02 and 0.03 has no one resolution."""
+        p = tmp_path / "f.csv"
+        self.write_rows(p, [0.0, 0.01, 0.02], [0.0, 0.02, 0.04], [0.0, 0.03])
+        with pytest.raises(ValueError, match="not uniform"):
+            export.read_field_csv(p)
+        rc = main(["export-field", "--snapshot", str(p), "--out", str(tmp_path / "f.svg")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "f.svg").exists()
+
+    def test_header_only_rejected(self, tmp_path, capsys):
+        p = tmp_path / "f.csv"
+        self.write_rows(p, [], [], [])
+        rc = main(["export-field", "--snapshot", str(p), "--out", str(tmp_path / "f.svg")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: field CSV has no rows")
+
+    def test_shuffled_rows_rejected(self, tmp_path, capsys):
+        """Rows out of node order would land on the wrong nodes."""
+        p = tmp_path / "f.csv"
+        order = np.random.default_rng(3).permutation(18)
+        self.write_rows(p, [0.0, 0.01, 0.02], [0.0, 0.01, 0.02], [0.0, 0.01], order=order)
+        with pytest.raises(ValueError, match="node order"):
+            export.read_field_csv(p)
+        rc = main(["export-field", "--snapshot", str(p), "--out", str(tmp_path / "f.svg")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestSvg:
@@ -88,9 +125,12 @@ class TestCloudCsv:
         )
         p = tmp_path / "cloud.csv"
         export.write_cloud_csv(cloud, p)
-        back = export.read_cloud_csv(p)
-        npt.assert_allclose(back.positions, cloud.positions)
-        npt.assert_array_equal(back.labels, cloud.labels)
+        with open(p, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["x", "y", "z", "semantics"]
+        positions = [[float(r["x"]), float(r["y"]), float(r["z"])] for r in rows]
+        npt.assert_array_equal(positions, cloud.positions)
+        assert [r["semantics"] for r in rows] == [Semantics(int(k)).name for k in cloud.labels]
 
 
 class TestPearson:
@@ -169,6 +209,29 @@ class TestRunCommand:
         assert rc == 0
         for s in (0, 2, 3):
             assert (out / f"slide_seed{s}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "seeds, message", [("0,5-2", "'5-2' is reversed"), ("5-2", "'5-2' is reversed"), ("0,-1", "-1 is negative")]
+    )
+    def test_bad_seeds_are_config_errors(self, tmp_path, tiny_scenario_file, capsys, seeds, message):
+        out = tmp_path / "out"
+        rc = main([
+            "run", "--scenario", str(tiny_scenario_file), "--method", "slide",
+            "--seeds", seeds, "--steps", "0", "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("planner", "kernel"), ("robot", "max_range"), ("robot", "base")])
+    def test_unknown_setting_is_config_error(self, tmp_path, tiny_scenario_file, capsys, section, key):
+        """Settings the program does not have are errors, not ignored."""
+        cfg = json.loads(tiny_scenario_file.read_text())
+        value = {"kernel": "bspline", "max_range": 0.5, "base": [0.0, 0.0]}[key]
+        rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, **{section: {**cfg.get(section, {}), key: value}})
+        assert rc == 1
+        assert err.startswith("config error:") and key in err
 
     def test_artifact_exports(self, tmp_path, tiny_scenario_file):
         out = tmp_path / "out"

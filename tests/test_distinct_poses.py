@@ -17,7 +17,7 @@ from rummage import belief as belief_mod
 from rummage.belief import BeliefConfig, BeliefParams, BeliefState, ParticleSet, update_step
 from rummage.discrepancy import DiscrepancyParams, cost_array, discrepancies
 from rummage.geometry import Pose, Workspace, mug_shape, rotation_about_axis
-from rummage.infogain import build_info_fields, build_reachability, ReachabilityModel
+from rummage.infogain import build_info_fields
 from rummage.planner import ActionScale, PlanningContext
 from rummage.semantics import SemanticCloud, SensorModel, _downsample_positions, merge_observations
 from rummage.sim import nll, pairwise_chamfer, sample_surface, slide_policy
@@ -125,8 +125,7 @@ class TestKernelsMatchPerParticleLoops:
     def test_rollout_normals(self, particles, shape, rng):
         ws = Workspace(bounds=((0.3, 0.6), (-0.15, 0.15), (0.0, 0.0)), resolution=0.02)
         fields = build_info_fields(particles, shape, ws)
-        reach = build_reachability(ws, ReachabilityModel())
-        ctx = PlanningContext(fields=fields, reach=reach, particles=particles, shape=shape)
+        ctx = PlanningContext(fields=fields, particles=particles, shape=shape)
         points = CENTER + rng.uniform(-0.07, 0.07, (300, 3)) * [1, 1, 0.3]
         R = particles.rotations
         obj = np.stack([nine_term(T, points) for T in particles.poses])
@@ -137,7 +136,7 @@ class TestKernelsMatchPerParticleLoops:
             world[..., i] = R[:, 0, i, None] * g[..., 0] + R[:, 1, i, None] * g[..., 1] + R[:, 2, i, None] * g[..., 2]
         want = np.einsum("n,nmi->mi", particles.weights, world)
         for _ in range(2):  # the distinct stack is built once per context
-            npt.assert_array_equal(ctx.weighted_normals(points), want)
+            npt.assert_array_equal(ctx._exact_normals(points), want)
 
     def test_pairwise_chamfer(self, particles, shape):
         samples = sample_surface(shape, 60, np.random.default_rng(1))

@@ -223,24 +223,36 @@ class TestScalarField:
         mid = f.query((0.15, 0.2, 0.0))
         assert mid == pytest.approx(0.5 * (a + b), abs=1e-12)
 
-    @pytest.mark.parametrize("dims", [(9, 7, 1), (1, 6, 1), (5, 1, 1), (1, 1, 1)])
+    @pytest.mark.parametrize(
+        "dims", [(9, 7, 1), (1, 6, 1), (5, 1, 1), (1, 1, 1), (4, 5, 3), (4, 1, 3), (1, 6, 4), (3, 3, 2)]
+    )
     def test_planar_matches_bilinear_reference(self, rng, dims):
-        """Planar queries equal the bilinear formula on (x, y) index pairs,
-        a single-node axis taking no interpolation weight."""
-        nx, ny, _ = dims
+        """Queries equal the nested linear formula on the node indices, one
+        level per axis with more than one node, z innermost: the bilinear
+        formula on planar grids, a single-node axis taking no level."""
         vals = rng.normal(size=dims)
         f = ScalarField(origin=np.array([0.1, -0.2, 0.03]), resolution=0.05, values=vals, outside_value=-3.0)
         p = f.origin + rng.uniform(-0.06, 0.05 * np.array(dims) + 0.06, (300, 3))
         p[::2, 2] = f.origin[2]
+        top = np.array(dims) - 1
         u = (p - f.origin) / f.resolution
-        inside = np.all((u >= -1e-9) & (u <= np.array([nx - 1, ny - 1, 0]) + 1e-9), axis=1)
-        ux, uy = np.clip(u[:, 0], 0, nx - 1), np.clip(u[:, 1], 0, ny - 1)
-        ix = np.minimum(ux.astype(int), max(nx - 2, 0))
-        iy = np.minimum(uy.astype(int), max(ny - 2, 0))
-        fx, fy = ux - ix, uy - iy
-        ix1, iy1 = np.minimum(ix + 1, nx - 1), np.minimum(iy + 1, ny - 1)
-        v = vals[:, :, 0]
-        ref = (1.0 - fx) * ((1.0 - fy) * v[ix, iy] + fy * v[ix, iy1]) + fx * ((1.0 - fy) * v[ix1, iy] + fy * v[ix1, iy1])
+        inside = np.all((u >= -1e-9) & (u <= top + 1e-9), axis=1)
+        u = np.clip(u, 0, top)
+        i = np.minimum(u.astype(int), np.maximum(top - 1, 0))
+        frac = u - i
+        i1 = np.minimum(i + 1, top)
+
+        def at(cx, cy, cz):
+            return vals[(i1 if cx else i)[:, 0], (i1 if cy else i)[:, 1], (i1 if cz else i)[:, 2]]
+
+        def lerp(ax, lo, hi):
+            return lo if dims[ax] == 1 else (1.0 - frac[:, ax]) * lo + frac[:, ax] * hi
+
+        ref = lerp(
+            0,
+            lerp(1, lerp(2, at(0, 0, 0), at(0, 0, 1)), lerp(2, at(0, 1, 0), at(0, 1, 1))),
+            lerp(1, lerp(2, at(1, 0, 0), at(1, 0, 1)), lerp(2, at(1, 1, 0), at(1, 1, 1))),
+        )
         npt.assert_array_equal(f.query(p), np.where(inside, ref, -3.0))
 
     @pytest.mark.parametrize("dims", [(6, 5, 1), (4, 5, 3)])

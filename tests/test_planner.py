@@ -38,7 +38,7 @@ def make_context(particle_poses, shape=None, bounds=((0.0, 0.6), (-0.3, 0.3), (0
     fields = build_info_fields(particles, shape, ws, 2.0, SENSOR)
     reach = build_reachability(ws, ReachabilityModel(base=(0, 0, 0), r_mid=0.3, r_half=0.2, psi=0.4))
     table = ReachTable(fields.info, reach) if with_table else None
-    return PlanningContext(fields=fields, reach=reach, particles=particles, shape=shape, reach_table=table), ws
+    return PlanningContext(fields=fields, particles=particles, shape=shape, reach_table=table), ws
 
 
 def dynamics_step(q, d, u, ctx, robot, params, rng):
@@ -118,16 +118,6 @@ class TestKernelInterpolation:
         npt.assert_allclose(out[0, 0], 0.0, atol=1e-9)
         npt.assert_allclose(out[2, 0], 1.0, atol=1e-9)
 
-    def test_bspline_kernel_exact_at_nodes(self, rng):
-        theta = rng.normal(size=(5, 2))
-        tc = control_times(12, 5)
-        out = interpolate_at(theta, 12, tc, kind="bspline", scale=2.0)
-        assert np.abs(out - theta).max() <= 1e-9
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_interpolate(np.zeros((3, 1)), 5, kind="nope")
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             PlannerParams(horizon=5, control_points=8)
@@ -156,7 +146,6 @@ class TestDynamics:
         the block size must not change any rollout."""
         poses = [Pose.from_placement((0.3, 0.01 * k, 0.0), 0.3 * k) for k in range(4)]
         ctx, _ = make_context(poses, shape=mug_shape())
-        ctx.normal_quantization = 0.005
         robot = PaddleRobot()
         params = self.qparams(horizon=4, mini_steps=3)
         actions = np.random.default_rng(7).uniform(-1.0, 1.0, (50, 4, 3))
@@ -267,9 +256,7 @@ class TestRolloutCull:
     def test_matches_searching_every_row(self, res, z):
         poses = [Pose.from_placement((0.3 + 0.005 * k, 0.004 * k, 0.0), 0.4 + 0.5 * k) for k in range(5)]
         ctx, _ = make_context(poses, shape=mug_shape(), bounds=((0.1, 0.5), (-0.2, 0.2), z), res=res)
-        ctx.normal_quantization = res / 2
         ref_ctx, _ = make_context(poses, shape=mug_shape(), bounds=((0.1, 0.5), (-0.2, 0.2), z), res=res)
-        ref_ctx.normal_quantization = res / 2
         robot = PaddleRobot()
         params = PlannerParams(horizon=6, control_points=3, mini_steps=3)
         # a fan of headings from just in front of the mug: some rollouts run
@@ -380,14 +367,16 @@ class TestBatchedSweepCost:
             assert batched[b] == pytest.approx(scalar, abs=1e-9)
 
     def test_normal_cache_matches_exact(self, rng):
+        """Each point reads, bit for bit, the exact normal at the center of
+        its cell, a cube of side half the field resolution."""
         poses = [Pose.from_placement((0.3, 0.0, 0.0), y) for y in (0.0, 1.3)]
-        exact_ctx, _ = make_context(poses)
+        ctx, _ = make_context(poses, res=0.01)
+        exact_ctx, _ = make_context(poses, res=0.01)
         pts = rng.uniform(0.2, 0.4, (30, 3)) * [1, 1, 0]
-        exact = exact_ctx._exact_normals(pts)
-        cached_ctx, _ = make_context(poses)
-        cached_ctx.normal_quantization = 1e-7  # cells fine enough to be exact
-        got = cached_ctx.weighted_normals(pts)
-        npt.assert_allclose(got, exact, atol=1e-4)
+        got = ctx.weighted_normals(pts)
+        for p, n in zip(pts, got):
+            center = np.round(p / 0.005).astype(np.int64) * 0.005
+            npt.assert_array_equal(n, exact_ctx._exact_normals(center[None])[0])
 
     def test_normal_cache_matches_row_loop(self, rng):
         """The cache hands out, row by row, the normal of the row's cell;
@@ -396,7 +385,7 @@ class TestBatchedSweepCost:
         poses = [Pose.from_placement((0.3, 0.0, 0.0), y) for y in (0.0, 1.3, 2.0)]
         ctx, _ = make_context(poses, shape=mug_shape())
         ref_ctx, _ = make_context(poses, shape=mug_shape())
-        q = ctx.normal_quantization = 0.005
+        q = 0.005  # half the field resolution
         cache = {}
 
         def reference(points):
@@ -411,9 +400,13 @@ class TestBatchedSweepCost:
             pts = rng.uniform(0.2, 0.4, (size, 3)) * [1, 1, 0]
             pts = np.concatenate([pts, pts[::2]])  # repeated cells within a call
             npt.assert_array_equal(ctx.weighted_normals(pts), reference(pts))
-        # keys far apart take the row-wise distinct search
-        far = np.array([[0.3, 0.0, 0.0], [4e16, 0.0, 0.0], [-4e16, 1.0, 0.0], [0.3, 0.0, 0.0]])
-        npt.assert_array_equal(ctx.weighted_normals(far), reference(far))
+        # cell keys pack 21 bits per axis: the extreme cells are cached
+        # apart, and a key outside the range is an error
+        edge = np.array([[-2.0**20, 2.0**20 - 1, 0.0], [2.0**20 - 1, -2.0**20, 0.0]]) * q
+        npt.assert_array_equal(ctx.weighted_normals(edge), reference(edge))
+        for far in ([2.0**20, 0.0, 0.0], [0.0, -2.0**20 - 1, 0.0], [0.0, 0.0, np.nan]):
+            with pytest.raises(ValueError, match="cell keys"):
+                ctx.weighted_normals(np.array([far]) * q)
 
 
 class TestReachCost:
