@@ -37,9 +37,15 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_seeds(text: str) -> list[int]:
+    """Seeds of a comma list of seeds and ``lo-hi`` ranges, e.g. ``0-2,5``;
+    an empty part, a negative seed or a reversed range is an error."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
+        lo, dash, hi = part.partition("-")
+        if not (lo.isdecimal() and (hi.isdecimal() or not dash)):
+            raise argparse.ArgumentTypeError(f"bad seed list {text!r}: {part!r} is not a seed or a range lo-hi")
+        if dash and int(hi) < int(lo):
+            raise argparse.ArgumentTypeError(f"bad seed list {text!r}: {part!r} is reversed")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
 
@@ -152,7 +158,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--emit", help=argparse.SUPPRESS)
     ap.add_argument("--workload")
-    ap.add_argument("--seeds", default="0", help="run seeds, e.g. 0-4 (episode seeds follow loopbench)")
+    ap.add_argument("--seeds", type=parse_seeds, default="0", help="run seeds, e.g. 0-4 (episode seeds follow loopbench)")
     ap.add_argument("--base", type=Path, help="checkout to compare against")
     ap.add_argument("--head", type=Path, default=ROOT, help="checkout under test (default: this one)")
     ap.add_argument("--before-contact", action="store_true", help="compare only records before first contact")
@@ -163,7 +169,7 @@ def main(argv=None) -> int:
     if args.workload is None or args.base is None:
         ap.error("--workload and --base are required")
 
-    spec = episode_spec(args.workload, parse_seeds(args.seeds))
+    spec = episode_spec(args.workload, args.seeds)
     base, head = run_tree(args.base.resolve(), spec), run_tree(args.head.resolve(), spec)
     problems, compared = compare(base, head, args.before_contact)
     for p in problems:
@@ -171,9 +177,9 @@ def main(argv=None) -> int:
     if problems:
         for name, (count, worst) in drift(base, head, args.before_contact).items():
             print(f"DRIFT {name}: {count} records differ, max relative difference {worst:.3g}")
-    verdict = "differ" if problems else "bit-identical"
+    verdict = "differ" if problems else "bit-identical" if compared else "nothing compared"
     print(f"{args.workload}: {len(base)} episodes, {compared} records compared, {verdict}")
-    return 1 if problems else 0
+    return 1 if problems or not compared else 0
 
 
 if __name__ == "__main__":

@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from rummage.cli import main as cli_main
-
-METHODS = ("full", "info-only", "reach-only", "slide")
+from rummage.sim import METHODS
 
 
 def run(argv=None) -> int:

@@ -6,7 +6,7 @@ over the workspace drives a kernel-interpolated sampling MPC that gathers
 contact information while keeping the object reachable.
 """
 
-from .belief import BeliefConfig, BeliefParams, BeliefState
+from .belief import BeliefParams, BeliefState
 from .discrepancy import DiscrepancyParams
 from .geometry import ParticleSet, Pose, ScalarField, Shape, Workspace, mug_shape
 from .infogain import InfoFields, ReachabilityModel, build_info_fields, build_reachability
@@ -16,7 +16,6 @@ from .sim import Metrics, Scenario, World, run_episode
 
 __all__ = [
     "ActionScale",
-    "BeliefConfig",
     "BeliefParams",
     "BeliefState",
     "DiscrepancyParams",

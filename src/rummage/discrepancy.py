@@ -143,7 +143,7 @@ class _CloudKernel:
             out[lo:hi] = np.bincount(ii, weights=costs, minlength=hi - lo)
         return out
 
-    def descent_steps(self, rotations: np.ndarray, translations: np.ndarray, step_t: float, step_r: float, planar: bool):
+    def descent_steps(self, rotations: np.ndarray, translations: np.ndarray, step_t: float, step_r: float):
         """One descent step for every pose of a stack, as ``(rotations,
         translations, costs)``: the costs are at the incoming poses (from
         the same distance evaluation, so refinement needs one pass per step)."""
@@ -183,9 +183,9 @@ class _CloudKernel:
         # lone pose's mean(axis=0)
         g_mean = dir_sum / np.maximum(count, 1)[:, None]
         torque = torque_sum / np.maximum(count, 1)[:, None] / np.maximum(lever_sq, 1e-12)[:, None]
-        if planar:
-            g_mean[:, 2] = 0.0
-            torque[:, :2] = 0.0
+        # planar poses: x, y and yaw only
+        g_mean[:, 2] = 0.0
+        torque[:, :2] = 0.0
         return (*_step_poses(rotations, translations, g_mean, torque, step_t, step_r), cost)
 
 
@@ -287,18 +287,17 @@ def pose_descent_step(
     T: Pose,
     step_t: float = 1e-2,
     step_r: float = 1e-1,
-    planar: bool = False,
 ) -> Pose:
     """One aggregated descent step of the total discrepancy over the pose.
 
     Translation uses the mean point direction; rotation uses the mean cross
     product of object-frame lever arms with the directions, normalized by
-    the mean squared lever to act like an angle estimate.  Planar poses
-    update only x, y and yaw.  Zero cost leaves the pose unchanged.
+    the mean squared lever to act like an angle estimate.  The step moves
+    only x, y and yaw.  Zero cost leaves the pose unchanged.
     """
     if len(cloud) == 0:
         return T
-    R, t, _ = _CloudKernel(params, shape, cloud).descent_steps(T.rotation[None], T.translation[None], step_t, step_r, planar)
+    R, t, _ = _CloudKernel(params, shape, cloud).descent_steps(T.rotation[None], T.translation[None], step_t, step_r)
     return Pose(R[0], t[0])
 
 
@@ -306,21 +305,16 @@ def refine_pose(
     params: DiscrepancyParams,
     shape: Shape,
     cloud: SemanticCloud,
-    T,
+    T: ParticleSet,
     steps: int,
     schedule: DescentSchedule = DescentSchedule(),
-    planar: bool = False,
-):
-    """Run ``steps`` descent iterations with a decaying step cap, keeping the
-    best iterate seen (descent is not monotone on hard instances).
-
-    ``T`` is one pose or a :class:`ParticleSet`, as :meth:`Pose.transform`
-    takes one point or a batch; a set is refined in one batched pass per
-    iteration and comes back as a set with the same weights, each pose
-    refined exactly as it would be alone.
+) -> ParticleSet:
+    """Run ``steps`` planar descent iterations with a decaying step cap,
+    keeping the best iterate seen (descent is not monotone on hard
+    instances).  The set is refined in one batched pass per iteration and
+    comes back with the same weights, each pose refined exactly as it
+    would be alone.
     """
-    if isinstance(T, Pose):
-        return refine_pose(params, shape, cloud, ParticleSet.from_poses([T]), steps, schedule, planar).pose(0)
     if steps <= 0 or len(cloud) == 0:
         return T
     caps = [schedule.step_t * schedule.decay**k for k in range(steps)]
@@ -329,7 +323,7 @@ def refine_pose(
     best_R, best_t, best_cost = R.copy(), t.copy(), None
     st, sr = schedule.step_t, schedule.step_r
     for _ in range(steps):
-        next_R, next_t, cost_here = kernel.descent_steps(R, t, st, sr, planar)
+        next_R, next_t, cost_here = kernel.descent_steps(R, t, st, sr)
         if best_cost is None:
             best_cost = cost_here
         else:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .geometry import POINT_BLOCK, ParticleSet, ScalarField, Shape, Workspace, world_gradients
 from .infogain import InfoFields
+from .semantics import grid_cells
 
 
 @dataclass(frozen=True)
@@ -378,21 +379,12 @@ def batched_sweep_cost(
     trajectories -> (B,).  The sensing points, shifted back by the object
     displacement at their time, count once per cell of a grid of side
     ``r_ds`` anchored at the rollout's own point extent (the field is read
-    at the cell centers); all rollouts at once, through composite cell keys.
+    at the cell centers); all rollouts at once, see :func:`grid_cells`.
     """
     B, H, _ = q_traj.shape
     pts = robot.info_points_world(q_traj.reshape(-1, 3)).reshape(B, H, -1, 3)
     pts = pts - d_traj[:, :, None, :]
-    flat = pts.reshape(B, -1, 3)
-    anchors = flat.min(axis=1) - 0.5 * r_ds
-    idx = np.floor((flat - anchors[:, None, :]) / r_ds).astype(np.int64)
-    span = int(idx.max()) + 2  # indices are non-negative by anchoring
-    b_col = np.arange(B, dtype=np.int64)[:, None]
-    keys = ((b_col * span + idx[..., 0]) * span + idx[..., 1]) * span + idx[..., 2]
-    uniq, first = np.unique(keys.ravel(), return_index=True)
-    rows = first // flat.shape[1]
-    cells = idx.reshape(-1, 3)[first]
-    centers = anchors[rows] + (cells + 0.5) * r_ds
+    rows, centers = grid_cells(pts.reshape(B, -1, 3), r_ds)
     vals = info_field.query(centers)
     return -np.bincount(rows, weights=vals, minlength=B)
 

@@ -113,19 +113,35 @@ def sensor_probabilities(model: SensorModel, v: float) -> tuple[float, float, fl
     return float(pf), float(po), float(ps)
 
 
-def _downsample_positions(points: np.ndarray, r: float) -> np.ndarray:
-    """Occupied-cell centers of a grid with cell side ``r`` spanning the points.
+def grid_cells(points: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied cells of grids with cell side ``r``, one grid per row of a
+    (B, n, 3) point stack, as ``(rows, centers)``: each cell once, ordered
+    by row and then in grid scan order (sorted cell indices).
 
-    The grid is anchored so the minimum corner of the point extent is the
-    center of the first cell, which makes the operation idempotent.  Output
-    follows grid scan order (sorted cell indices).
+    A row's grid is anchored so the minimum corner of its point extent is
+    the center of its first cell, which makes downsampling idempotent.
+    Cells are told apart by packed int64 keys (row, then the three cell
+    indices); a point extent too wide for them raises ``ValueError``.
     """
+    B, n, _ = points.shape
+    anchors = points.min(axis=1) - 0.5 * r
+    idx = np.floor((points - anchors[:, None, :]) / r).astype(np.int64)
+    span = int(idx.max()) + 2  # indices are non-negative by anchoring
+    if B * span**3 > 2**63:
+        raise ValueError(f"{span} cells across at resolution {r} overflow the int64 cell keys")
+    b_col = np.arange(B, dtype=np.int64)[:, None]
+    keys = ((b_col * span + idx[..., 0]) * span + idx[..., 1]) * span + idx[..., 2]
+    first = np.unique(keys.ravel(), return_index=True)[1]
+    rows = first // n
+    cells = idx.reshape(-1, 3)[first]
+    return rows, anchors[rows] + (cells + 0.5) * r
+
+
+def _downsample_positions(points: np.ndarray, r: float) -> np.ndarray:
+    """Occupied-cell centers of one grid of cell side ``r`` (:func:`grid_cells`)."""
     if len(points) == 0:
         return np.zeros((0, 3))
-    anchor = points.min(axis=0) - 0.5 * r
-    idx = np.floor((points - anchor) / r).astype(np.int64)
-    cells = np.unique(idx, axis=0)  # sorted lexicographically: deterministic
-    return anchor + (cells + 0.5) * r
+    return grid_cells(points[None], r)[1]
 
 
 def voxel_downsample(cloud: SemanticCloud, r: float) -> SemanticCloud:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
-from .belief import BeliefConfig, BeliefParams, BeliefState, initialize_particles, update_step
+from .belief import BeliefParams, BeliefState, initialize_particles, update_step
 from .discrepancy import DiscrepancyParams
 from .geometry import (
     Annulus2D,
@@ -102,7 +103,6 @@ class SimParams:
     penetration_tol: float = 1e-5
     contact_margin: float = 0.003
     push_angle: float = math.radians(45.0)
-    torque_radius: float | None = None   # None: characteristic_length / 4
     tactile_tol: float = 0.003
 
 
@@ -154,38 +154,28 @@ class Scenario:
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
-        kw = dict(data)
-        for key, cls in (
-            ("camera", CameraModel),
-            ("robot", PaddleRobot),
-            ("reachability", ReachabilityModel),
-            ("sensor", SensorModel),
-            ("disc", DiscrepancyParams),
-            ("belief", BeliefParams),
-            ("sim", SimParams),
-        ):
-            if key in kw and isinstance(kw[key], dict):
-                sub = dict(kw[key])
-                for k, v in sub.items():
-                    if isinstance(v, list):
-                        sub[k] = tuple(v)
-                kw[key] = cls(**sub)
-        if "planner" in kw and isinstance(kw["planner"], dict):
-            sub = dict(kw["planner"])
-            if "action_scale" in sub and isinstance(sub["action_scale"], dict):
-                sub["action_scale"] = ActionScale(**sub["action_scale"])
-            kw["planner"] = PlannerParams(**sub)
-        for key in ("true_center", "robot_start", "prior_center"):
-            if key in kw and isinstance(kw[key], list):
-                kw[key] = tuple(kw[key])
-        if "workspace_bounds" in kw:
-            kw["workspace_bounds"] = tuple(tuple(b) for b in kw["workspace_bounds"])
-        return Scenario(**kw)
+        return _build(Scenario, data)
 
     @staticmethod
     def from_json(path) -> "Scenario":
         with open(path) as fh:
             return Scenario.from_dict(json.load(fh))
+
+
+def _build(cls, data: dict):
+    """``cls(**data)`` with every dict given for a dataclass-typed field
+    built into that dataclass, at any depth, and every list made a tuple
+    (of built values).  Unknown keys fail as ``cls(**data)`` does."""
+
+    def value(kind, v):
+        if isinstance(v, dict) and is_dataclass(kind):
+            return _build(kind, v)
+        if isinstance(v, list):
+            return tuple(value(None, x) for x in v)
+        return v
+
+    hints = get_type_hints(cls)
+    return cls(**{k: value(hints.get(k), v) for k, v in dict(data).items()})
 
 
 @dataclass
@@ -326,7 +316,7 @@ def world_step(
     q = np.asarray(world.q, dtype=np.float64).copy()
     contact = False
     cos_thresh = math.cos(params.push_angle)
-    rho = params.torque_radius if params.torque_radius is not None else world.shape.characteristic_length / 4.0
+    rho = world.shape.characteristic_length / 4.0  # torque radius
 
     for _ in range(params.substeps):
         q_new = q + phys
@@ -660,7 +650,6 @@ def run_episode(
         camera_observe(world, scenario.camera), scenario.belief.r_free
     )
     priors = _sample_priors(scenario, cloud0, rng)
-    cfg = BeliefConfig(shape=shape, disc=scenario.disc, params=scenario.belief)
     particles = initialize_particles(priors, cloud0, shape, scenario.disc, scenario.belief, rng)
     state = BeliefState(particles=particles, cloud=cloud0)
 
@@ -718,7 +707,7 @@ def run_episode(
             # a perfect slip sensor also fixes the world-frame point motion
             T_new = world.true_pose
             dT_w_true = T_new.inverse().compose(dT_true.inverse()).compose(T_new)
-            state = update_step(state, cfg, obs, dT_true, rng, movement_known=True, dT_w_known=dT_w_true)
+            state = update_step(state, obs, shape, scenario.disc, scenario.belief, rng, known=(dT_true, dT_w_true))
         else:
             # sticking contact: the object moves with the paddle
             motion = (
@@ -726,7 +715,7 @@ def run_episode(
                 if contact
                 else None
             )
-            state = update_step(state, cfg, obs, Pose.identity(), rng, movement_known=False, prior_w=motion)
+            state = update_step(state, obs, shape, scenario.disc, scenario.belief, rng, prior_w=motion)
 
         in_contact = contact
         contact_point = obs.surface.mean(axis=0) if len(obs.surface) else contact_point

@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from rummage.belief import (
-    BeliefConfig,
     BeliefParams,
     BeliefState,
     ParticleSet,
@@ -97,16 +96,22 @@ class TestPerturb:
         assert np.all(np.abs(samples.mean(axis=0)) < bound * 1.5)
 
     def test_planar_restriction(self, rng):
-        R, t = perturb(rng, 50, 0.01, 0.2, planar=True)
+        R, t = perturb(rng, 50, 0.01, 0.2)
         assert np.all(t[:, 2] == 0.0)
-        # rotation about z only
+        # proper rotations about z only
         npt.assert_allclose(R[:, 2, :], np.broadcast_to((0.0, 0.0, 1.0), (50, 3)), atol=1e-12)
-
-    def test_rotation_axis_unit(self, rng):
-        # axis sampling is exercised through the rotation being orthonormal
-        R, _ = perturb(rng, 20, 0.0, 0.3)
         npt.assert_allclose(R @ R.transpose(0, 2, 1), np.broadcast_to(np.eye(3), R.shape), atol=1e-12)
         npt.assert_allclose(np.linalg.det(R), 1.0, atol=1e-12)
+
+    def test_rotation_axis_unit(self, rng):
+        # a rotation-only draw turns about the unit z axis: orthonormal,
+        # z fixed, and a non-trivial angle
+        R, t = perturb(rng, 20, 0.0, 0.3)
+        npt.assert_array_equal(t, np.zeros((20, 3)))
+        npt.assert_allclose(R @ R.transpose(0, 2, 1), np.broadcast_to(np.eye(3), R.shape), atol=1e-12)
+        npt.assert_allclose(np.linalg.det(R), 1.0, atol=1e-12)
+        npt.assert_allclose(R @ np.array([0.0, 0.0, 1.0]), np.broadcast_to((0.0, 0.0, 1.0), (20, 3)), atol=1e-12)
+        assert np.all(np.abs(np.arctan2(R[:, 1, 0], R[:, 0, 0])) > 0.0)
 
 
 class TestResample:
@@ -161,7 +166,7 @@ class TestEstimateMovement:
     def test_no_surface_points_identity(self, rng, mug):
         particles = make_particles(3, rng)
         new = SemanticCloud.from_parts(free=[[0.5, 0.5, 0.0]])
-        dT, dT_w = estimate_movement(SemanticCloud(), new, particles, Pose.identity(), mug, DISC, BeliefParams())
+        dT, dT_w = estimate_movement(SemanticCloud(), new, particles, mug, DISC, BeliefParams())
         assert dT.is_identity()
         assert dT_w.is_identity()
 
@@ -170,7 +175,7 @@ class TestEstimateMovement:
         samples = sample_surface(mug, 80, rng)
         cloud = SemanticCloud.from_parts(surface=T.inverse().transform(samples))
         particles = ParticleSet.from_poses([T])
-        dT, _ = estimate_movement(cloud, cloud, particles, Pose.identity(), mug, DISC, BeliefParams(planar=True))
+        dT, _ = estimate_movement(cloud, cloud, particles, mug, DISC, BeliefParams())
         assert np.linalg.norm(dT.translation) < 1e-3
 
     def test_recovers_translation(self, rng):
@@ -185,14 +190,13 @@ class TestEstimateMovement:
         prev_cloud = SemanticCloud.from_parts(surface=T_old.inverse().transform(samples))
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
         particles = ParticleSet.from_poses([T_old])
-        dT, dT_w = estimate_movement(
-            prev_cloud, new_cloud, particles, Pose.identity(), shape, DISC, BeliefParams(planar=True)
-        )
+        dT, dT_w = estimate_movement(prev_cloud, new_cloud, particles, shape, DISC, BeliefParams())
         recovered = dT_w.transform(np.zeros(3))
         npt.assert_allclose(recovered, move, atol=0.005)
 
     def test_recovers_translation_with_sticking_prior(self, rng, mug):
-        """Mug case with the sticking prior near the true motion."""
+        """Mug case with the sticking prior, the paddle's world-frame
+        motion, 4 mm off the true motion."""
         T_old = Pose.from_placement((0.3, 0.0, 0.0), 0.2)
         move = np.array([0.05, 0.0, 0.0])
         T_new = Pose.from_placement((0.35, 0.0, 0.0), 0.2)
@@ -200,11 +204,8 @@ class TestEstimateMovement:
         prev_cloud = SemanticCloud.from_parts(surface=T_old.inverse().transform(samples))
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
         particles = ParticleSet.from_poses([T_old])
-        prior = T_new.compose(T_old.inverse())  # the delta an ideal slip sensor reports
-        near = Pose(prior.rotation, prior.translation + np.array([0.004, 0.0, 0.0]))
-        dT, dT_w = estimate_movement(
-            prev_cloud, new_cloud, particles, near, mug, DISC, BeliefParams(planar=True)
-        )
+        paddle = Pose(np.eye(3), move + np.array([0.004, 0.0, 0.0]))
+        dT, dT_w = estimate_movement(prev_cloud, new_cloud, particles, mug, DISC, BeliefParams(), prior_w=paddle)
         recovered = dT_w.transform(np.zeros(3))
         npt.assert_allclose(recovered, move, atol=0.005)
 
@@ -216,9 +217,7 @@ class TestEstimateMovement:
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
         prev_cloud = SemanticCloud.from_parts(surface=T_old.inverse().transform(samples))
         particles = ParticleSet.from_poses([T_old])
-        dT, dT_w = estimate_movement(
-            prev_cloud, new_cloud, particles, Pose.identity(), mug, DISC, BeliefParams(planar=True)
-        )
+        dT, dT_w = estimate_movement(prev_cloud, new_cloud, particles, mug, DISC, BeliefParams())
         x = rng.uniform(-0.3, 0.3, (20, 3))
         lhs = dT.compose(T_old).transform(dT_w.transform(x))
         rhs = T_old.transform(x)
@@ -237,9 +236,7 @@ class TestEstimateMovement:
         particles = ParticleSet.from_poses([Pose.from_placement((0.3, 0.0, 0.0), y) for y in yaws])
         assert int(np.argmin(discrepancies(DISC, mug, prev_cloud, particles))) == 2
         paddle = Pose(np.eye(3), np.array([0.012, -0.007, 0.0]))
-        dT, dT_w = estimate_movement(
-            prev_cloud, new_cloud, particles, Pose.identity(), mug, DISC, BeliefParams(k_opt=0), prior_w=paddle
-        )
+        dT, dT_w = estimate_movement(prev_cloud, new_cloud, particles, mug, DISC, BeliefParams(k_opt=0), prior_w=paddle)
         x = rng.uniform(-0.3, 0.3, (10, 3))
         npt.assert_allclose(dT_w.transform(x), paddle.transform(x), atol=1e-12)
         # the object-frame delta moves the chosen particle's object with the paddle
@@ -257,35 +254,35 @@ class TestUpdateStep:
             for _ in range(n - 1)
         ]
         particles = ParticleSet.from_poses(poses)
-        cfg = BeliefConfig(shape=mug, params=BeliefParams(sigma_t=0.0, sigma_r=0.0, planar=True))
-        return BeliefState(particles=particles, cloud=cloud), cfg, T_star
+        params = BeliefParams(sigma_t=0.0, sigma_r=0.0)
+        return BeliefState(particles=particles, cloud=cloud), params, T_star
 
     def test_empty_update_renormalizes_only(self, rng, mug):
-        state, cfg, _ = self.make_state(rng, mug)
+        state, params, _ = self.make_state(rng, mug)
         before = [T.translation.copy() for T in state.particles.poses]
-        out = update_step(state, cfg, SemanticCloud(), Pose.identity(), rng)
+        out = update_step(state, SemanticCloud(), mug, DISC, params, rng)
         for T, t0 in zip(out.particles.poses, before):
             npt.assert_allclose(T.translation, t0, atol=1e-12)
         assert out.particles.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_consistent_free_points_keep_poses(self, rng, mug):
-        state, cfg, _ = self.make_state(rng, mug)
+        state, params, _ = self.make_state(rng, mug)
         new = SemanticCloud.from_parts(free=[[0.6, 0.3, 0.0], [0.7, -0.2, 0.0]])
         before = [T.translation.copy() for T in state.particles.poses]
-        out = update_step(state, cfg, new, Pose.identity(), rng)
+        out = update_step(state, new, mug, DISC, params, rng)
         for T, t0 in zip(out.particles.poses, before):
             npt.assert_allclose(T.translation, t0, atol=1e-12)
 
     def test_contradiction_triggers_resample(self, rng, mug):
-        state, cfg, T_star = self.make_state(rng, mug)
-        cfg = BeliefConfig(shape=mug, params=BeliefParams(sigma_t=0.005, sigma_r=0.0, planar=True))
+        state, _, T_star = self.make_state(rng, mug)
+        params = BeliefParams(sigma_t=0.005, sigma_r=0.0)
         # enough contradicting surface points to push max discrepancy past eta
         ys = np.linspace(-0.3, 0.3, 15)
         far = np.stack([np.full(15, 0.75), ys, np.zeros(15)], axis=1)
         new = SemanticCloud.from_parts(surface=far)
-        d_before = discrepancies(cfg.disc, mug, state.cloud.extend(new), state.particles)
-        assert d_before.max() > cfg.params.eta
-        out = update_step(state, cfg, new, Pose.identity(), rng)
+        d_before = discrepancies(DISC, mug, state.cloud.extend(new), state.particles)
+        assert d_before.max() > params.eta
+        out = update_step(state, new, mug, DISC, params, rng)
         # resampling perturbs every surviving pose
         moved = all(
             not np.allclose(a.translation, b.translation, atol=1e-12)
@@ -294,21 +291,29 @@ class TestUpdateStep:
         assert moved
 
     def test_known_movement_predicts_particles(self, rng, mug):
-        state, cfg, T_star = self.make_state(rng, mug)
+        state, params, T_star = self.make_state(rng, mug)
         delta = Pose(np.eye(3), np.array([0.01, 0.0, 0.0]))
+        delta_w = T_star.inverse().compose(delta.inverse()).compose(T_star)
         surf = state.cloud.surface
         new = SemanticCloud.from_parts(surface=surf + np.array([-0.0, 0.0, 0.0]))
         before = [T.translation.copy() for T in state.particles.poses]
-        out = update_step(state, cfg, new, delta, rng, movement_known=True)
+        out = update_step(state, new, mug, DISC, params, rng, known=(delta, delta_w))
         for T, t0 in zip(out.particles.poses, before):
             npt.assert_allclose(T.translation, t0 + delta.translation, atol=1e-9)
 
+    def test_one_motion_input(self, rng, mug):
+        """The measured motion and a prior for estimating it are exclusive."""
+        state, params, _ = self.make_state(rng, mug)
+        identity = Pose.identity()
+        with pytest.raises(ValueError, match="not both"):
+            update_step(state, SemanticCloud(), mug, DISC, params, rng, known=(identity, identity), prior_w=identity)
+
     def test_deterministic_given_seed(self, rng, mug):
-        state1, cfg, _ = self.make_state(np.random.default_rng(5), mug)
+        state1, params, _ = self.make_state(np.random.default_rng(5), mug)
         state2, _, _ = self.make_state(np.random.default_rng(5), mug)
         new = SemanticCloud.from_parts(surface=[[0.34, 0.01, 0.0]])
-        out1 = update_step(state1, cfg, new, Pose.identity(), np.random.default_rng(9))
-        out2 = update_step(state2, cfg, new, Pose.identity(), np.random.default_rng(9))
+        out1 = update_step(state1, new, mug, DISC, params, np.random.default_rng(9))
+        out2 = update_step(state2, new, mug, DISC, params, np.random.default_rng(9))
         for a, b in zip(out1.particles.poses, out2.particles.poses):
             npt.assert_array_equal(a.translation, b.translation)
             npt.assert_array_equal(a.rotation, b.rotation)
@@ -329,7 +334,7 @@ class TestInitializeParticles:
         samples = sample_surface(mug, 60, rng)
         cloud = SemanticCloud.from_parts(surface=T.inverse().transform(samples))
         priors = [T] * 20
-        params = BeliefParams(n_particles=12, planar=True)
+        params = BeliefParams(n_particles=12)
         out = initialize_particles(priors, cloud, mug, DISC, params, rng)
         assert len(out) == 12
         for p in out.poses:
@@ -344,7 +349,7 @@ class TestInitializeParticles:
         seen = world[world[:, 0] < 0.4]
         cloud = SemanticCloud.from_parts(surface=seen)
         priors = [Pose.from_placement((0.4, 0.0, 0.0), rng.uniform(-math.pi, math.pi)) for _ in range(60)]
-        params = BeliefParams(n_particles=30, planar=True)
+        params = BeliefParams(n_particles=30)
         out = initialize_particles(priors, cloud, mug, DISC, params, rng)
         d = discrepancies(DISC, mug, cloud, out)
         assert np.all(d < params.eta)

@@ -175,6 +175,13 @@ class TestRunCommand:
         rc = main(["run", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_non_object_scenario_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def _run_with(self, tmp_path, tiny_scenario_file, capsys, **overrides):
         cfg = json.loads(tiny_scenario_file.read_text())
         cfg.update(overrides)
@@ -224,14 +231,38 @@ class TestRunCommand:
         assert err.startswith("config error:") and message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, key", [("planner", "kernel"), ("robot", "max_range"), ("robot", "base")])
+    @pytest.mark.parametrize(
+        "section, key",
+        [("planner", "kernel"), ("robot", "max_range"), ("robot", "base"), ("belief", "planar"), ("sim", "torque_radius")],
+    )
     def test_unknown_setting_is_config_error(self, tmp_path, tiny_scenario_file, capsys, section, key):
         """Settings the program does not have are errors, not ignored."""
         cfg = json.loads(tiny_scenario_file.read_text())
-        value = {"kernel": "bspline", "max_range": 0.5, "base": [0.0, 0.0]}[key]
+        value = {"kernel": "bspline", "max_range": 0.5, "base": [0.0, 0.0], "planar": False, "torque_radius": 0.02}[key]
         rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, **{section: {**cfg.get(section, {}), key: value}})
         assert rc == 1
         assert err.startswith("config error:") and key in err
+
+    def test_nested_settings_are_built(self, tmp_path, tiny_scenario_file, capsys):
+        """A setting inside a setting is built into its own type at any
+        depth, lists become tuples, and a key it lacks is a config error."""
+        from rummage.discrepancy import DescentSchedule
+
+        cfg = json.loads(tiny_scenario_file.read_text())
+        cfg["belief"]["schedule"] = {"step_t": 0.02, "decay": 0.8}
+        cfg["planner"]["action_scale"] = {"translation": 0.05}
+        cfg["robot"] = {"half_extents": [0.01, 0.02]}
+        scenario = Scenario.from_dict(cfg)
+        assert scenario.belief.schedule == DescentSchedule(step_t=0.02, decay=0.8)
+        assert scenario.planner.action_scale.translation == 0.05
+        assert scenario.robot.half_extents == (0.01, 0.02)
+        assert scenario.true_center == (0.38, 0.0, 0.0)
+        rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, belief=cfg["belief"])
+        assert rc == 0, err
+        cfg["belief"]["schedule"]["step"] = 0.1
+        rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, belief=cfg["belief"])
+        assert rc == 1
+        assert err.startswith("config error:") and "'step'" in err
 
     def test_artifact_exports(self, tmp_path, tiny_scenario_file):
         out = tmp_path / "out"

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).parent.parent / "scripts" / "compare_records.py"
 _spec = importlib.util.spec_from_file_location("compare_records", SCRIPT)
 compare_records = importlib.util.module_from_spec(_spec)
@@ -16,6 +18,23 @@ def episode(seed, *records):
 def test_parse_seeds():
     assert compare_records.parse_seeds("0-2,5") == [0, 1, 2, 5]
     assert compare_records.parse_seeds("3") == [3]
+
+
+@pytest.mark.parametrize("text", ["5-2", "0,,1", "", "-1", "0--1", "2-", "x"])
+def test_bad_seed_lists_rejected(text, capsys):
+    """Reversed, empty and negative seed lists are usage errors naming the
+    text, not a pass over zero episodes or a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        compare_records.main(["--workload", "mug-mpc", "--base", ".", "--seeds", text])
+    assert exc.value.code == 2
+    assert f"bad seed list {text!r}" in capsys.readouterr().err
+
+
+def test_nothing_compared_fails(monkeypatch, capsys):
+    monkeypatch.setattr(compare_records, "episode_spec", lambda workload, seeds: {})
+    monkeypatch.setattr(compare_records, "run_tree", lambda tree, spec: [])
+    assert compare_records.main(["--workload", "mug-mpc", "--base", "."]) == 1
+    assert "0 records compared, nothing compared" in capsys.readouterr().out
 
 
 def test_identical_records_pass():

@@ -202,35 +202,32 @@ class TestPoseDescent:
         cloud = SemanticCloud.from_parts(surface=world)
         T0 = Pose.from_placement((0.405, 0.0, 0.0), 0.9 + math.radians(5))
         c0 = total_discrepancy(self.P, mug, cloud, T0)
-        out = refine_pose(self.P, mug, cloud, T0, steps=10, planar=True)
+        out = refine_one(self.P, mug, cloud, T0, steps=10)
         c1 = total_discrepancy(self.P, mug, cloud, out)
         assert c1 < c0 / 2
 
     def test_planar_mode_keeps_plane(self, rng, mug):
         cloud = SemanticCloud.from_parts(surface=rng.uniform(-0.1, 0.1, (20, 3)))
         T = Pose.from_placement((0.0, 0.0, 0.0), 0.3)
-        out = refine_pose(self.P, mug, cloud, T, steps=5, planar=True)
+        out = refine_one(self.P, mug, cloud, T, steps=5)
         # still a pure z rotation and no z translation drift
         assert abs(out.rotation[2, 2] - 1.0) < 1e-12
         assert abs(out.translation[2]) < 1e-12
 
-    def test_descent_property_statistical(self, rng):
-        """A small aggregated step does not increase the total discrepancy."""
-        wins = 0
-        trials = 120
-        for _ in range(trials):
+    def test_refinement_never_raises_cost(self, rng):
+        """Refinement keeps its best iterate, so no pose comes back costlier
+        than it went in, though a single aggregated step can raise the cost
+        (its mean direction weighs the points unlike the cost gradient)."""
+        lowered = 0
+        for _ in range(40):
             shape = PRIMITIVES[int(rng.integers(0, len(PRIMITIVES)))]
             cloud = random_cloud(rng, n=25, scale=0.15)
-            T = random_pose(rng, trans_scale=0.05)
-            c0 = total_discrepancy(self.P, shape, cloud, T)
-            if c0 <= 1e-9:
-                wins += 1
-                continue
-            out = pose_descent_step(self.P, shape, cloud, T, step_t=1e-5, step_r=1e-5)
-            c1 = total_discrepancy(self.P, shape, cloud, out)
-            if c1 <= c0 + 1e-12:
-                wins += 1
-        assert wins / trials >= 0.99
+            poses = ParticleSet.from_poses([random_pose(rng, planar=True, trans_scale=0.05) for _ in range(3)])
+            c0 = discrepancies(self.P, shape, cloud, poses)
+            c1 = discrepancies(self.P, shape, cloud, refine_pose(self.P, shape, cloud, poses, steps=5))
+            assert np.all(c1 <= c0)
+            lowered += int(np.sum(c1 < c0))
+        assert lowered > 90
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +264,15 @@ def unculled_total(params, shape, cloud, T):
     return float(np.cumsum(costs)[-1]) if len(costs) else 0.0
 
 
-def reference_refine(params, shape, cloud, T, steps, planar, step_t=1e-2, step_r=1e-1, decay=0.9):
+def refine_one(params, shape, cloud, T, steps):
+    """``refine_pose`` on a set of the one pose ``T``."""
+    return refine_pose(params, shape, cloud, ParticleSet.from_poses([T]), steps).pose(0)
+
+
+def reference_refine(params, shape, cloud, T, steps, step_t=1e-2, step_r=1e-1, decay=0.9):
     """Reference: one pose, every point evaluated, aggregated with plain
-    NumPy reductions (the per-pose loop the batched kernel replaces)."""
+    NumPy reductions (the per-pose loop the batched kernel replaces); the
+    step moves x, y and yaw only."""
     from rummage.discrepancy import descent_directions
     from rummage.geometry import orthonormalize, rotation_about_axis
 
@@ -288,10 +291,8 @@ def reference_refine(params, shape, cloud, T, steps, planar, step_t=1e-2, step_r
         g_mean = d_act.mean(axis=0)
         lever_sq = float(np.mean(np.sum(x_act**2, axis=-1)))
         torque = np.cross(x_act, d_act).mean(axis=0) / max(lever_sq, 1e-12)
-        if planar:
-            g_mean = g_mean.copy()
-            g_mean[2] = 0.0
-            torque = np.array([0.0, 0.0, torque[2]])
+        g_mean[2] = 0.0
+        torque[:2] = 0.0
         dt, omega = clamp(g_mean, st), clamp(torque, sr)
         new_t = T.translation - dt
         angle = float(np.linalg.norm(omega))
@@ -343,20 +344,20 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("budget", [1 << 16, 40])
     def test_batched_refinement_equals_per_pose_calls(self, rng, mug, monkeypatch, budget):
-        """Bit for bit, also when the poses are split over several passes."""
+        """Bit for bit, also when the poses are split over several passes
+        and when they are off the plane (the box's poses)."""
         from rummage import geometry
 
         monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
         for k, (shape, eps) in enumerate([(mug, 0.0), (Box((0.05, 0.03, 0.04)), 0.004), (Cylinder(0.04, 0.03), 0.0)]):
             params = DiscrepancyParams(epsilon=eps)
             cloud = scene_cloud(rng, shape, self.CENTER)
-            planar = k != 1
-            poses = near_poses(rng, self.CENTER, 9, planar=planar)
-            batch = refine_pose(params, shape, cloud, ParticleSet.from_poses(poses), steps=6, planar=planar)
+            poses = near_poses(rng, self.CENTER, 9, planar=k != 1)
+            batch = refine_pose(params, shape, cloud, ParticleSet.from_poses(poses), steps=6)
             assert isinstance(batch, ParticleSet) and len(batch) == len(poses)
             for T, B in zip(poses, batch.poses):
-                assert same_pose(refine_pose(params, shape, cloud, T, steps=6, planar=planar), B)
-                assert same_pose(reference_refine(params, shape, cloud, T, steps=6, planar=planar), B)
+                assert same_pose(refine_one(params, shape, cloud, T, steps=6), B)
+                assert same_pose(reference_refine(params, shape, cloud, T, steps=6), B)
 
     def test_batched_discrepancies_equal_per_pose_totals(self, rng, mug, monkeypatch):
         from rummage import geometry
@@ -378,7 +379,7 @@ class TestBatchedKernel:
         counting = CountingShape(mug)
         assert np.array_equal(discrepancies(DISC_DEFAULT, counting, cloud, poses), discrepancies(DISC_DEFAULT, mug, cloud, poses))
         assert 0 < counting.sdf_points < len(poses) * len(cloud) / 2
-        for a, b in zip(refine_pose(DISC_DEFAULT, counting, cloud, poses, 4, planar=True).poses, refine_pose(DISC_DEFAULT, mug, cloud, poses, 4, planar=True).poses):
+        for a, b in zip(refine_pose(DISC_DEFAULT, counting, cloud, poses, 4).poses, refine_pose(DISC_DEFAULT, mug, cloud, poses, 4).poses):
             assert same_pose(a, b)
 
     @pytest.mark.parametrize("eps", [0.0, 0.004])

@@ -14,7 +14,7 @@ import numpy.testing as npt
 import pytest
 
 from rummage import belief as belief_mod
-from rummage.belief import BeliefConfig, BeliefParams, BeliefState, ParticleSet, update_step
+from rummage.belief import BeliefParams, BeliefState, ParticleSet, update_step
 from rummage.discrepancy import DiscrepancyParams, cost_array, discrepancies
 from rummage.geometry import Pose, Workspace, mug_shape, rotation_about_axis
 from rummage.infogain import build_info_fields
@@ -220,12 +220,12 @@ class TestNoDuplicatePasses:
         _, particles = SETS[1]
         truth = Pose.from_placement(CENTER, 0.3)
         cloud = SemanticCloud.from_parts(surface=truth.inverse().transform(sample_surface(shape, 40, np.random.default_rng(4))))
-        cfg = BeliefConfig(shape=shape, params=BeliefParams(eta=1e9))  # never resample
+        params = BeliefParams(eta=1e9)  # never resample
         state = BeliefState(particles=particles, cloud=cloud)
         rng = np.random.default_rng(0)
-        out = update_step(state, cfg, SemanticCloud(), Pose.identity(), rng, movement_known=True, dT_w_known=Pose.identity())
+        out = update_step(state, SemanticCloud(), shape, DiscrepancyParams(), params, rng, known=(Pose.identity(), Pose.identity()))
         assert len(calls) == 1
-        want = belief_mod.weigh(particles, out.cloud, shape, cfg.disc, cfg.params)
+        want = belief_mod.weigh(particles, out.cloud, shape, DiscrepancyParams(), params)
         npt.assert_array_equal(out.particles.weights, want.weights)
         assert len(calls) == 2
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rummage import discrepancy
-from rummage.belief import BeliefConfig, BeliefParams, BeliefState, resample, systematic_resample_indices, update_step
+from rummage.belief import BeliefParams, BeliefState, resample, systematic_resample_indices, update_step
 from rummage.discrepancy import DescentSchedule, DiscrepancyParams, _step_poses, pose_descent_step, refine_pose, total_discrepancy
 from rummage.geometry import ParticleSet, Pose, orthonormalize, rotation_about_axis
 from rummage.semantics import SemanticCloud
@@ -22,8 +22,9 @@ from rummage.sim import _running_sum
 from conftest import random_pose
 from test_discrepancy import scene_cloud
 
-# (planar, sigma_r): the shipped planar noise, planar with an angle draw,
-# and full 3-D noise (7 draws per particle)
+# (planar, sigma_r): planar particle poses under the shipped noise (no
+# angle draw) and under noise with an angle draw, and tilted 3-D particle
+# poses under noise with an angle draw (the noise itself is always planar)
 NOISE = [(True, 0.0), (True, 0.05), (False, 0.05)]
 
 
@@ -52,19 +53,12 @@ def polar(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def perturb_one(rng, sigma_t: float, sigma_r: float, planar: bool) -> Pose:
-    """One particle's noise, drawn as a per-particle loop draws it."""
-    if planar:
-        dt = np.zeros(3)
-        dt[:2] = rng.normal(0.0, sigma_t, 2) if sigma_t > 0 else 0.0
-        axis = np.array([0.0, 0.0, 1.0])
-    else:
-        dt = rng.normal(0.0, sigma_t, 3) if sigma_t > 0 else np.zeros(3)
-        raw = rng.normal(size=3)
-        n = np.linalg.norm(raw)
-        axis = raw / n if n > 0 else np.array([0.0, 0.0, 1.0])
+def perturb_one(rng, sigma_t: float, sigma_r: float) -> Pose:
+    """One particle's planar noise, drawn as a per-particle loop draws it."""
+    dt = np.zeros(3)
+    dt[:2] = rng.normal(0.0, sigma_t, 2) if sigma_t > 0 else 0.0
     angle = float(rng.normal(0.0, sigma_r)) if sigma_r > 0 else 0.0
-    return Pose(rodrigues(axis, angle), dt)
+    return Pose(rodrigues((0.0, 0.0, 1.0), angle), dt)
 
 
 def compose_one(A: Pose, B: Pose) -> Pose:
@@ -99,29 +93,29 @@ def test_update_step_motion(planar, sigma_r, mug):
     """Every particle becomes (noise dT) T, its noise drawn in turn."""
     particles = particle_set(np.random.default_rng(3), 200, planar)
     dT = Pose(rotation_about_axis((0.2, -0.1, 1.0), 0.05), np.array([0.01, -0.004, 0.0 if planar else 0.002]))
-    params = BeliefParams(sigma_t=0.01, sigma_r=sigma_r, planar=planar)
+    params = BeliefParams(sigma_t=0.01, sigma_r=sigma_r)
     state = BeliefState(particles=particles, cloud=SemanticCloud())
     out = update_step(
-        state, BeliefConfig(shape=mug, params=params), SemanticCloud(), dT,
-        np.random.default_rng(11), movement_known=True, dT_w_known=Pose.identity(),
+        state, SemanticCloud(), mug, DiscrepancyParams(), params,
+        np.random.default_rng(11), known=(dT, Pose.identity()),
     )
     rng = np.random.default_rng(11)
     for T, got in zip(particles.poses, out.particles.poses):
-        assert_bits(got, compose_one(compose_one(perturb_one(rng, 0.01, sigma_r, planar), dT), T))
+        assert_bits(got, compose_one(compose_one(perturb_one(rng, 0.01, sigma_r), dT), T))
 
 
 @pytest.mark.parametrize("planar, sigma_r", NOISE)
 def test_resample_perturb_compose(planar, sigma_r, mug):
     """Every resampled copy is noise T, its noise drawn after the indices."""
     particles = particle_set(np.random.default_rng(4), 200, planar)
-    params = BeliefParams(sigma_t=0.01, sigma_r=sigma_r, planar=planar)
+    params = BeliefParams(sigma_t=0.01, sigma_r=sigma_r)
     out = resample(particles, SemanticCloud(), mug, DiscrepancyParams(), params, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     idx = systematic_resample_indices(particles.weights, rng)
     assert len(np.unique(idx)) < len(idx)  # some particles copied more than once
     poses = particles.poses
     for i, got in zip(idx, out.poses):
-        assert_bits(got, compose_one(perturb_one(rng, 0.01, sigma_r, planar), poses[i]))
+        assert_bits(got, compose_one(perturb_one(rng, 0.01, sigma_r), poses[i]))
 
 
 def test_step_poses(rng):
@@ -157,14 +151,14 @@ def test_refine_best_iterate(rng, mug):
     params = DiscrepancyParams()
     schedule = DescentSchedule(step_t=0.03, step_r=0.6, decay=0.9)
     poses = [Pose.from_placement(np.add(center, rng.normal(0, 0.01, 3) * [1, 1, 0]), rng.uniform(-math.pi, math.pi)) for _ in range(30)]
-    got = refine_pose(params, mug, cloud, ParticleSet.from_poses(poses), 5, schedule, planar=True)
+    got = refine_pose(params, mug, cloud, ParticleSet.from_poses(poses), 5, schedule)
     kept_last = []
     for T, G in zip(poses, got.poses):
         best, best_cost, current = T, None, T
         st, sr = schedule.step_t, schedule.step_r
         for _ in range(5):
             cost = total_discrepancy(params, mug, cloud, current)
-            nxt = pose_descent_step(params, mug, cloud, current, st, sr, planar=True)
+            nxt = pose_descent_step(params, mug, cloud, current, st, sr)
             if best_cost is None or cost < best_cost:
                 best, best_cost = current, cost
             current, st, sr = nxt, st * schedule.decay, sr * schedule.decay
@@ -192,7 +186,7 @@ def test_refine_best_iterate_ties(rng, monkeypatch):
         def __init__(self, *args, **kwargs):
             self.k = 0
 
-        def descent_steps(self, R, t, step_t, step_r, planar):
+        def descent_steps(self, R, t, step_t, step_r):
             self.k += 1
             return R, t + 1.0, costs[self.k - 1].copy()
 

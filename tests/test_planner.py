@@ -25,7 +25,9 @@ from rummage.planner import (
     mppi_update,
     total_cost,
 )
-from rummage.semantics import SensorModel, _downsample_positions
+from rummage.semantics import SensorModel
+
+from test_semantics import unique_cell_centers
 
 
 SENSOR = SensorModel()
@@ -65,7 +67,7 @@ def info_cost(
     config_traj = np.asarray(config_traj, dtype=np.float64).reshape(-1, 3)
     displacement_traj = np.asarray(displacement_traj, dtype=np.float64).reshape(-1, 3)
     pts = robot.info_points_world(config_traj) - displacement_traj[:, None, :]
-    centers = _downsample_positions(pts.reshape(-1, 3), r_ds)
+    centers = unique_cell_centers(pts.reshape(-1, 3), r_ds)
     if len(centers) == 0:
         return 0.0
     return float(-np.sum(info_field.query(centers)))

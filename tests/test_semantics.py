@@ -14,6 +14,8 @@ from rummage.semantics import (
     SemanticCloud,
     Semantics,
     SensorModel,
+    _downsample_positions,
+    grid_cells,
     merge_observations,
     sensor_probabilities,
     voxel_downsample,
@@ -117,6 +119,42 @@ class TestVoxelDownsample:
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             voxel_downsample(SemanticCloud(), 0.0)
+
+
+def unique_cell_centers(points, r):
+    """Reference: the occupied-cell centers of a grid anchored at the
+    points' minimum corner, the cells sorted by ``np.unique(axis=0)``."""
+    anchor = points.min(axis=0) - 0.5 * r
+    cells = np.unique(np.floor((points - anchor) / r).astype(np.int64), axis=0)
+    return anchor + (cells + 0.5) * r
+
+
+class TestGridCells:
+    def test_rows_match_unique_rows(self, rng):
+        """Each row's cells, bit for bit and in order, as ``np.unique``
+        over that row alone finds them, also where a grid is one cell
+        thick or the points are far from the origin."""
+        r = 0.002
+        stack = rng.uniform(-0.05, 0.05, (6, 400, 3))
+        stack[1, :, 2] = 0.0
+        stack[2] += 37.0
+        stack[3, :, :2] = np.round(stack[3, :, :2] / r) * r  # points on cell borders
+        rows, centers = grid_cells(stack, r)
+        assert np.all(np.diff(rows) >= 0)
+        for b, points in enumerate(stack):
+            want = unique_cell_centers(points, r)
+            assert centers[rows == b].tobytes() == want.tobytes()
+            assert _downsample_positions(points, r).tobytes() == want.tobytes()
+
+    def test_key_overflow_raises(self):
+        """A 2**21-cell span fits one row's keys; a wider span raises
+        rather than wrapping the int64 keys."""
+        wide = np.array([[[0.0, 0.0, 0.0], [2.0**21 - 3.0, 0.0, 0.0]]])
+        assert len(grid_cells(wide, 1.0)[1]) == 2
+        with pytest.raises(ValueError, match="overflow"):
+            grid_cells(np.concatenate([wide, wide]), 1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            grid_cells(wide * 2.0, 1.0)
 
 
 class TestMergeObservations:
