@@ -81,13 +81,6 @@ def _costs(params: DiscrepancyParams, v: np.ndarray, labels: np.ndarray) -> np.n
     return costs
 
 
-def cost_array(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, T: Pose) -> np.ndarray:
-    """Per-point costs in the cloud's storage order (every point evaluated)."""
-    if len(cloud) == 0:
-        return np.zeros(0)
-    return _costs(params, shape.sdf(T.transform(cloud.positions)), cloud.labels)
-
-
 class _CloudKernel:
     """Evaluates one cloud against stacks of poses, one pass per call.
 
@@ -278,27 +271,6 @@ def _step_poses(R: np.ndarray, t: np.ndarray, g_mean: np.ndarray, torque: np.nda
         R[turn] = orthonormalize(R_delta @ R[turn])
         t[turn] = np.matmul(R_delta, t[turn, :, None])[..., 0]
     return R, t
-
-
-def pose_descent_step(
-    params: DiscrepancyParams,
-    shape: Shape,
-    cloud: SemanticCloud,
-    T: Pose,
-    step_t: float = 1e-2,
-    step_r: float = 1e-1,
-) -> Pose:
-    """One aggregated descent step of the total discrepancy over the pose.
-
-    Translation uses the mean point direction; rotation uses the mean cross
-    product of object-frame lever arms with the directions, normalized by
-    the mean squared lever to act like an angle estimate.  The step moves
-    only x, y and yaw.  Zero cost leaves the pose unchanged.
-    """
-    if len(cloud) == 0:
-        return T
-    R, t, _ = _CloudKernel(params, shape, cloud).descent_steps(T.rotation[None], T.translation[None], step_t, step_r)
-    return Pose(R[0], t[0])
 
 
 def refine_pose(

@@ -46,17 +46,17 @@ class InfoFields:
             floor = self._floors[radius] = FreeFloor(self, radius)
         return floor
 
-    def class_probabilities(self, points):
-        """Interpolated (free, occupied, surface) probabilities, renormalized."""
-        pf = self.p_free.query(points)
-        po = self.p_occ.query(points)
-        ps = self.p_surf.query(points)
-        pf = np.maximum(pf, 0.0)
-        po = np.maximum(po, 0.0)
-        ps = np.maximum(ps, 0.0)
+    def free_probability(self, p_free, points):
+        """Renormalized free probability at points, given the raw ``p_free``
+        field value there (the planner's contact search has just read it):
+        each class value clipped at 0 and divided by the total of the three,
+        a total of at most 0 taken as 1."""
+        pf = np.maximum(p_free, 0.0)
+        po = np.maximum(self.p_occ.query(points), 0.0)
+        ps = np.maximum(self.p_surf.query(points), 0.0)
         total = pf + po + ps
         total = np.where(total <= 0, 1.0, total)
-        return pf / total, po / total, ps / total
+        return pf / total
 
 
 def _free_ratio(pf, po, ps):
@@ -71,7 +71,7 @@ class FreeFloor:
     """Lower bound of the free probability near a planar position.
 
     ``at(xy)`` is at most the free probability that
-    :meth:`InfoFields.class_probabilities` reads at any point within
+    :meth:`InfoFields.free_probability` reads at any point within
     ``radius`` of ``(x, y)``, at any height.  An interpolated ratio
     ``sum w pf / sum w (pf + po + ps)`` of non-negative corner values is at
     least the smallest corner ratio (the mediant inequality), so the floor

@@ -86,19 +86,28 @@ class PaddleRobot:
         return float(np.max(np.hypot(self._body[:, 0], self._body[:, 1])))
 
     def _transform_body(self, q, body: np.ndarray) -> np.ndarray:
+        """Body-frame points ``(M, 2)``, or ``(n, M, 2)`` with points of
+        their own for each of ``n`` configurations, to world points."""
         q = np.asarray(q, dtype=np.float64)
         single = q.shape == (3,)
         qb = q.reshape(-1, 3)
-        c, s = np.cos(qb[:, 2]), np.sin(qb[:, 2])
-        out = np.empty((len(qb), len(body), 3))
-        out[..., 0] = c[:, None] * body[None, :, 0] - s[:, None] * body[None, :, 1] + qb[:, 0:1]
-        out[..., 1] = s[:, None] * body[None, :, 0] + c[:, None] * body[None, :, 1] + qb[:, 1:2]
+        c, s = np.cos(qb[:, 2])[:, None], np.sin(qb[:, 2])[:, None]
+        bx, by = body[..., 0], body[..., 1]
+        out = np.empty((len(qb), body.shape[-2], 3))
+        out[..., 0] = c * bx - s * by + qb[:, 0:1]
+        out[..., 1] = s * bx + c * by + qb[:, 1:2]
         out[..., 2] = self.plane_z
         return out[0] if single else out
 
     def points_world(self, q) -> np.ndarray:
         """Interior points for configurations ``(..., 3)`` -> ``(..., M, 3)``."""
         return self._transform_body(q, self.body_points)
+
+    def body_point_world(self, q: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Interior point ``i[k]`` of configuration ``q[k]``, ``(n, 3)`` ->
+        ``(n, 3)``: ``points_world(q)[arange(n), i]`` with one point
+        transformed per row, by the same per-element arithmetic."""
+        return self._transform_body(q, self.body_points[i][:, None, :])[:, 0]
 
     def info_points_world(self, q) -> np.ndarray:
         return self._transform_body(q, self.body_points[self.info_mask])
@@ -271,10 +280,10 @@ class PlanningContext:
 
 def _contact_points(
     q_c: np.ndarray, d: np.ndarray, ctx: PlanningContext, robot: PaddleRobot
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Most contact-likely robot point of each row (lowest ``p_free`` in
     displaced-object-frame coordinates): its index, displaced-frame
-    position and world position.
+    position, world position and the raw ``p_free`` field value read there.
 
     The search takes a block of rows at a time, so that their (rows, M)
     point sets stay about one block of points."""
@@ -283,15 +292,18 @@ def _contact_points(
     i_star = np.empty(n, dtype=np.intp)
     x_i = np.empty((n, 3))
     p_star = np.empty((n, 3))
+    pf = np.empty(n)
     for lo in range(0, n, block):
         pts_c = robot.points_world(q_c[lo:lo + block])      # (rows, M, 3)
         disp = pts_c - d[lo:lo + block, None, :]
-        k = np.argmin(ctx.fields.p_free.query(disp), axis=1)
+        p_free = ctx.fields.p_free.query(disp)
+        k = np.argmin(p_free, axis=1)
         rows = np.arange(len(k))
         i_star[lo:lo + block] = k
         x_i[lo:lo + block] = disp[rows, k]
         p_star[lo:lo + block] = pts_c[rows, k]
-    return i_star, x_i, p_star
+        pf[lo:lo + block] = p_free[rows, k]
+    return i_star, x_i, p_star, pf
 
 
 def _rollout_batch(
@@ -316,7 +328,10 @@ def _rollout_batch(
     :class:`~rummage.infogain.FreeFloor` at the displaced paddle origin.
     Below the floor every body point reads a larger free probability, so the
     row moves freely whichever point the search would pick; the results are
-    those of searching every row.
+    those of searching every row.  The search's ``p_free`` value at the
+    chosen point is read once and renormalized by
+    :meth:`~rummage.infogain.InfoFields.free_probability`; a hit row's push
+    direction transforms only its chosen body point.
     """
     B, H, _ = actions.shape
     q = np.array(q0, dtype=np.float64).reshape(1, 3).repeat(B, axis=0) if np.asarray(q0).ndim == 1 else np.array(q0, dtype=np.float64)
@@ -332,16 +347,14 @@ def _rollout_batch(
             q_c = robot.free_dynamics(q, u_phys)
             draw = rng.random(B)
             cand = np.flatnonzero(draw >= floor.at(q_c[:, :2] - d[:, :2]))
-            i_star, x_i, p_star = _contact_points(q_c[cand], d[cand], ctx, robot)
-            pf, _, _ = ctx.fields.class_probabilities(x_i)
-            hit = draw[cand] >= pf
+            i_star, x_i, p_star, pf_raw = _contact_points(q_c[cand], d[cand], ctx, robot)
+            hit = draw[cand] >= ctx.fields.free_probability(pf_raw, x_i)
             if not hit.any():
                 q = q_c
                 continue
             # push direction: motion of the corresponding interior point
             c_rows = cand[hit]
-            pts_b = robot.points_world(q[c_rows])
-            d_prime = p_star[hit] - pts_b[np.arange(len(c_rows)), i_star[hit]]
+            d_prime = p_star[hit] - robot.body_point_world(q[c_rows], i_star[hit])
             normals = ctx.weighted_normals(x_i[hit])
             n_norm = np.linalg.norm(normals, axis=1)
             m_norm = np.linalg.norm(d_prime, axis=1)
@@ -379,11 +392,13 @@ def batched_sweep_cost(
     trajectories -> (B,).  The sensing points, shifted back by the object
     displacement at their time, count once per cell of a grid of side
     ``r_ds`` anchored at the rollout's own point extent (the field is read
-    at the cell centers); all rollouts at once, see :func:`grid_cells`.
+    at the cell centers); all rollouts at once, see :func:`grid_cells`,
+    which finds the cells by one sort of packed cell keys.  Each rollout's
+    sum adds its cells in sorted-cell order.
     """
     B, H, _ = q_traj.shape
     pts = robot.info_points_world(q_traj.reshape(-1, 3)).reshape(B, H, -1, 3)
-    pts = pts - d_traj[:, :, None, :]
+    pts -= d_traj[:, :, None, :]
     rows, centers = grid_cells(pts.reshape(B, -1, 3), r_ds)
     vals = info_field.query(centers)
     return -np.bincount(rows, weights=vals, minlength=B)

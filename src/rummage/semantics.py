@@ -116,38 +116,62 @@ def sensor_probabilities(model: SensorModel, v: float) -> tuple[float, float, fl
 def grid_cells(points: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Occupied cells of grids with cell side ``r``, one grid per row of a
     (B, n, 3) point stack, as ``(rows, centers)``: each cell once, ordered
-    by row and then in grid scan order (sorted cell indices).
+    by row and then in grid scan order (sorted cell indices), so a
+    ``np.bincount`` over ``rows`` adds each row's cells in that order.
 
     A row's grid is anchored so the minimum corner of its point extent is
     the center of its first cell, which makes downsampling idempotent.
     Cells are told apart by packed int64 keys (row, then the three cell
-    indices); a point extent too wide for them raises ``ValueError``.
+    indices); a point extent too wide for them raises ``ValueError``.  The
+    keys are sorted, repeats dropped, and row and cell decoded back out of
+    each key, which gives ``np.unique``'s cells without its index sort.
+    A stack of no points has no cells.
     """
+    if not r > 0:
+        raise ValueError("cell side must be positive")
     B, n, _ = points.shape
-    anchors = points.min(axis=1) - 0.5 * r
-    idx = np.floor((points - anchors[:, None, :]) / r).astype(np.int64)
-    span = int(idx.max()) + 2  # indices are non-negative by anchoring
+    if B * n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 3))
+    # one coordinate axis per contiguous row: the min and the per-row
+    # shift run along rows (a min is exact in any order)
+    f = points.transpose(0, 2, 1).copy()
+    anchors = f.min(axis=2) - 0.5 * r
+    f -= anchors[:, :, None]
+    f /= r
+    # the anchored coordinates are non-negative, so the cast's truncation
+    # is their floor
+    idx = f.astype(np.int64)
+    del f
+    span = int(idx.max()) + 2
     if B * span**3 > 2**63:
         raise ValueError(f"{span} cells across at resolution {r} overflow the int64 cell keys")
-    b_col = np.arange(B, dtype=np.int64)[:, None]
-    keys = ((b_col * span + idx[..., 0]) * span + idx[..., 1]) * span + idx[..., 2]
-    first = np.unique(keys.ravel(), return_index=True)[1]
-    rows = first // n
-    cells = idx.reshape(-1, 3)[first]
-    return rows, anchors[rows] + (cells + 0.5) * r
+    keys = np.arange(B, dtype=np.int64)[:, None] * span + idx[:, 0]
+    for ax in (1, 2):
+        keys *= span
+        keys += idx[:, ax]
+    del idx
+    keys = keys.ravel()
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    rows = keys[keep]
+    cells = np.empty((len(rows), 3), dtype=np.int64)
+    for ax in (2, 1, 0):
+        rows, cells[:, ax] = np.divmod(rows, span)
+    centers = cells + 0.5
+    centers *= r
+    centers += anchors[rows]
+    return rows, centers
 
 
 def _downsample_positions(points: np.ndarray, r: float) -> np.ndarray:
     """Occupied-cell centers of one grid of cell side ``r`` (:func:`grid_cells`)."""
-    if len(points) == 0:
-        return np.zeros((0, 3))
     return grid_cells(points[None], r)[1]
 
 
 def voxel_downsample(cloud: SemanticCloud, r: float) -> SemanticCloud:
     """Downsample each semantics class on its own grid of resolution ``r``."""
-    if r <= 0:
-        raise ValueError("downsample resolution must be positive")
     return SemanticCloud.from_parts(
         free=_downsample_positions(cloud.free, r),
         occupied=_downsample_positions(cloud.occupied, r),

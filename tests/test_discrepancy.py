@@ -8,11 +8,11 @@ import pytest
 
 from rummage.discrepancy import (
     DiscrepancyParams,
-    cost_array,
+    _CloudKernel,
+    _costs,
     discrepancies,
     point_cost,
     point_cost_descent,
-    pose_descent_step,
     refine_pose,
     total_discrepancy,
 )
@@ -20,6 +20,23 @@ from rummage.geometry import Box, Cylinder, ParticleSet, Pose, Sphere, rotation_
 from rummage.semantics import SemanticCloud, Semantics
 
 from conftest import PRIMITIVES, random_pose
+
+
+def cost_array(params, shape, cloud, T):
+    """Reference: per-point costs in the cloud's storage order, every point
+    evaluated (no cull)."""
+    if len(cloud) == 0:
+        return np.zeros(0)
+    return _costs(params, shape.sdf(T.transform(cloud.positions)), cloud.labels)
+
+
+def pose_descent_step(params, shape, cloud, T, step_t=1e-2, step_r=1e-1):
+    """One planar descent step of a lone pose: the step ``refine_pose``
+    takes per iteration, on a one-pose stack."""
+    if len(cloud) == 0:
+        return T
+    R, t, _ = _CloudKernel(params, shape, cloud).descent_steps(T.rotation[None], T.translation[None], step_t, step_r)
+    return Pose(R[0], t[0])
 
 
 def random_cloud(rng, n=40, scale=0.2):

@@ -15,12 +15,14 @@ import pytest
 
 from rummage import belief as belief_mod
 from rummage.belief import BeliefParams, BeliefState, ParticleSet, update_step
-from rummage.discrepancy import DiscrepancyParams, cost_array, discrepancies
+from rummage.discrepancy import DiscrepancyParams, discrepancies
 from rummage.geometry import Pose, Workspace, mug_shape, rotation_about_axis
 from rummage.infogain import build_info_fields
 from rummage.planner import ActionScale, PlanningContext
 from rummage.semantics import SemanticCloud, SensorModel, _downsample_positions, merge_observations
 from rummage.sim import nll, pairwise_chamfer, sample_surface, slide_policy
+
+from test_discrepancy import cost_array
 
 CENTER = np.array([0.45, 0.0, 0.0])
 SENSOR = SensorModel()

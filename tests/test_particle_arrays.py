@@ -14,13 +14,13 @@ import pytest
 
 from rummage import discrepancy
 from rummage.belief import BeliefParams, BeliefState, resample, systematic_resample_indices, update_step
-from rummage.discrepancy import DescentSchedule, DiscrepancyParams, _step_poses, pose_descent_step, refine_pose, total_discrepancy
+from rummage.discrepancy import DescentSchedule, DiscrepancyParams, _step_poses, refine_pose, total_discrepancy
 from rummage.geometry import ParticleSet, Pose, orthonormalize, rotation_about_axis
 from rummage.semantics import SemanticCloud
 from rummage.sim import _running_sum
 
 from conftest import random_pose
-from test_discrepancy import scene_cloud
+from test_discrepancy import pose_descent_step, scene_cloud
 
 # (planar, sigma_r): planar particle poses under the shipped noise (no
 # angle draw) and under noise with an angle draw, and tilted 3-D particle

@@ -204,6 +204,18 @@ class TestDynamics:
             assert np.linalg.norm(d1) == 0.0
 
 
+def class_probabilities(fields, points):
+    """Reference: the free, occupied and surface fields each read at the
+    points and clipped at 0, then divided by their total (a total of at
+    most 0 read as 1)."""
+    pf = np.maximum(fields.p_free.query(points), 0.0)
+    po = np.maximum(fields.p_occ.query(points), 0.0)
+    ps = np.maximum(fields.p_surf.query(points), 0.0)
+    total = pf + po + ps
+    total = np.where(total <= 0, 1.0, total)
+    return pf / total, po / total, ps / total
+
+
 def reference_rollouts(q0, actions, ctx, robot, params, rng):
     """The rollout dynamics searching the contact point of every row, with
     counts of (pushing, blocked, off-grid) row sub-moves."""
@@ -226,7 +238,7 @@ def reference_rollouts(q0, actions, ctx, robot, params, rng):
             k = np.argmin(f.query(disp), axis=1)
             rows = np.arange(B)
             x_i, p_star = disp[rows, k], pts_c[rows, k]
-            pf, _, _ = ctx.fields.class_probabilities(x_i)
+            pf, _, _ = class_probabilities(ctx.fields, x_i)
             contact = rng.random(B) >= pf
             c_rows = np.flatnonzero(contact)
             normals = ctx.weighted_normals(x_i[c_rows]) if len(c_rows) else np.empty((0, 3))
@@ -246,19 +258,36 @@ def reference_rollouts(q0, actions, ctx, robot, params, rng):
     return q_traj, d_traj, counts
 
 
+ROLLOUT_FIELDS = pytest.mark.parametrize(
+    "res, z",
+    [(0.01, (0.0, 0.0)), (0.005, (0.0, 0.0)), (0.01, (-0.02, 0.02))],
+    ids=["planar-1cm", "planar-5mm", "z-interval"],
+)
+
+
+def mug_context(res, z):
+    poses = [Pose.from_placement((0.3 + 0.005 * k, 0.004 * k, 0.0), 0.4 + 0.5 * k) for k in range(5)]
+    return make_context(poses, shape=mug_shape(), bounds=((0.1, 0.5), (-0.2, 0.2), z), res=res)[0]
+
+
+def searched_rows(ctx, robot):
+    """The contact search over 1000 paddle placements around the mug, on
+    and off the grid, each with a small object displacement (more rows than
+    the search takes in one block)."""
+    rng = np.random.default_rng(7)
+    q = np.column_stack([rng.uniform(0.05, 0.55, 1000), rng.uniform(-0.25, 0.25, 1000), rng.uniform(-math.pi, math.pi, 1000)])
+    d = rng.normal(0.0, 0.01, (1000, 3)) * [1, 1, 0]
+    return q, d, planner_mod._contact_points(q, d, ctx, robot)
+
+
 class TestRolloutCull:
     """Only rows whose draw reaches the free-probability floor are searched;
     the rollouts equal those of searching every row."""
 
-    @pytest.mark.parametrize(
-        "res, z",
-        [(0.01, (0.0, 0.0)), (0.005, (0.0, 0.0)), (0.01, (-0.02, 0.02))],
-        ids=["planar-1cm", "planar-5mm", "z-interval"],
-    )
+    @ROLLOUT_FIELDS
     def test_matches_searching_every_row(self, res, z):
-        poses = [Pose.from_placement((0.3 + 0.005 * k, 0.004 * k, 0.0), 0.4 + 0.5 * k) for k in range(5)]
-        ctx, _ = make_context(poses, shape=mug_shape(), bounds=((0.1, 0.5), (-0.2, 0.2), z), res=res)
-        ref_ctx, _ = make_context(poses, shape=mug_shape(), bounds=((0.1, 0.5), (-0.2, 0.2), z), res=res)
+        ctx = mug_context(res, z)
+        ref_ctx = mug_context(res, z)
         robot = PaddleRobot()
         params = PlannerParams(horizon=6, control_points=3, mini_steps=3)
         # a fan of headings from just in front of the mug: some rollouts run
@@ -273,6 +302,42 @@ class TestRolloutCull:
         assert pushes > 0 and blocks > 0 and off_grid > 0
         npt.assert_array_equal(q, q_ref)
         npt.assert_array_equal(d, d_ref)
+
+    @ROLLOUT_FIELDS
+    def test_search_returns_the_raw_free_value(self, res, z):
+        """The search hands back, bit for bit, the free field's value at the
+        point it chose, and that point's position and index."""
+        ctx, robot = mug_context(res, z), PaddleRobot()
+        q, d, (i_star, x_i, p_star, pf) = searched_rows(ctx, robot)
+        rows = np.arange(len(q))
+        pts = robot.points_world(q)
+        assert pf.tobytes() == ctx.fields.p_free.query(x_i).tobytes()
+        assert np.all(pf == ctx.fields.p_free.query(pts - d[:, None, :]).min(axis=1))
+        assert p_star.tobytes() == pts[rows, i_star].tobytes()
+        assert x_i.tobytes() == (pts - d[:, None, :])[rows, i_star].tobytes()
+
+    @ROLLOUT_FIELDS
+    def test_one_point_transform_equals_all_points(self, res, z):
+        """A hit row's push direction transforms its chosen body point only;
+        each row reads what transforming all the row's points gives."""
+        ctx, robot = mug_context(res, z), PaddleRobot()
+        q, _, (i_star, *_) = searched_rows(ctx, robot)
+        want = robot.points_world(q)[np.arange(len(q)), i_star]
+        assert robot.body_point_world(q, i_star).tobytes() == want.tobytes()
+        every = np.arange(len(robot.body_points))
+        one_q = np.repeat(q[:1], len(every), axis=0)
+        assert robot.body_point_world(one_q, every).tobytes() == robot.points_world(one_q)[every, every].tobytes()
+
+    @ROLLOUT_FIELDS
+    def test_free_probability_equals_three_field_renormalization(self, res, z):
+        """Renormalizing the search's raw value reads the free probability
+        of interpolating all three class fields at the point."""
+        ctx, robot = mug_context(res, z), PaddleRobot()
+        _, _, (_, x_i, _, pf) = searched_rows(ctx, robot)
+        got = ctx.fields.free_probability(pf, x_i)
+        want, _, _ = class_probabilities(ctx.fields, x_i)
+        assert got.tobytes() == want.tobytes()
+        assert got.min() < 0.5 < got.max() == 1.0  # inside the mug and far from it
 
     @pytest.mark.parametrize("rho, half_width", [(2.4, 3), (2.5, 4), (2.5 - 1e-9, 4), (3.16, 4), (6.32, 7)])
     def test_floor_window_half_width(self, rho, half_width):
@@ -319,7 +384,7 @@ class TestRolloutCull:
         fields = InfoFields(info=pf, p_free=pf, p_occ=po, p_surf=ps)
         robot = PaddleRobot()
         floor = fields.free_floor(robot.body_radius).at(np.array([[x, y]]))[0]
-        free, _, _ = fields.class_probabilities(robot.points_world(np.array([x, y, yaw])))
+        free, _, _ = class_probabilities(fields, robot.points_world(np.array([x, y, yaw])))
         assert np.all(floor <= free)
 
 

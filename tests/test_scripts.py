@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rummage import export
 
@@ -39,3 +40,67 @@ def test_render_info_field(tmp_path):
     # the yaw ambiguity leaves information to gather somewhere, nowhere negative
     assert info.max() > 0.0 and np.all(info >= 0.0)
     assert (tmp_path / "info.svg").read_text().startswith("<svg")
+
+
+def result_line(**values):
+    """A parsed loopbench result line with the given metric values."""
+    metrics = {name: {"value": v, "unit": "-"} for name, v in values.items()}
+    return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+
+
+SPEED = [{"name": "step_p50_s", "better": "lower"}, {"name": "steps_per_s", "better": "higher"}]
+
+
+def canned_pairs(base_p50, change_p50):
+    return [
+        (result_line(step_p50_s=b, steps_per_s=1.0 / b), result_line(step_p50_s=c, steps_per_s=1.0 / c))
+        for b, c in zip(base_p50, change_p50)
+    ]
+
+
+class TestPairedBench:
+    def test_claim_holds(self):
+        """Ten pairs, nine won and one tied, the medians 0.1 s apart against
+        a base IQR of 0.035 s."""
+        base = [0.50, 0.52, 0.48, 0.55, 0.51, 0.49, 0.53, 0.50, 0.47, 0.54]
+        change = [0.40, 0.42, 0.38, 0.45, 0.41, 0.39, 0.43, 0.40, 0.37, 0.54]
+        rows = load("paired_bench").summarize(SPEED, canned_pairs(base, change))
+        p50, rate = rows
+        assert (p50["name"], p50["wins"], p50["pairs"]) == ("step_p50_s", 9, 10)
+        assert p50["base_median"] == pytest.approx(0.505) and p50["change_median"] == pytest.approx(0.405)
+        assert (p50["base_q1"], p50["base_q3"]) == pytest.approx((0.4925, 0.5275))
+        assert p50["claim"] and rate["claim"] and rate["wins"] == 9
+
+    def test_claim_needs_wins_pairs_and_gap(self):
+        bench = load("paired_bench")
+        base = [0.50, 0.52, 0.48, 0.55, 0.51, 0.49, 0.53, 0.50, 0.47, 0.54]
+        # eight wins of ten: too few
+        eight = [b - 0.1 for b in base[:8]] + base[8:]
+        assert bench.summarize(SPEED, canned_pairs(base, eight))[0]["claim"] is False
+        # ten wins, but by less than the base's IQR
+        close = [b - 0.01 for b in base]
+        row = bench.summarize(SPEED, canned_pairs(base, close))[0]
+        assert row["wins"] == 10 and row["claim"] is False
+        # every pair won by far, but fewer than ten pairs
+        row = bench.summarize(SPEED, canned_pairs(base[:9], [b - 0.1 for b in base[:9]]))[0]
+        assert row["wins"] == 9 and row["claim"] is False
+        # a change that is worse wins nothing
+        row = bench.summarize(SPEED, canned_pairs(base, [b + 0.1 for b in base]))[0]
+        assert row["wins"] == 0 and row["claim"] is False
+
+    def test_one_pair(self):
+        row = load("paired_bench").summarize(SPEED, canned_pairs([0.5], [0.4]))[0]
+        assert (row["wins"], row["base_q1"], row["base_q3"], row["claim"]) == (1, 0.5, 0.5, False)
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_pairs_below_one_rejected(self, pairs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load("paired_bench").main(["--workload", "mug-mpc", "--base", str(SCRIPTS.parent), "--pairs", pairs])
+        assert exc.value.code == 2
+        assert "not at least 1" in capsys.readouterr().err
+
+    def test_missing_base_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load("paired_bench").main(["--workload", "mug-mpc", "--base", str(tmp_path / "nowhere"), "--pairs", "3"])
+        assert exc.value.code == 2
+        assert "loopbench/run.py" in capsys.readouterr().err

@@ -129,22 +129,68 @@ def unique_cell_centers(points, r):
     return anchor + (cells + 0.5) * r
 
 
+def assert_rows_match_unique(stack, r):
+    """Each row's cells from :func:`grid_cells`, bit for bit and in order,
+    as ``np.unique`` over that row alone finds them."""
+    rows, centers = grid_cells(stack, r)
+    assert np.all(np.diff(rows) >= 0)
+    for b, points in enumerate(stack):
+        want = unique_cell_centers(points, r)
+        assert centers[rows == b].tobytes() == want.tobytes()
+        assert _downsample_positions(points, r).tobytes() == want.tobytes()
+    return rows, centers
+
+
 class TestGridCells:
     def test_rows_match_unique_rows(self, rng):
-        """Each row's cells, bit for bit and in order, as ``np.unique``
-        over that row alone finds them, also where a grid is one cell
-        thick or the points are far from the origin."""
+        """Also where a grid is one cell thick or the points are far from
+        the origin."""
         r = 0.002
         stack = rng.uniform(-0.05, 0.05, (6, 400, 3))
         stack[1, :, 2] = 0.0
         stack[2] += 37.0
         stack[3, :, :2] = np.round(stack[3, :, :2] / r) * r  # points on cell borders
-        rows, centers = grid_cells(stack, r)
-        assert np.all(np.diff(rows) >= 0)
-        for b, points in enumerate(stack):
-            want = unique_cell_centers(points, r)
-            assert centers[rows == b].tobytes() == want.tobytes()
-            assert _downsample_positions(points, r).tobytes() == want.tobytes()
+        assert_rows_match_unique(stack, r)
+
+    def test_row_in_one_cell(self, rng):
+        """A row whose points all fall in one cell, beside rows that do not,
+        and a row of one point repeated."""
+        r = 0.01
+        stack = rng.uniform(-0.05, 0.05, (3, 50, 3))
+        stack[1] = 0.2 + rng.uniform(0.0, 0.4 * r, (50, 3))
+        stack[2] = stack[2, 0]
+        rows, _ = assert_rows_match_unique(stack, r)
+        npt.assert_array_equal(np.bincount(rows), [len(unique_cell_centers(stack[0], r)), 1, 1])
+
+    def test_repeated_cells(self, rng):
+        """Rows that revisit their cells many times over, as the sweep of a
+        blocked rollout does: a few placements, each repeated in runs and
+        interleaved."""
+        r = 0.01
+        base = rng.uniform(-0.03, 0.03, (4, 5, 21, 3))
+        runs = np.repeat(base, 6, axis=1)  # (4, 30, 21, 3): each placement six times in a row
+        stack = np.concatenate([runs, base[:, ::-1]], axis=1).reshape(4, -1, 3)
+        stack[3] = np.tile(stack[3, :21], (len(stack[3]) // 21, 1))  # one placement throughout
+        rows, _ = assert_rows_match_unique(stack, r)
+        counts = np.bincount(rows)
+        assert np.all(counts[:3] <= 5 * 21) and counts[3] <= 21  # at most one cell per distinct point
+
+    def test_one_point(self):
+        rows, centers = assert_rows_match_unique(np.array([[[0.3, -0.2, 0.1]]]), 0.01)
+        npt.assert_array_equal(rows, [0])
+        npt.assert_array_equal(centers, [[0.3, -0.2, 0.1]])
+
+    @pytest.mark.parametrize("B", [0, 1, 3])
+    def test_no_points(self, B):
+        """Rows of no points have no cells."""
+        rows, centers = grid_cells(np.zeros((B, 0, 3)), 0.01)
+        assert rows.shape == (0,) and centers.shape == (0, 3)
+        assert np.bincount(rows, minlength=B).shape == (B,)
+
+    @pytest.mark.parametrize("r", [0.0, -0.01, np.nan])
+    def test_cell_side_not_positive_raises(self, r):
+        with pytest.raises(ValueError, match="positive"):
+            grid_cells(np.zeros((2, 4, 3)), r)
 
     def test_key_overflow_raises(self):
         """A 2**21-cell span fits one row's keys; a wider span raises
