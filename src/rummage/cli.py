@@ -53,6 +53,10 @@ def cmd_run(args) -> int:
     try:
         scenario = Scenario.from_json(args.scenario)
         seeds = _parse_seeds(args.seeds)
+        if args.steps is not None and args.steps < 0:
+            raise ValueError(f"--steps {args.steps} is negative")
+        if args.jobs < 1:
+            raise ValueError(f"--jobs {args.jobs} is below 1")
         out = Path(args.out)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

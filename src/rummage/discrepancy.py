@@ -6,10 +6,10 @@ total over a cloud is accumulated strictly left to right in the cloud's
 insertion order, so appending a point to a cloud adds exactly its own cost
 to the total (bitwise, not just approximately).
 
-The per-point descent directions are built from the *normalized* distance
-gradient, so they are parallel to, but not equal to, the analytic cost
-gradients; what is guaranteed (and tested) is that a small step against
-them does not increase the cost.
+The per-point descent directions (:func:`_scaled_gradient`) are built from
+the *normalized* distance gradient, so they are parallel to, but not equal
+to, the analytic cost gradients; what is guaranteed (and tested) is that a
+small step of a point against its direction does not increase its cost.
 
 Costs, descent steps and refinement take a whole particle set and
 evaluate it in one pass per descent iteration: the (pose, point) pairs are
@@ -21,10 +21,11 @@ Cull invariant: a free point farther from a pose's object origin than the
 shape's support radius plus ``max(epsilon, 0)`` has signed distance of at
 least ``epsilon``, so its cost and its descent direction are exactly zero;
 such pairs are dropped before the distance is evaluated.  Dropping an
-exact 0.0 from a sequential sum leaves the sum unchanged.  The radius rests
-on the contract that ``bounding_box()`` encloses every point with sdf <= 0
-and that the distance outside it is at least the distance to the box, see
-:func:`~rummage.geometry.support_radius`.
+exact 0.0 from a sequential sum leaves the sum unchanged.  The support
+radius is the farthest corner of the shape's bounding box
+(:func:`~rummage.geometry.support_radius`); it rests on the contract that
+``bounding_box()`` encloses every point with sdf <= 0 and that the distance
+outside it is at least the distance to the box.
 """
 
 from __future__ import annotations
@@ -64,12 +65,6 @@ def _class_costs(params: DiscrepancyParams, v: np.ndarray, sem: int) -> np.ndarr
     if sem == int(Semantics.OCCUPIED):
         return params.sigma_f * np.maximum(0.0, params.epsilon + v)
     return np.abs(v)
-
-
-def point_cost(params: DiscrepancyParams, shape: Shape, x_obj, s: Semantics) -> float:
-    """Cost of observing semantics ``s`` at object-frame position ``x_obj``."""
-    v = np.asarray(shape.sdf(np.asarray(x_obj, dtype=np.float64)))
-    return float(_class_costs(params, v, int(s)))
 
 
 def _costs(params: DiscrepancyParams, v: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -196,23 +191,10 @@ def total_discrepancy(params: DiscrepancyParams, shape: Shape, cloud: SemanticCl
     return float(discrepancies(params, shape, cloud, ParticleSet.from_poses([T]))[0])
 
 
-def descent_directions(params: DiscrepancyParams, shape: Shape, x_obj: np.ndarray, labels: np.ndarray):
-    """Batched per-point ascent directions of the cost at object-frame points.
-
-    Returns (directions (n,3), costs (n,)).  Stepping a point against its
-    direction reduces its cost; zero where the cost is zero.  Gradients are
-    evaluated only where the cost is active.
-    """
-    v = shape.sdf(x_obj)
-    costs = _costs(params, v, labels)
-    dirs = np.zeros((len(x_obj), 3))
-    active = costs > 0
-    if active.any():
-        dirs[active] = _scaled_gradient(shape, x_obj[active], labels[active], costs[active], v[active])
-    return dirs, costs
-
-
 def _scaled_gradient(shape: Shape, x_act, labels, costs, v) -> np.ndarray:
+    """Per-point ascent directions of the cost at object-frame points whose
+    cost is active: the unit distance gradient scaled by the negated cost
+    (free points), the cost (occupied) or the signed distance (surface)."""
     g = shape.gradient(x_act)
     scale = np.where(
         labels == int(Semantics.FREE),
@@ -220,13 +202,6 @@ def _scaled_gradient(shape: Shape, x_act, labels, costs, v) -> np.ndarray:
         np.where(labels == int(Semantics.OCCUPIED), costs, v),
     )
     return scale[:, None] * g
-
-
-def point_cost_descent(params: DiscrepancyParams, shape: Shape, x_obj, s: Semantics) -> np.ndarray:
-    d, _ = descent_directions(
-        params, shape, np.asarray(x_obj, dtype=np.float64)[None, :], np.array([int(s)])
-    )
-    return d[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,11 @@ def read_field_csv(path) -> ScalarField:
     grid with one spacing on every axis (up to a relative 1e-9 per step),
     in node order, x outer and z inner."""
     with open(path) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in ("x", "y", "z", "value") if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"field CSV has no column {', '.join(map(repr, missing))}")
     if not rows:
         raise ValueError("field CSV has no rows")
     pts = np.array([[float(r["x"]), float(r["y"]), float(r["z"])] for r in rows])

@@ -13,7 +13,7 @@ Conventions used throughout the package:
   tight.
 - ``bounding_box()`` encloses every point with signed distance <= 0, and
   outside it the distance is at least the distance to the box, which is
-  what :meth:`Shape.support_radius` rests on.
+  what :func:`support_radius` rests on.
 """
 
 from __future__ import annotations
@@ -505,10 +505,15 @@ def _box_radius(box) -> float:
 
 
 def support_radius(shape) -> float:
-    """:meth:`Shape.support_radius`, or the bounding box's farthest corner
-    for objects that expose only ``sdf``, ``gradient`` and ``bounding_box``."""
-    method = getattr(shape, "support_radius", None)
-    return method() if method is not None else _box_radius(shape.bounding_box())
+    """Radius about the frame origin beyond which the signed distance is at
+    least the distance past the radius (so strictly positive): the farthest
+    corner of ``shape.bounding_box()``.
+
+    Outside its box a shape reads at least its distance to the box, and so
+    at least its distance to any box that encloses that one, such as the
+    ball of this radius.  That holds for unions and transformed shapes as
+    for primitives, and for any object that exposes a ``bounding_box``."""
+    return _box_radius(shape.bounding_box())
 
 
 class Shape:
@@ -528,12 +533,6 @@ class Shape:
     def characteristic_length(self) -> float:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
-
-    def support_radius(self) -> float:
-        """Radius about the frame origin beyond which the signed distance
-        is at least the distance past the radius (so strictly positive).
-        Exact-distance shapes take the bounding box's farthest corner."""
-        return _box_radius(self.bounding_box())
 
     def _pts(self, points):
         return _as_points(points)
@@ -737,12 +736,6 @@ class Union(Shape):
         los, his = zip(*(c.bounding_box() for c in self.children))
         return np.min(np.stack(los), axis=0), np.max(np.stack(his), axis=0)
 
-    def support_radius(self):
-        # the min of children that each clear their own radius clears the
-        # largest one; never below the box corner, the radius an object that
-        # exposes only its box gets, so a wrapped union culls the same points
-        return max(_box_radius(self.bounding_box()), *(support_radius(c) for c in self.children))
-
 
 @dataclass(frozen=True)
 class Transformed(Shape):
@@ -765,10 +758,6 @@ class Transformed(Shape):
         corners = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
         world = self.pose.inverse().transform(corners)
         return world.min(axis=0), world.max(axis=0)
-
-    def support_radius(self):
-        # the child's origin sits |t| from the parent's
-        return support_radius(self.child) + float(np.linalg.norm(self.pose.translation))
 
 
 def translated(child: Shape, offset) -> Transformed:

@@ -149,36 +149,6 @@ def _accumulate(particles: ParticleSet, shape: Shape, points: np.ndarray, sensor
     return pf, po, ps, ec_free, ec_occ, ec_surf
 
 
-def semantics_probability(
-    particles: ParticleSet, shape: Shape, x, sensor: SensorModel = SensorModel()
-):
-    """Belief-averaged class probabilities at one position (or a batch)."""
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.shape == (3,)
-    pts = pts.reshape(-1, 3)
-    pf, po, ps, *_ = _accumulate(particles, shape, pts, sensor, DiscrepancyParams())
-    if single:
-        return float(pf[0]), float(po[0]), float(ps[0])
-    return pf, po, ps
-
-
-def info_gain(
-    particles: ParticleSet,
-    shape: Shape,
-    x,
-    gamma: float = 2.0,
-    sensor: SensorModel = SensorModel(),
-    disc: DiscrepancyParams = DiscrepancyParams(),
-):
-    """Expected discrepancy added by observing the semantics at ``x``."""
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.shape == (3,)
-    pts = pts.reshape(-1, 3)
-    pf, po, ps, ef, eo, es = _accumulate(particles, shape, pts, sensor, disc)
-    val = gamma * (pf * ef + po * eo + ps * es)
-    return float(val[0]) if single else val
-
-
 def build_info_fields(
     particles: ParticleSet,
     shape: Shape,

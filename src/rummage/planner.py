@@ -11,7 +11,6 @@ trajectories that push informative regions out of the robot's reach.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -195,12 +194,6 @@ def kernel_interpolate(theta: np.ndarray, H: int, scale: float = 2.0) -> np.ndar
     theta = np.asarray(theta, dtype=np.float64)
     H_c = theta.shape[0]
     W = interpolation_weights(np.arange(H, dtype=np.float64), H, H_c, scale)
-    return W @ theta
-
-
-def interpolate_at(theta: np.ndarray, H: int, times, scale: float = 2.0) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    W = interpolation_weights(np.asarray(times, dtype=np.float64), H, theta.shape[0], scale)
     return W @ theta
 
 
@@ -411,8 +404,10 @@ class ReachTable:
     reachable-information sum is a function of the shift alone; its values
     on the grid-shift lattice equal the discrete cross-correlation of the
     reachability and information grids, computed once per step with FFTs
-    over the grid's axes and multilinearly interpolated in between.  (Exact
-    on the lattice; between lattice shifts it differs from the direct
+    over the grid's axes.  The table is kept as a :class:`ScalarField` over
+    the shifts ``[-(n-1), n-1]`` grid units per axis, so lookups between
+    lattice shifts interpolate it multilinearly and shifts beyond it read 0.
+    (Exact on the lattice; between lattice shifts it differs from the direct
     evaluation only through boundary cells, negligibly for interior fields.
     Rollout displacements are planar, so on fields with z layers every
     lookup falls on the zero z shift.)
@@ -433,35 +428,14 @@ class ReachTable:
         else:
             corr = R * I
         # corr[k mod size] = sum_m R[m+k] I[m]; unwrap to k in [-(n-1), n-1]
-        self.table = corr[np.ix_(*[np.arange(-(k - 1), k) % sz for k, sz in zip(n, size)])]
-        self.res = info_field.resolution
-        self.n = n
+        table = corr[np.ix_(*[np.arange(-(k - 1), k) % sz for k, sz in zip(n, size)])]
+        res = info_field.resolution
+        self.field = ScalarField(-res * (np.array(n) - 1.0), res, table, 0.0)
         self.total = float(I.sum())
 
     def reachable_info(self, shifts: np.ndarray) -> np.ndarray:
         """Reachable information for displacement shifts (..., 3)."""
-        s = np.asarray(shifts, dtype=np.float64)
-        t = self.table
-        live = [ax for ax in range(3) if t.shape[ax] > 1]
-        base: list = [0, 0, 0]
-        frac = {}
-        inside = np.ones(s.shape[:-1], dtype=bool)
-        for ax in live:
-            u = s[..., ax] / self.res + (self.n[ax] - 1)
-            inside &= (u >= 0) & (u <= t.shape[ax] - 1)
-            u = np.clip(u, 0, t.shape[ax] - 1)
-            base[ax] = np.minimum(u.astype(int), t.shape[ax] - 2)
-            frac[ax] = u - base[ax]
-        # corners with x varying fastest; each weight is the product of the
-        # per-axis weights in axis order
-        v = None
-        for bits in itertools.product((0, 1), repeat=len(live)):
-            upper = dict(zip(reversed(live), bits))
-            term = t[tuple(base[ax] + upper.get(ax, 0) for ax in range(3))]
-            for ax in live:
-                term = term * (frac[ax] if upper[ax] else 1 - frac[ax])
-            v = term if v is None else v + term
-        return np.where(inside, v, 0.0)
+        return self.field.query(shifts)
 
     def reach_cost_batch(self, displacement_traj: np.ndarray) -> np.ndarray:
         """(B, H, 3) displacement trajectories -> (B,) costs in [-1, 0]."""

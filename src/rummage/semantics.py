@@ -79,9 +79,6 @@ class SemanticCloud:
             np.concatenate([self.labels, other.labels]),
         )
 
-    def append(self, position, sem: Semantics) -> "SemanticCloud":
-        return self.extend(SemanticCloud(np.asarray(position, dtype=np.float64)[None, :], np.array([int(sem)], dtype=np.int8)))
-
 
 @dataclass(frozen=True)
 class SensorModel:
@@ -106,11 +103,6 @@ class SensorModel:
         p_occ = np.maximum(0.0, 1.0 - np.exp(np.minimum(self.alpha * vt, 0.0)))
         p_surf = np.exp(-self.alpha * np.abs(vt))
         return p_free, p_occ, p_surf
-
-
-def sensor_probabilities(model: SensorModel, v: float) -> tuple[float, float, float]:
-    pf, po, ps = model.probabilities(np.float64(v))
-    return float(pf), float(po), float(ps)
 
 
 def grid_cells(points: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:

@@ -16,13 +16,17 @@ import numpy as np
 import pytest
 
 from rummage.belief import ParticleSet, weigh
-from rummage.discrepancy import DiscrepancyParams, point_cost, point_cost_descent, total_discrepancy
+from rummage.discrepancy import DiscrepancyParams, total_discrepancy
 from rummage.geometry import Box, Cylinder, Pose, Sphere, Workspace, mug_shape
 from rummage.infogain import build_info_fields
-from rummage.planner import PlannerParams, control_times, interpolate_at, kernel_interpolate, mppi_update
-from rummage.semantics import SemanticCloud, Semantics, SensorModel, sensor_probabilities, voxel_downsample
+from rummage.planner import PlannerParams, control_times, kernel_interpolate, mppi_update
+from rummage.semantics import SemanticCloud, Semantics, SensorModel, voxel_downsample
 from rummage.sim import Scenario, World, camera_observe, pairwise_chamfer, run_episode, sample_surface
 from rummage import cli, export
+
+from test_discrepancy import append, point_cost, point_cost_descent
+from test_planner import interpolate_at
+from test_semantics import sensor_probabilities
 
 pytestmark = pytest.mark.acceptance
 
@@ -75,7 +79,7 @@ def test_c02_cost_additivity_exact():
         s = Semantics(int(rng.integers(0, 3)))
         t = rng.uniform(-0.3, 0.3, 3)
         T = Pose.from_placement(t, float(rng.uniform(-np.pi, np.pi)))
-        lhs = total_discrepancy(disc, shape, cloud.append(x, s), T)
+        lhs = total_discrepancy(disc, shape, append(cloud, x, s), T)
         rhs = total_discrepancy(disc, shape, cloud, T) + point_cost(disc, shape, T.transform(x), s)
         assert lhs == rhs
     _ok("C2 cost additivity exact over 1000 random triples")

@@ -77,6 +77,18 @@ class TestFieldCsv:
         assert rc == 1
         assert capsys.readouterr().err.startswith("config error: field CSV has no rows")
 
+    def test_metrics_csv_rejected(self, tmp_path, capsys):
+        """A CSV without the field columns names the ones it lacks."""
+        p = tmp_path / "m.csv"
+        p.write_text("step,nll,chamfer,contact,ax,ay,ayaw,reach_true\n0,1.0,0.002,0,0.0,0.0,0.0,1.0\n")
+        with pytest.raises(ValueError, match="no column 'x', 'y', 'z', 'value'"):
+            export.read_field_csv(p)
+        rc = main(["export-field", "--snapshot", str(p), "--out", str(tmp_path / "f.svg")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field CSV has no column 'x'")
+        assert not (tmp_path / "f.svg").exists()
+
     def test_shuffled_rows_rejected(self, tmp_path, capsys):
         """Rows out of node order would land on the wrong nodes."""
         p = tmp_path / "f.csv"
@@ -225,6 +237,22 @@ class TestRunCommand:
         rc = main([
             "run", "--scenario", str(tiny_scenario_file), "--method", "slide",
             "--seeds", seeds, "--steps", "0", "--out", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--steps", "-3", "--steps -3 is negative"), ("--jobs", "-2", "--jobs -2 is below 1"),
+         ("--jobs", "0", "--jobs 0 is below 1")],
+    )
+    def test_bad_counts_are_config_errors(self, tmp_path, tiny_scenario_file, capsys, flag, value, message):
+        out = tmp_path / "out"
+        rc = main([
+            "run", "--scenario", str(tiny_scenario_file), "--method", "slide",
+            "--seeds", "0", flag, value, "--out", str(out),
         ])
         assert rc == 1
         err = capsys.readouterr().err

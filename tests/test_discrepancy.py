@@ -11,8 +11,6 @@ from rummage.discrepancy import (
     _CloudKernel,
     _costs,
     discrepancies,
-    point_cost,
-    point_cost_descent,
     refine_pose,
     total_discrepancy,
 )
@@ -20,6 +18,46 @@ from rummage.geometry import Box, Cylinder, ParticleSet, Pose, Sphere, rotation_
 from rummage.semantics import SemanticCloud, Semantics
 
 from conftest import PRIMITIVES, random_pose
+
+
+def point_cost(params, shape, x_obj, s):
+    """Reference: cost of observing semantics ``s`` at object-frame
+    position ``x_obj``, a hinge on the signed distance (free, occupied) or
+    its absolute value (surface)."""
+    v = float(shape.sdf(np.asarray(x_obj, dtype=np.float64)))
+    if s == Semantics.FREE:
+        return params.sigma_f * max(0.0, params.epsilon - v)
+    if s == Semantics.OCCUPIED:
+        return params.sigma_f * max(0.0, params.epsilon + v)
+    return abs(v)
+
+
+def descent_directions(params, shape, x_obj, labels):
+    """Reference: per-point ascent directions of the cost at object-frame
+    points ``(n, 3)`` and the costs ``(n,)``.  The unit distance gradient is
+    scaled by the negated cost (free), the cost (occupied) or the signed
+    distance (surface), and evaluated only where the cost is active; the
+    direction is zero elsewhere."""
+    v = shape.sdf(x_obj)
+    costs = _costs(params, v, labels)
+    dirs = np.zeros((len(x_obj), 3))
+    active = costs > 0
+    if active.any():
+        lab, c = labels[active], costs[active]
+        scale = np.where(lab == int(Semantics.FREE), -c, np.where(lab == int(Semantics.OCCUPIED), c, v[active]))
+        dirs[active] = scale[:, None] * shape.gradient(x_obj[active])
+    return dirs, costs
+
+
+def point_cost_descent(params, shape, x_obj, s):
+    """Reference: the ascent direction of one point's cost."""
+    d, _ = descent_directions(params, shape, np.asarray(x_obj, dtype=np.float64)[None, :], np.array([int(s)]))
+    return d[0]
+
+
+def append(cloud, position, s):
+    """``cloud`` with one more point at its end."""
+    return cloud.extend(SemanticCloud(np.asarray(position, dtype=np.float64)[None, :], [int(s)]))
 
 
 def cost_array(params, shape, cloud, T):
@@ -97,7 +135,7 @@ class TestTotalDiscrepancy:
             x = rng.uniform(-0.2, 0.2, 3)
             s = Semantics(int(rng.integers(0, 3)))
             T = random_pose(rng)
-            union = cloud.append(x, s)
+            union = append(cloud, x, s)
             lhs = total_discrepancy(self.P, shape, union, T)
             rhs = total_discrepancy(self.P, shape, cloud, T) + point_cost(self.P, shape, T.transform(x), s)
             assert lhs == rhs
@@ -290,7 +328,6 @@ def reference_refine(params, shape, cloud, T, steps, step_t=1e-2, step_r=1e-1, d
     """Reference: one pose, every point evaluated, aggregated with plain
     NumPy reductions (the per-pose loop the batched kernel replaces); the
     step moves x, y and yaw only."""
-    from rummage.discrepancy import descent_directions
     from rummage.geometry import orthonormalize, rotation_about_axis
 
     def clamp(vec, cap):

@@ -17,10 +17,13 @@ from rummage.geometry import (
     Pose,
     ScalarField,
     Sphere,
+    Transformed,
     Union,
     Workspace,
     mug_shape,
+    rotation_about_axis,
     rotation_z,
+    support_radius,
     translated,
 )
 
@@ -332,39 +335,78 @@ def _beyond(rng, radius, n=2000, width=0.05):
     return d * r[:, None], r
 
 
+def _old_support_radius(shape) -> float:
+    """Reference: the per-class radii the box-corner rule replaced, a
+    union's the largest of its box corner and its children's, a transformed
+    shape's its child's plus its offset."""
+    if isinstance(shape, Union):
+        return max(geometry._box_radius(shape.bounding_box()), *map(_old_support_radius, shape.children))
+    if isinstance(shape, Transformed):
+        return _old_support_radius(shape.child) + float(np.linalg.norm(shape.pose.translation))
+    return geometry._box_radius(shape.bounding_box())
+
+
 class TestSupportRadius:
-    SHAPES = [
+    # kinds a scenario's shape_config can build
+    BUILDABLE = [
         Sphere(0.05),
         Box((0.1, 0.07, 0.04)),
         Cylinder(0.06, 0.05),
         mug_shape(),
         translated(Box((0.02, 0.01, 0.03)), (0.08, -0.02, 0.01)),
+        # a union inside a union
+        Union(
+            Sphere(0.03),
+            Union(translated(Box((0.02, 0.01, 0.02)), (0.06, 0.0, 0.0)), translated(Sphere(0.02), (0.0, -0.07, 0.01))),
+        ),
+        # a whole union moved off the origin
+        translated(mug_shape(), (0.1, -0.05, 0.02)),
     ]
+    # rotated about an oblique axis and offset: its box is the box of the
+    # rotated child box, so its radius can exceed the child's plus the offset
+    ROTATED = Transformed(
+        Box((0.04, 0.015, 0.025)), Pose(rotation_about_axis(np.array([1.0, 2.0, 3.0]), 0.7), np.array([0.03, -0.05, 0.02]))
+    )
+    SHAPES = BUILDABLE + [ROTATED]
 
     def test_distance_at_least_excess_beyond_radius(self, rng):
         """Beyond the radius the distance is at least the excess, so free
         points there cost nothing for any epsilon below the excess."""
-        from rummage.geometry import support_radius
-
         for shape in self.SHAPES:
             R = support_radius(shape)
             pts, r = _beyond(rng, R)
             assert np.all(shape.sdf(pts) >= r - R - 1e-12), shape
+            # points on the radius's sphere and just past it, where the
+            # bound is tightest
+            pts, r = _beyond(rng, R, width=1e-4)
+            assert np.all(shape.sdf(pts) >= r - R - 1e-12), shape
+
+    def test_never_looser_than_per_class_radii(self):
+        """On every shape a scenario can build: unions and translations keep
+        their boxes axis-aligned, so the corner is within the children's."""
+        for shape in self.BUILDABLE:
+            assert support_radius(shape) <= _old_support_radius(shape), shape
+        # the mug's radii all agree
+        assert support_radius(mug_shape()) == _old_support_radius(mug_shape()) == 0.09486832980505139
 
     def test_primitives_take_box_corner(self):
-        from rummage.geometry import support_radius
-
         assert support_radius(Box((0.1, 0.07, 0.04))) == pytest.approx(math.sqrt(0.01 + 0.0049 + 0.0016))
         assert support_radius(mug_shape()) == pytest.approx(math.sqrt(0.07**2 + 0.05**2 + 0.04**2))
 
     def test_box_only_objects_use_bounding_box(self):
-        from rummage.geometry import support_radius
-
         class BoxOnly:
-            def bounding_box(self):
-                return np.array([-0.1, -0.2, -0.3]), np.array([0.3, 0.1, 0.2])
+            def __init__(self, box):
+                self.box = box
 
-        assert support_radius(BoxOnly()) == pytest.approx(math.sqrt(0.09 + 0.04 + 0.09))
+            def bounding_box(self):
+                return self.box
+
+        assert support_radius(BoxOnly((np.array([-0.1, -0.2, -0.3]), np.array([0.3, 0.1, 0.2])))) == pytest.approx(
+            math.sqrt(0.09 + 0.04 + 0.09)
+        )
+        # a wrapper that exposes only the mug's box culls as the mug does
+        mug = mug_shape()
+        assert support_radius(BoxOnly(mug.bounding_box())) == support_radius(mug)
 
 
 class TestManyPoses:

@@ -11,15 +11,35 @@ from rummage.discrepancy import DiscrepancyParams
 from rummage.geometry import Pose, Sphere, Workspace
 from rummage.infogain import (
     ReachabilityModel,
+    _accumulate,
     build_info_fields,
     build_reachability,
-    info_gain,
-    semantics_probability,
 )
-from rummage.semantics import SensorModel, sensor_probabilities
+from rummage.semantics import SensorModel
+
+from test_semantics import sensor_probabilities
 
 
 SENSOR = SensorModel()
+
+
+def semantics_probability(particles, shape, x, sensor=SENSOR):
+    """Reference: belief-averaged class probabilities at one position
+    (floats) or a batch (arrays), read from the field builder's kernel."""
+    pts = np.asarray(x, dtype=np.float64)
+    pf, po, ps, *_ = _accumulate(particles, shape, pts.reshape(-1, 3), sensor, DiscrepancyParams())
+    if pts.shape == (3,):
+        return float(pf[0]), float(po[0]), float(ps[0])
+    return pf, po, ps
+
+
+def info_gain(particles, shape, x, gamma=2.0, sensor=SENSOR, disc=DiscrepancyParams()):
+    """Reference: expected discrepancy added by observing the semantics at
+    ``x``, the information field's node formula at one position or a batch."""
+    pts = np.asarray(x, dtype=np.float64)
+    pf, po, ps, ef, eo, es = _accumulate(particles, shape, pts.reshape(-1, 3), sensor, disc)
+    val = gamma * (pf * ef + po * eo + ps * es)
+    return float(val[0]) if pts.shape == (3,) else val
 
 
 class TestSemanticsProbability:

@@ -20,7 +20,7 @@ from rummage.planner import (
     PlanningContext,
     ReachTable,
     control_times,
-    interpolate_at,
+    interpolation_weights,
     kernel_interpolate,
     mppi_update,
     total_cost,
@@ -31,6 +31,13 @@ from test_semantics import unique_cell_centers
 
 
 SENSOR = SensorModel()
+
+
+def interpolate_at(theta, H, times, scale=2.0):
+    """Reference: control points ``(H_c, dim)`` kernel-interpolated at
+    arbitrary times of a horizon ``H``."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return interpolation_weights(np.asarray(times, dtype=np.float64), H, theta.shape[0], scale) @ theta
 
 
 def make_context(particle_poses, shape=None, bounds=((0.0, 0.6), (-0.3, 0.3), (0, 0)), res=0.01, with_table=False):
@@ -476,6 +483,17 @@ class TestBatchedSweepCost:
                 ctx.weighted_normals(np.array([far]) * q)
 
 
+def direct_correlation(info, reach, k):
+    """Reference: sum over nodes m of reach[m + k] * info[m], for an
+    integer node shift ``k``, node by node."""
+    total = 0.0
+    for m in np.ndindex(info.shape):
+        j = tuple(a + b for a, b in zip(m, k))
+        if all(0 <= x < n for x, n in zip(j, info.shape)):
+            total += reach[j] * info[m]
+    return total
+
+
 class TestReachCost:
     def small_fields(self):
         info = np.zeros((21, 21, 1))
@@ -551,6 +569,45 @@ class TestReachCost:
             direct = reach_cost(disp, ws, f_info, f_reach)
             fast = float(table.reach_cost_batch(disp[None])[0])
             assert fast == pytest.approx(direct, abs=1e-9)
+
+
+    RES = 0.01
+
+    def table_fields(self, rng, dims):
+        ws = Workspace(bounds=tuple((0.0, self.RES * (n - 1)) for n in dims), resolution=self.RES)
+        assert ws.counts == dims
+        info = rng.uniform(0.1, 1.0, dims)
+        reach = rng.uniform(0.1, 1.0, dims)
+        table = ReachTable(ws.make_field(info.ravel()), ws.make_field(reach.ravel()))
+        return info, reach, table
+
+    @pytest.mark.parametrize("dims", [(5, 4, 1), (4, 3, 3)], ids=["planar", "z-layers"])
+    def test_lattice_shifts_equal_direct_correlation(self, rng, dims):
+        info, reach, table = self.table_fields(rng, dims)
+        ks = list(np.ndindex(*(2 * n - 1 for n in dims)))
+        ks = [tuple(k - (n - 1) for k, n in zip(kk, dims)) for kk in ks]
+        got = table.reachable_info(np.array(ks, dtype=np.float64) * self.RES)
+        want = np.array([direct_correlation(info, reach, k) for k in ks])
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_table_edges_and_beyond(self, rng):
+        """Shifts of exactly +-(n-1) nodes read the corner products; a
+        shift just beyond the table on any axis reads 0."""
+        dims = (5, 4, 1)
+        info, reach, table = self.table_fields(rng, dims)
+        edge = np.array([n - 1 for n in dims], dtype=np.float64) * self.RES
+        for sx in (-1, 1):
+            for sy in (-1, 1):
+                k = (sx * (dims[0] - 1), sy * (dims[1] - 1), 0)
+                at = np.array([sx, sy, 0.0]) * edge
+                assert table.reachable_info(at[None])[0] == pytest.approx(direct_correlation(info, reach, k), rel=1e-12)
+                assert table.reachable_info(at[None])[0] > 0.0
+                for ax in (0, 1):
+                    beyond = at.copy()
+                    beyond[ax] += (sx, sy)[ax] * 1e-6 * self.RES
+                    assert table.reachable_info(beyond[None])[0] == 0.0
+        far = np.array([[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.01]])
+        npt.assert_array_equal(table.reachable_info(far), 0.0)
 
 
 class TestTotalCost:

@@ -104,3 +104,34 @@ class TestPairedBench:
             load("paired_bench").main(["--workload", "mug-mpc", "--base", str(tmp_path / "nowhere"), "--pairs", "3"])
         assert exc.value.code == 2
         assert "loopbench/run.py" in capsys.readouterr().err
+
+
+class TestCheckTestOnly:
+    def tree(self, tmp_path, package, scripts=""):
+        for top in ("src/rummage", "scripts", "loopbench", "tests"):
+            (tmp_path / top).mkdir(parents=True)
+        (tmp_path / "src/rummage/core.py").write_text(package)
+        (tmp_path / "scripts/use.py").write_text(scripts)
+        (tmp_path / "tests/test_core.py").write_text("from rummage.core import helper, Thing\nhelper(); Thing().step()\n")
+        return tmp_path
+
+    def test_repository_has_no_test_only_code(self, capsys):
+        assert load("check_test_only").main() == 0
+        assert capsys.readouterr().out == ""
+
+    def test_reports_what_only_tests_name(self, tmp_path):
+        package = (
+            "class Thing:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def step(self):\n        return 1\n"
+            "    def looked_up(self):\n        return 2\n"
+            "def helper():\n    return Thing()\n"
+        )
+        root = self.tree(tmp_path, package, "import core\ngetattr(core.Thing(), 'looked_up')\n")
+        # Thing is named by the script, looked_up by its string lookup
+        assert load("check_test_only").unused(root) == ["src/rummage/core.py:4: step", "src/rummage/core.py:8: helper"]
+
+    def test_any_use_outside_tests_counts(self, tmp_path):
+        package = "def helper():\n    return 1\nclass Thing:\n    def step(self):\n        return helper()\n"
+        root = self.tree(tmp_path, package, "from rummage.core import Thing\nThing().step()\n")
+        assert load("check_test_only").unused(root) == []

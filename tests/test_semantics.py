@@ -17,9 +17,15 @@ from rummage.semantics import (
     _downsample_positions,
     grid_cells,
     merge_observations,
-    sensor_probabilities,
     voxel_downsample,
 )
+
+
+def sensor_probabilities(model, v):
+    """Reference: the model's class probabilities at one signed distance,
+    as Python floats."""
+    pf, po, ps = model.probabilities(np.float64(v))
+    return float(pf), float(po), float(ps)
 
 
 class TestSensorModel:
