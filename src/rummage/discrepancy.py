@@ -43,9 +43,9 @@ from .geometry import (
     orthonormalize,
     pairs_within,
     pose_groups,
+    rigid_transform,
     rotation_about_axis,
     support_radius,
-    transform_pairs,
 )
 from .semantics import SemanticCloud, Semantics
 
@@ -120,7 +120,7 @@ class _CloudKernel:
         ii, pp = self._live(rotations, translations)
         for lo, hi, start, end in pose_groups(ii, len(rotations)):
             i, p = ii[start:end], pp[start:end]
-            x_obj = transform_pairs(rotations, translations, i, self.points[p])
+            x_obj = rigid_transform(rotations, translations, self.points[p], i)
             labels = self.labels[p]
             v = self.shape.sdf(x_obj)
             yield lo, hi, i - lo, x_obj, labels, v, _costs(self.params, v, labels)

@@ -159,7 +159,12 @@ def write_metrics_csv(metrics: Metrics, path) -> None:
 
 
 def read_metrics_csv(path) -> list[dict]:
+    """Step records written by :func:`write_metrics_csv`."""
     with open(path) as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in METRICS_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"metrics CSV {path} has no column {', '.join(map(repr, missing))}")
         return [
             {
                 "step": int(r["step"]),
@@ -169,7 +174,7 @@ def read_metrics_csv(path) -> list[dict]:
                 "action": (float(r["ax"]), float(r["ay"]), float(r["ayaw"])),
                 "reach_true": float(r["reach_true"]),
             }
-            for r in csv.DictReader(fh)
+            for r in reader
         ]
 
 

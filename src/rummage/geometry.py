@@ -5,6 +5,12 @@ Conventions used throughout the package:
 - A :class:`Pose` maps world coordinates into the object frame,
   ``x_obj = R @ x_world + t``.  The inverse maps object points back to
   the world.
+- Every pose-by-point map goes through :func:`rigid_transform`, for one
+  pose or a stack of them, with one rule: each coordinate is summed left
+  to right, a term whose coefficient is exactly 0 for every pose is
+  skipped and a factor of exactly 1 for every pose is not multiplied.
+  That changes at most the sign of a zero coordinate, which no ``sdf``
+  reads.
 - Signed distances are negative strictly inside a shape, positive
   strictly outside, zero on the surface, in meters.
 - Unions take the min of child distances.  Off the surface this is only
@@ -101,6 +107,69 @@ def quaternion_from_matrix(R: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
+def rigid_transform(rotations, translations, points, pose_idx=None) -> np.ndarray:
+    """``R x + t``: points mapped by one pose or by a stack of poses.
+
+    - One pose ``(3, 3), (3,)`` on points ``(..., 3)``, or on a point ``(3,)``.
+    - A stack ``(N, 3, 3), (N, 3)`` on points ``(M, 3)`` shared by every
+      pose, or ``(N, M, 3)`` one set per pose: ``(N, M, 3)``.
+    - A stack and ``pose_idx`` ``(K,)``: points ``(K, 3)``, each mapped by
+      its own pose.
+
+    ``translations=None`` applies the rotation only.  Each output
+    coordinate is ``R[i,0]*x + R[i,1]*y + R[i,2]*z + t[i]`` summed left to
+    right, into an ``(..., 3)`` view of a ``(3, ...)`` buffer: each output
+    coordinate is contiguous, which is what the shapes' ``sdf`` reads.
+    One skip rule, decided on the poses and never per point: a term whose
+    coefficient is exactly 0 for every pose is skipped, and a factor of
+    exactly 1 for every pose is not multiplied, so a planar pose costs 4
+    products.  For finite points this changes only the sign of a zero
+    coordinate (``a + 0*y`` is ``a`` unless ``a`` is a zero), which no
+    ``sdf`` reads (they use ``abs``, squares and ``>= 0`` tests); a
+    ``gradient`` at most passes it on as the sign of a zero component.
+    """
+    R = np.asarray(rotations, dtype=np.float64)
+    p = np.asarray(points, dtype=np.float64)
+    single = p.ndim == 1
+    p = p[None] if single else p
+    if R.ndim == 2:  # one pose: each coefficient is its own bounds
+        lo = hi = R.tolist()
+        t_lo = t_hi = [0.0] * 3 if translations is None else np.asarray(translations, dtype=np.float64).tolist()
+        shape, coef, shift = p.shape[:-1], lambda i, k: lo[i][k], lambda i: t_lo[i]
+    else:  # a stack: each coefficient's bounds over its poses
+        t = np.zeros((len(R), 3)) if translations is None else translations
+        lo, hi = R.min(axis=0).tolist(), R.max(axis=0).tolist()
+        t_lo, t_hi = t.min(axis=0).tolist(), t.max(axis=0).tolist()
+        if pose_idx is None:
+            shape, coef, shift = (len(R),) + p.shape[-2:-1], lambda i, k: R[:, i, k, None], lambda i: t[:, i, None]
+        else:
+            shape, coef, shift = p.shape[:-1], lambda i, k: R[pose_idx, i, k], lambda i: t[pose_idx, i]
+    buf = np.empty((3,) + shape, dtype=np.float64)
+    term = None  # scratch for products after the first
+    for i, acc in enumerate(buf):
+        started = False
+        for k, (a, b) in enumerate(zip(lo[i], hi[i])):
+            if a == b == 0.0:
+                continue
+            if a == b == 1.0:  # the coordinate is added as it is
+                if started:
+                    acc += p[..., k]
+                else:
+                    np.copyto(acc, p[..., k])
+            elif started:
+                term = np.multiply(p[..., k], coef(i, k), out=term)
+                acc += term
+            else:
+                np.multiply(p[..., k], coef(i, k), out=acc)
+            started = True
+        if not started:
+            acc.fill(0.0)
+        if not t_lo[i] == t_hi[i] == 0.0:
+            acc += shift(i)
+    out = buf.transpose(*range(1, buf.ndim), 0)
+    return out[..., 0, :] if single else out
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid world-to-object transform: ``x_obj = rotation @ x_world + translation``."""
@@ -136,54 +205,8 @@ class Pose:
         return Pose(Rt, -Rt @ self.translation)
 
     def transform(self, points):
-        """Apply the map to one point ``(3,)`` or a batch ``(..., 3)``.
-
-        Each output coordinate is ``R[i,0]*x + R[i,1]*y + R[i,2]*z + t[i]``
-        summed left to right, written component-wise so that batched
-        evaluation is bit-identical to single-point evaluation.  The result
-        is an ``(..., 3)`` view of a ``(3, ...)`` buffer: each output
-        coordinate is contiguous, which is what the shapes' ``sdf`` reads.
-
-        Terms whose coefficient is exactly 0 are skipped, and a factor of
-        exactly 1 is not multiplied, so a planar pose costs 4 products and
-        a translation costs 3 sums.  The remaining terms keep their order.
-        For finite points this changes only the sign of a zero coordinate
-        (``a + 0*y`` is ``a`` unless ``a`` is a zero), which no ``sdf`` in
-        this module reads (they use ``abs``, squares and ``>= 0`` tests); a
-        ``gradient`` at most passes it on as the sign of a zero component.
-        """
-        p, single = _as_points(points)
-        buf = np.empty((3,) + p.shape[:-1], dtype=np.float64)
-        term = None  # scratch for products after the first
-        for acc, row, t in zip(buf, self.rotation.tolist(), self.translation.tolist()):
-            terms = [(c, p[..., k]) for k, c in enumerate(row) if c != 0.0]
-            if not terms:
-                acc.fill(0.0)
-            for j, (c, x) in enumerate(terms):
-                if j == 0 and c == 1.0:
-                    np.copyto(acc, x)
-                elif j == 0:
-                    np.multiply(x, c, out=acc)
-                elif c == 1.0:
-                    acc += x
-                else:
-                    term = np.multiply(x, c, out=term)
-                    acc += term
-            if t != 0.0:
-                acc += t
-        out = buf.transpose(*range(1, buf.ndim), 0)
-        return out[0] if single else out
-
-    def rotate(self, vectors):
-        """Apply only the rotation part (for directions)."""
-        p, single = _as_points(vectors)
-        R = self.rotation
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        out = np.empty(p.shape, dtype=np.float64)
-        out[..., 0] = R[0, 0] * x + R[0, 1] * y + R[0, 2] * z
-        out[..., 1] = R[1, 0] * x + R[1, 1] * y + R[1, 2] * z
-        out[..., 2] = R[2, 0] * x + R[2, 1] * y + R[2, 2] * z
-        return out[0] if single else out
+        """Apply the map to one point ``(3,)`` or a batch ``(..., 3)``: :func:`rigid_transform`."""
+        return rigid_transform(self.rotation, self.translation, points)
 
     def object_center_world(self) -> np.ndarray:
         """World position of the object-frame origin."""
@@ -283,39 +306,12 @@ def compose_poses(R1: np.ndarray, t1: np.ndarray, R2: np.ndarray, t2: np.ndarray
     return R1 @ R2, np.matmul(R1, t2[..., None])[..., 0] + t1
 
 
-def transform_stack(rotations: np.ndarray, translations: np.ndarray | None, points: np.ndarray) -> np.ndarray:
-    """Points mapped by every pose of a stack: (N, M, 3) from points (M, 3)
-    shared by all poses or (N, M, 3), one set per pose; the nine-term
-    formula of :func:`transform_pairs`, rotation only without translations."""
-    out = np.empty(np.broadcast_shapes((len(rotations), 1, 3), points.shape))
-    for i in range(3):
-        r = rotations[:, i, :, None]
-        out[..., i] = r[:, 0] * points[..., 0] + r[:, 1] * points[..., 1] + r[:, 2] * points[..., 2]
-        if translations is not None:
-            out[..., i] += translations[:, i, None]
-    return out
-
-
 def world_gradients(shape, rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
     """World-frame distance gradients (N, M, 3) of ``shape`` placed by each
-    pose of a stack, at world ``points`` (M, 3): ``R^T grad(R x + t)``, the
-    terms of each coordinate summed as :meth:`Pose.rotate` of the inverse
-    pose sums them."""
-    obj = transform_stack(rotations, translations, points)
+    pose of a stack, at world ``points`` (M, 3): ``R^T grad(R x + t)``."""
+    obj = rigid_transform(rotations, translations, points)
     g = shape.gradient(obj.reshape(-1, 3)).reshape(obj.shape)
-    return transform_stack(rotations.transpose(0, 2, 1), None, g)
-
-
-def transform_pairs(rotations: np.ndarray, translations: np.ndarray, pose_idx: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``points[k]`` mapped by pose ``pose_idx[k]`` with the full nine-term
-    formula: the values :meth:`Pose.transform` of that pose gives (which
-    skips zero terms, so a zero coordinate may differ in sign)."""
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    out = np.empty((len(pose_idx), 3), dtype=np.float64)
-    for i in range(3):
-        r = rotations[pose_idx, i]
-        out[:, i] = r[:, 0] * x + r[:, 1] * y + r[:, 2] * z + translations[pose_idx, i]
-    return out
+    return rigid_transform(rotations.transpose(0, 2, 1), None, g)
 
 
 def object_origins(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
@@ -751,7 +747,7 @@ class Transformed(Shape):
     def gradient(self, points):
         p, single = self._pts(points)
         g = self.child.gradient(self.pose.transform(p))
-        return self._retg(self.pose.inverse().rotate(g), single)
+        return self._retg(rigid_transform(self.pose.rotation.T, None, g), single)
 
     def bounding_box(self):
         lo, hi = self.child.bounding_box()

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import DiscrepancyParams
-from .geometry import ParticleSet, ScalarField, Shape, Workspace, blockwise
-from .semantics import SensorModel
+from .discrepancy import DiscrepancyParams, _class_costs
+from .geometry import ParticleSet, ScalarField, Shape, Workspace, blockwise, rigid_transform
+from .semantics import Semantics, SensorModel
 
 
 @dataclass
@@ -131,21 +131,19 @@ def _accumulate(particles: ParticleSet, shape: Shape, points: np.ndarray, sensor
     the distinct-pose index (not gathered when every pose is distinct), so
     it reads the operands of evaluating each particle on its own."""
     w = particles.weights
-    first = particles.first
-    v = np.empty((len(first), len(points)))
+    R, t = particles.distinct()
+    v = np.empty((len(R), len(points)))
     f, o, s = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-    for k, T in enumerate(map(particles.pose, first)):
-        v[k] = blockwise(lambda x: shape.sdf(T.transform(x)), points)
+    for k in range(len(R)):
+        v[k] = blockwise(lambda x: shape.sdf(rigid_transform(R[k], t[k], x)), points)
         f[k], o[k], s[k] = sensor.probabilities(v[k])
 
     def wsum(a):
-        return w @ (a if len(first) == len(w) else a[particles.inverse])
+        return w @ (a if len(R) == len(w) else a[particles.inverse])
 
     pf, po, ps = wsum(f), wsum(o), wsum(s)
     del f, o, s  # freed before the cost temporaries, which set no new peak
-    ec_free = wsum(disc.sigma_f * np.maximum(0.0, disc.epsilon - v))
-    ec_occ = wsum(disc.sigma_f * np.maximum(0.0, disc.epsilon + v))
-    ec_surf = wsum(np.abs(v))
+    ec_free, ec_occ, ec_surf = (wsum(_class_costs(disc, v, int(sem))) for sem in Semantics)
     return pf, po, ps, ec_free, ec_occ, ec_surf
 
 

@@ -522,10 +522,10 @@ class Planner:
     iterations without executing.
     """
 
-    def __init__(self, params: PlannerParams, robot: PaddleRobot, action_dim: int = 3):
+    def __init__(self, params: PlannerParams, robot: PaddleRobot):
         self.params = params
         self.robot = robot
-        self.theta = np.zeros((params.control_points, action_dim))
+        self.theta = np.zeros((params.control_points, 3))  # (x, y, yaw), as ActionScale reads it
         self._queue: list[np.ndarray] = []
         self._executed_since_plan = 0
         self._planned_once = False

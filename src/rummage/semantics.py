@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ParticleSet, Pose, Shape, object_origins, pairs_within, pose_groups, support_radius, transform_pairs
+from .geometry import ParticleSet, Pose, Shape, object_origins, pairs_within, pose_groups, rigid_transform, support_radius
 
 
 class Semantics(enum.IntEnum):
@@ -188,8 +188,8 @@ def merge_observations(
     union with the new observations is voxel downsampled per class
     (``r_free`` for free space, ``r_surf`` for surface and occupied).
     """
-    moved_occ = dT_w.transform(prev.occupied) if len(prev.occupied) else prev.occupied
-    moved_surf = dT_w.transform(prev.surface) if len(prev.surface) else prev.surface
+    moved_occ = dT_w.transform(prev.occupied)
+    moved_surf = dT_w.transform(prev.surface)
 
     # whether every pose places a point outside needs each distinct pose once
     R, t = particles.distinct()
@@ -203,7 +203,7 @@ def merge_observations(
         ii, pp = pairs_within(pts, origins, radius)
         for _, _, start, end in pose_groups(ii, len(R)):
             p = pp[start:end]
-            outside = shape.sdf(transform_pairs(R, t, ii[start:end], pts[p])) > 0.0
+            outside = shape.sdf(rigid_transform(R, t, pts[p], ii[start:end])) > 0.0
             keep[p[~outside]] = False
         return pts[keep]
 

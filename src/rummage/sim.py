@@ -34,8 +34,9 @@ from .geometry import (
     Workspace,
     blockwise,
     mug_shape,
+    object_origins,
+    rigid_transform,
     rotation_z,
-    transform_stack,
     translated,
     world_gradients,
 )
@@ -332,7 +333,7 @@ def world_step(
             x = pts[i]
             motion = pts[i] - pts_prev[i]
             m_norm = float(np.linalg.norm(motion))
-            n = T.inverse().rotate(world.shape.gradient(T.transform(x)))
+            n = rigid_transform(T.rotation.T, None, world.shape.gradient(T.transform(x)))
             n_norm = float(np.linalg.norm(n))
             if m_norm < 1e-12 or n_norm < 1e-12:
                 blocked = True
@@ -420,7 +421,7 @@ def nll(
     pose, all in one batch; the weighted sum still adds every particle's,
     in particle order."""
     world_pts = true_pose.inverse().transform(surface_samples)
-    obj = transform_stack(*particles.distinct(), world_pts).reshape(-1, 3)
+    obj = rigid_transform(*particles.distinct(), world_pts).reshape(-1, 3)
     surf = sensor.probabilities(blockwise(shape.sdf, obj))[2].reshape(len(particles.first), -1)
     acc = _running_sum(particles.weights[:, None] * surf[particles.inverse])
     return float(-np.sum(np.log(np.maximum(acc, 1e-12))))
@@ -445,15 +446,13 @@ def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.n
     adds the values of the scalar loop in its order."""
     n = len(particles)
     p_count = len(surface_samples)
-    poses = [particles.pose(i) for i in particles.first]
+    R, t = particles.distinct()
     inverse = particles.inverse
-    repeated = len(poses) < n
-    # column-major, as Pose.transform returns: every block of rows reads
-    # contiguous coordinates
-    flat = np.empty((3, len(poses) * p_count))
-    for k, T in enumerate(poses):
-        flat[:, k * p_count:(k + 1) * p_count] = T.inverse().transform(surface_samples).T
-    flat = flat.T
+    repeated = len(R) < n
+    # every distinct pose's samples in the world, by the inverse poses
+    # (R^T, -R^T t): (3, distinct * P) in memory, so every block of rows
+    # reads contiguous coordinates
+    flat = rigid_transform(R.transpose(0, 2, 1), object_origins(R, t), surface_samples).reshape(-1, 3)
     last = {k: j for j, k in enumerate(inverse.tolist())}
     kept: dict[int, np.ndarray] = {}
     # one particle's row at a time: adding the running total to the row's
@@ -462,13 +461,12 @@ def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.n
     for j, k in enumerate(inverse.tolist()):
         row = kept.pop(k, None)
         if row is None:
-            T = poses[k]
-            row = blockwise(lambda x: shape.sdf(T.transform(x)), flat)
+            row = blockwise(lambda x: shape.sdf(rigid_transform(R[k], t[k], x)), flat)
             np.abs(row, out=row)
         if repeated:
             if last[k] > j:
                 kept[k] = row
-            row = row.reshape(len(poses), p_count)[inverse].ravel()
+            row = row.reshape(len(R), p_count)[inverse].ravel()
         row[0] += total
         total = float(np.cumsum(row)[-1])
     return total / (n * n * p_count)

@@ -360,6 +360,18 @@ class TestCorrelateCommand:
         assert "undefined" in capsys.readouterr().out
         assert "undefined" in (tmp_path / "rep.csv").read_text()
 
+    def test_missing_columns_named(self, tmp_path, capsys):
+        """A CSV without the metrics columns (here a field CSV) is a config
+        error naming the file and every missing column."""
+        p = tmp_path / "field.csv"
+        p.write_text("x,y,z,value\n0.0,0.0,0.0,1.0\n")
+        rc = main(["correlate", "--inputs", str(p)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(p) in err
+        for col in ("step", "nll", "chamfer", "contact", "ax", "ay", "ayaw", "reach_true"):
+            assert repr(col) in err
+
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):

@@ -199,7 +199,8 @@ class TestKernelsMatchPerParticleLoops:
         for cp in ([0.50, 0.01, 0.0], [0.41, -0.05, 0.01]):
             normal = np.zeros(3)
             for T, w in zip(particles.poses, particles.weights):
-                normal += w * T.inverse().rotate(shape.gradient(T.transform(np.asarray(cp))))
+                g = shape.gradient(nine_term(T, np.asarray([cp])))
+                normal += w * nine_term(Pose(T.rotation.T, np.zeros(3)), g)[0]
             n2 = normal[:2]
             tangent = np.array([-n2[1], n2[0]]) * -1.0 / float(np.linalg.norm(n2))
             want = np.array([tangent[0] * 0.5, tangent[1] * 0.5, 0.0])

@@ -410,18 +410,6 @@ class TestSupportRadius:
 
 
 class TestManyPoses:
-    def test_transform_pairs_bit_identical(self, rng):
-        from rummage.geometry import transform_pairs
-
-        poses = [random_pose(rng) for _ in range(7)] + [Pose.from_placement((0.3, 0.1, 0.0), 0.7)]
-        pts = rng.uniform(-0.5, 0.5, (40, 3))
-        ii = rng.integers(0, len(poses), 300)
-        pp = rng.integers(0, len(pts), 300)
-        R, t = np.stack([T.rotation for T in poses]), np.stack([T.translation for T in poses])
-        got = transform_pairs(R, t, ii, pts[pp])
-        for k in range(300):
-            npt.assert_array_equal(got[k], poses[ii[k]].transform(pts[pp[k]]))
-
     def test_pairs_within_matches_brute_force(self, rng, monkeypatch):
         from rummage import geometry
         from rummage.geometry import object_origins, pairs_within
@@ -464,10 +452,16 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-def _nine_term(T: Pose, p: np.ndarray) -> np.ndarray:
-    R, t = T.rotation, T.translation
+def _nine_term(R: np.ndarray, t: np.ndarray | None, p: np.ndarray) -> np.ndarray:
+    """``R x + t`` with all nine products, each coordinate summed left to
+    right; ``R`` (..., 3, 3) and ``t`` (..., 3) broadcast against the points
+    ``p`` (..., 3), ``t=None`` adds nothing."""
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    return np.stack([R[i, 0] * x + R[i, 1] * y + R[i, 2] * z + t[i] for i in range(3)], axis=-1)
+    rows = []
+    for i in range(3):
+        v = R[..., i, 0] * x + R[..., i, 1] * y + R[..., i, 2] * z
+        rows.append(v if t is None else v + t[..., i])
+    return np.stack(rows, axis=-1)
 
 
 class TestPoseTransformKernel:
@@ -488,7 +482,7 @@ class TestPoseTransformKernel:
         pts = rng.uniform(-0.5, 0.5, (4, 37, 3))
         pts[0, :5] = 0.0
         got = T.transform(pts)
-        npt.assert_array_equal(got, _nine_term(T, pts))
+        npt.assert_array_equal(got, _nine_term(T.rotation, T.translation, pts))
         assert got.shape == pts.shape
         assert np.moveaxis(got, -1, 0).flags.c_contiguous
 
@@ -510,6 +504,168 @@ class TestPoseTransformKernel:
         T = self.POSES["planar"]
         pts = rng.uniform(-0.5, 0.5, (20, 3))
         assert _bits(T.transform(pts)[:, 2]) == _bits(pts[:, 2])
+
+
+def _stack(poses):
+    return np.stack([T.rotation for T in poses]), np.stack([T.translation for T in poses])
+
+
+def _coordinate_contiguous(a) -> bool:
+    return np.moveaxis(a, -1, 0).flags.c_contiguous
+
+
+def _count_products(monkeypatch) -> list:
+    """Calls of ``np.multiply`` from now to the end of the test."""
+    calls = []
+    multiply = np.multiply
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return multiply(*args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", counting)
+    return calls
+
+
+_KERNEL_POSES = TestPoseTransformKernel.POSES
+# each stack's poses; "mixed" has coefficients that are 0 or 1 for some
+# poses only, so no term of a rotation may be skipped for the whole stack
+STACKS = {
+    "planar": [Pose.from_placement((0.4, -0.2, 0.0), a) for a in (0.7, -2.1, 0.0, 3.0)],
+    "mixed": [_KERNEL_POSES[k] for k in ("planar", "general", "identity", "near-planar", "translation")],
+    "translations": [Pose(np.eye(3), np.array(t)) for t in ((-0.06, 0.0, 0.0), (0.0, 0.0, 0.0), (0.02, 0.0, 0.0))],
+    "identity": [Pose.identity()] * 3,
+}
+
+
+class TestRigidTransform:
+    """The one pose-by-point kernel in each of its uses, against the
+    nine-term formula: equal values (up to the sign of a zero), each output
+    coordinate contiguous, and the skip rule decided on the whole stack."""
+
+    @staticmethod
+    def _points(rng, shape):
+        pts = rng.uniform(-0.5, 0.5, shape)
+        pts.reshape(-1, 3)[:5] = 0.0
+        pts.reshape(-1, 3)[5:9, 2] = -0.0
+        return pts
+
+    @pytest.mark.parametrize("name", list(STACKS))
+    @pytest.mark.parametrize("translate", [True, False])
+    @pytest.mark.parametrize("per_pose", [False, True], ids=["shared", "per-pose"])
+    def test_stack(self, rng, name, translate, per_pose):
+        """Every pose on the shared points ``(M, 3)``, or each on its own
+        set ``(N, M, 3)``."""
+        R, t = _stack(STACKS[name])
+        t = t if translate else None
+        pts = self._points(rng, (len(R), 23, 3) if per_pose else (23, 3))
+        got = geometry.rigid_transform(R, t, pts)
+        assert got.shape == (len(R), 23, 3) and _coordinate_contiguous(got)
+        npt.assert_array_equal(got, _nine_term(R[:, None], None if t is None else t[:, None], pts))
+
+    @pytest.mark.parametrize("name", list(STACKS))
+    def test_pairs(self, rng, name):
+        """Each point mapped by its own pose of the stack, as that pose maps
+        it alone: values up to the sign of a zero."""
+        poses = STACKS[name]
+        R, t = _stack(poses)
+        pts = self._points(rng, (300, 3))
+        idx = rng.integers(0, len(R), 300)
+        got = geometry.rigid_transform(R, t, pts, idx)
+        assert got.shape == (300, 3) and _coordinate_contiguous(got)
+        npt.assert_array_equal(got, _nine_term(R[idx], t[idx], pts))
+        for k in range(0, 300, 7):
+            npt.assert_array_equal(got[k], poses[idx[k]].transform(pts[k]))
+
+    def test_one_pose_rotation_only(self, rng):
+        T = _KERNEL_POSES["general"]
+        pts = self._points(rng, (4, 9, 3))
+        got = geometry.rigid_transform(T.rotation, None, pts)
+        assert got.shape == pts.shape and _coordinate_contiguous(got)
+        npt.assert_array_equal(got, _nine_term(T.rotation, None, pts))
+
+    @pytest.mark.parametrize(
+        "name, products",
+        [("planar", 4), ("mixed", 9), ("translations", 0), ("identity", 0)],
+    )
+    def test_skip_rule_decided_on_the_stack(self, rng, monkeypatch, name, products):
+        """A term is skipped, or a factor not multiplied, only when its
+        coefficient is 0, or 1, for every pose of the stack: a planar stack
+        costs 4 products in every use and its z row is z itself."""
+        R, t = _stack(STACKS[name])
+        pts = self._points(rng, (17, 3))
+        idx = rng.integers(0, len(R), 17)
+        calls = _count_products(monkeypatch)
+        uses = [
+            geometry.rigid_transform(R, t, pts),
+            geometry.rigid_transform(R, t, np.broadcast_to(pts, (len(R), 17, 3))),
+            geometry.rigid_transform(R, t, pts, idx),
+        ]
+        assert len(calls) == 3 * products
+        if name == "planar":
+            for got in uses:
+                assert _bits(got[..., 2]) == _bits(np.broadcast_to(pts[:, 2], got.shape[:-1]))
+
+    def test_one_pose_products(self, rng, monkeypatch):
+        pts = self._points(rng, (11, 3))
+        calls = _count_products(monkeypatch)
+        for name, products in (("planar", 4), ("general", 9), ("translation", 0), ("identity", 0)):
+            del calls[:]
+            _KERNEL_POSES[name].transform(pts)
+            assert len(calls) == products, name
+
+    def test_single_point(self, rng):
+        R, t = _stack(STACKS["mixed"])
+        x = rng.uniform(-0.5, 0.5, 3)
+        one = geometry.rigid_transform(R[1], t[1], x)
+        assert one.shape == (3,)
+        assert _bits(one) == _bits(geometry.rigid_transform(R[1], t[1], x[None])[0])
+        many = geometry.rigid_transform(R, t, x)
+        assert many.shape == (len(R), 3)
+        assert _bits(many) == _bits(geometry.rigid_transform(R, t, x[None])[:, 0])
+
+    def test_empty_point_sets(self):
+        R, t = _stack(STACKS["mixed"])
+        n = len(R)
+        none = np.zeros((0, 3))
+        assert geometry.rigid_transform(R[0], t[0], none).shape == (0, 3)
+        assert geometry.rigid_transform(R, t, none).shape == (n, 0, 3)
+        assert geometry.rigid_transform(R, None, np.zeros((n, 0, 3))).shape == (n, 0, 3)
+        assert geometry.rigid_transform(R, t, none, np.zeros(0, dtype=np.intp)).shape == (0, 3)
+
+
+# every shape type a scenario can name, as shape_from_config builds it
+SCENARIO_SHAPES = {
+    "mug": {"type": "mug"},
+    "sphere": {"type": "sphere", "radius": 0.05},
+    "box": {"type": "box", "half_extents": [0.03, 0.02, 0.025]},
+    "cylinder": {"type": "cylinder", "radius": 0.04, "half_height": 0.03},
+    "annulus": {"type": "annulus", "outer_radius": 0.05, "inner_radius": 0.042, "half_height": 0.04},
+    "union": {"type": "union", "children": [{"type": "sphere", "radius": 0.02},
+                                            {"type": "box", "half_extents": [0.01, 0.03, 0.02]}]},
+    "translated": {"type": "translated", "offset": [0.0, 0.03, 0.0],
+                   "child": {"type": "cylinder", "radius": 0.02, "half_height": 0.01}},
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIO_SHAPES))
+def test_shapes_ignore_the_sign_of_zero(rng, name):
+    """What the transform's skip rule rests on: negating the zero
+    coordinates of points leaves every shape's sdf bit for bit, and its
+    gradient up to the sign of a zero component."""
+    from rummage.sim import shape_from_config
+
+    shape = shape_from_config(SCENARIO_SHAPES[name])
+    p = rng.uniform(-0.08, 0.08, (600, 3))
+    zero = rng.random(p.shape) < 0.4
+    zero[:8] = True  # the origin, where gradients are degenerate
+    p[zero] = 0.0
+    q = p.copy()
+    q[zero] = -0.0
+    assert _bits(shape.sdf(p)) == _bits(shape.sdf(q))
+    npt.assert_array_equal(shape.gradient(p), shape.gradient(q))
+    for i in range(8, 40):
+        assert _bits(shape.sdf(p[i])) == _bits(shape.sdf(q[i]))
 
 
 class TestInPlaceShapes:
