@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Alternating paired benchmark runs of this checkout against another.
 
-Runs ``loopbench/run.py`` untraced on seed ``SEED``, once in each checkout per
-pair, the side that goes first alternating from pair to pair, so the
-base's quartiles measure its run-to-run spread.  Then prints, for every
-end-to-end metric of ``BENCHMARK.json``, how many pairs this checkout won
-(ties count for neither side), each side's median, the base's
-interquartile range and whether the speed-claim rule holds: at least 10
-pairs, at least nine tenths of them won, and the medians further apart, in
-the better direction, than the base's quartiles:
+Runs ``loopbench/run.py`` untraced on one seed (``--seed``, 0 by default),
+once in each checkout per pair, the side that goes first alternating from
+pair to pair, so the base's quartiles measure its run-to-run spread.  Then
+prints, for every end-to-end metric of ``BENCHMARK.json``, how many pairs
+this checkout won (ties count for neither side), each side's median, the
+base's interquartile range and whether the speed-claim rule holds: at
+least 10 pairs, at least nine tenths of them won, and the medians further
+apart, in the better direction, than the base's quartiles:
 
-    python scripts/paired_bench.py --workload mug-mpc --base ../parent --pairs 10
+    python scripts/paired_bench.py --workload mug-mpc --base ../parent --pairs 10 --seed 1
 
 Exits 2 on bad arguments, 1 when a run fails or reports incorrect
 outputs, and 0 otherwise (whether or not a claim holds).
@@ -28,15 +28,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 0
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
 
-def run_once(tree: Path, workload: str, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced loopbench run in ``tree``: its JSON result line."""
     proc = subprocess.run(
-        [sys.executable, "loopbench/run.py", "--workload", workload, "--seed", str(SEED), "--seconds", str(seconds)],
+        [sys.executable, "loopbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
@@ -81,11 +80,17 @@ def table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not at least 1")
-    return value
+def at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is not at least {low}")
+        return value
+
+    parse.__name__ = "integer"  # argparse's name for a value int() rejects
+    return parse
 
 
 def main(argv=None) -> int:
@@ -95,7 +100,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
-    ap.add_argument("--pairs", type=positive, required=True, help="alternating pairs to run (at least 1)")
+    ap.add_argument("--pairs", type=at_least(1), required=True, help="alternating pairs to run (at least 1)")
+    ap.add_argument("--seed", type=at_least(0), default=0, help="loopbench seed of every run (default 0)")
     args = ap.parse_args(argv)
     base = args.base.resolve()
     if not (base / "loopbench" / "run.py").is_file():
@@ -106,7 +112,7 @@ def main(argv=None) -> int:
     pairs = []
     for k in range(args.pairs):
         order = (ROOT, base) if k % 2 == 0 else (base, ROOT)
-        results = {tree: run_once(tree, args.workload, spec["run_seconds"]) for tree in order}
+        results = {tree: run_once(tree, args.workload, args.seed, spec["run_seconds"]) for tree in order}
         b, c = results[base], results[ROOT]
         if not (b["correct"] and c["correct"]):
             print(f"paired_bench: pair {k + 1}: a run failed (base correct: {b['correct']}, change correct: {c['correct']})", file=sys.stderr)
@@ -116,7 +122,7 @@ def main(argv=None) -> int:
             f"{m['name']} {b['metrics'][m['name']]['value']:.4g} -> {c['metrics'][m['name']]['value']:.4g}"
             for m in spec["end_to_end"]
         ), flush=True)
-    print(f"{args.workload} seed {SEED}: {len(pairs)} pairs, {ROOT} against {base}")
+    print(f"{args.workload} seed {args.seed}: {len(pairs)} pairs, {ROOT} against {base}")
     print(table(summarize(spec["end_to_end"], pairs)))
     return 0
 

@@ -159,20 +159,33 @@ def write_metrics_csv(metrics: Metrics, path) -> None:
 
 
 def read_metrics_csv(path) -> list[dict]:
-    """Step records written by :func:`write_metrics_csv`."""
+    """Step records written by :func:`write_metrics_csv`.  A missing column,
+    a row without a value in a column or a value that is not a number is a
+    ``ValueError`` naming the file, and the line and column of the value."""
     with open(path) as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in METRICS_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"metrics CSV {path} has no column {', '.join(map(repr, missing))}")
+
+        def cell(row, column, kind=float):
+            value = row[column]
+            where = f"metrics CSV {path} line {reader.line_num}"
+            if value is None:
+                raise ValueError(f"{where} has no value in column {column!r}")
+            try:
+                return kind(value)
+            except ValueError:
+                raise ValueError(f"{where}, column {column!r}: {value!r} is not a number") from None
+
         return [
             {
-                "step": int(r["step"]),
-                "nll": float(r["nll"]),
-                "chamfer": float(r["chamfer"]),
-                "contact": bool(int(r["contact"])),
-                "action": (float(r["ax"]), float(r["ay"]), float(r["ayaw"])),
-                "reach_true": float(r["reach_true"]),
+                "step": cell(r, "step", int),
+                "nll": cell(r, "nll"),
+                "chamfer": cell(r, "chamfer"),
+                "contact": bool(cell(r, "contact", int)),
+                "action": (cell(r, "ax"), cell(r, "ay"), cell(r, "ayaw")),
+                "reach_true": cell(r, "reach_true"),
             }
             for r in reader
         ]

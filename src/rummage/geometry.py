@@ -294,6 +294,20 @@ class ParticleSet:
         """Rotations and translations of the distinct poses."""
         return self.rotations[self.first], self.translations[self.first]
 
+    def weighted_sum(self, rows: np.ndarray) -> np.ndarray:
+        """``sum_i weights[i] * rows[inverse[i]]`` for ``rows`` of one value
+        set per distinct pose, ``(distinct poses, ...)`` -> ``(...)``.
+
+        Each particle's product is added in particle order onto 0.0, as the
+        loop ``acc += w * row`` over the particles adds it: no BLAS call, so
+        the bits depend neither on the library nor on where a value sits in
+        the array."""
+        acc = np.zeros(rows.shape[1:])
+        term = np.empty_like(acc)
+        for w, k in zip(self.weights.tolist(), self.inverse.tolist()):
+            acc += np.multiply(rows[k], w, out=term)
+        return acc
+
     def weighted_center(self) -> np.ndarray:
         """Weighted mean of the object origins in the world."""
         return (self.weights[:, None] * object_origins(self.rotations, self.translations)).sum(axis=0)

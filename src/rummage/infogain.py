@@ -9,7 +9,12 @@ particles disagree about the signed distance score high; positions they
 agree on score near zero.
 
 Fields are evaluated at workspace grid nodes only and cached; downstream
-consumers interpolate.
+consumers interpolate.  Every sum over particles is the sequential loop
+``acc += w_i * value_i`` in particle order from 0.0, with no BLAS call
+(:meth:`~rummage.geometry.ParticleSet.weighted_sum`), and the nodes are
+taken a block of about :data:`~rummage.geometry.PAIR_BUDGET` (distinct
+pose, node) pairs at a time, so a build holds, apart from its outputs, one
+block's arrays whatever the grid size.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrepancy import DiscrepancyParams, _class_costs
-from .geometry import ParticleSet, ScalarField, Shape, Workspace, blockwise, rigid_transform
+from .geometry import PAIR_BUDGET, ParticleSet, ScalarField, Shape, Workspace, rigid_transform
 from .semantics import Semantics, SensorModel
 
 
@@ -120,31 +125,31 @@ class FreeFloor:
         return self.values[ix, iy]
 
 
-def _accumulate(particles: ParticleSet, shape: Shape, points: np.ndarray, sensor: SensorModel, disc: DiscrepancyParams):
-    """Weighted sensor probabilities and expected class costs over particles.
+def _accumulate(
+    particles: ParticleSet, shape: Shape, points: np.ndarray, sensor: SensorModel, disc: DiscrepancyParams
+) -> np.ndarray:
+    """Weighted sensor probabilities and expected class costs over particles:
+    ``(6, M)`` rows ``p_free, p_occ, p_surf`` and the expected free,
+    occupied and surface costs at the ``M`` points.
 
-    The signed distances and sensor probabilities are evaluated once per
-    distinct particle pose (:attr:`~rummage.geometry.ParticleSet.first`), one
-    pose a block of points at a time, into (distinct poses, points) arrays;
-    memory scales with the distinct poses times the points.  Every weighted
-    sum is one GEMV over all particles in order, the rows gathered through
-    the distinct-pose index (not gathered when every pose is distinct), so
-    it reads the operands of evaluating each particle on its own."""
-    w = particles.weights
+    The points are taken a block at a time, each block about
+    :data:`~rummage.geometry.PAIR_BUDGET` (distinct pose, point) pairs:
+    every distinct particle pose (:attr:`~rummage.geometry.ParticleSet.first`)
+    is evaluated on the block in one call, and the six values are added over
+    all particles by :meth:`~rummage.geometry.ParticleSet.weighted_sum`,
+    sequentially in particle order (no BLAS call).  Apart from the output,
+    memory is bounded by one block, whatever the number of points."""
     R, t = particles.distinct()
-    v = np.empty((len(R), len(points)))
-    f, o, s = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-    for k in range(len(R)):
-        v[k] = blockwise(lambda x: shape.sdf(rigid_transform(R[k], t[k], x)), points)
-        f[k], o[k], s[k] = sensor.probabilities(v[k])
-
-    def wsum(a):
-        return w @ (a if len(R) == len(w) else a[particles.inverse])
-
-    pf, po, ps = wsum(f), wsum(o), wsum(s)
-    del f, o, s  # freed before the cost temporaries, which set no new peak
-    ec_free, ec_occ, ec_surf = (wsum(_class_costs(disc, v, int(sem))) for sem in Semantics)
-    return pf, po, ps, ec_free, ec_occ, ec_surf
+    out = np.empty((6, len(points)))
+    block = max(1, PAIR_BUDGET // len(R))
+    for lo in range(0, len(points), block):
+        v = shape.sdf(rigid_transform(R, t, points[lo:lo + block]))
+        rows = np.empty((len(R), 6, v.shape[1]))
+        rows[:, 0], rows[:, 1], rows[:, 2] = sensor.probabilities(v)
+        for sem in Semantics:
+            rows[:, 3 + sem] = _class_costs(disc, v, int(sem))
+        out[:, lo:lo + block] = particles.weighted_sum(rows)
+    return out
 
 
 def build_info_fields(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import POINT_BLOCK, ParticleSet, ScalarField, Shape, Workspace, world_gradients
+from .geometry import PAIR_BUDGET, POINT_BLOCK, ParticleSet, ScalarField, Shape, Workspace, world_gradients
 from .infogain import InfoFields
 from .semantics import grid_cells
 
@@ -385,16 +385,26 @@ def batched_sweep_cost(
     trajectories -> (B,).  The sensing points, shifted back by the object
     displacement at their time, count once per cell of a grid of side
     ``r_ds`` anchored at the rollout's own point extent (the field is read
-    at the cell centers); all rollouts at once, see :func:`grid_cells`,
-    which finds the cells by one sort of packed cell keys.  Each rollout's
-    sum adds its cells in sorted-cell order.
+    at the cell centers); see :func:`grid_cells`, which finds the cells by
+    one sort of packed cell keys.  Each rollout's sum adds its cells in
+    sorted-cell order.
+
+    The rollouts are taken a block at a time, each block about
+    :data:`~rummage.geometry.PAIR_BUDGET` sweep points, so memory is bounded
+    by one block whatever ``B``; a rollout's cells, their order and its sum
+    do not depend on the other rollouts, so the blocks change no value.
     """
     B, H, _ = q_traj.shape
-    pts = robot.info_points_world(q_traj.reshape(-1, 3)).reshape(B, H, -1, 3)
-    pts -= d_traj[:, :, None, :]
-    rows, centers = grid_cells(pts.reshape(B, -1, 3), r_ds)
-    vals = info_field.query(centers)
-    return -np.bincount(rows, weights=vals, minlength=B)
+    block = max(1, PAIR_BUDGET // (H * int(robot.info_mask.sum())))
+    out = np.empty(B)
+    for lo in range(0, B, block):
+        q, d = q_traj[lo:lo + block], d_traj[lo:lo + block]
+        n = len(q)
+        pts = robot.info_points_world(q.reshape(-1, 3)).reshape(n, H, -1, 3)
+        pts -= d[:, :, None, :]
+        rows, centers = grid_cells(pts.reshape(n, -1, 3), r_ds)
+        out[lo:lo + n] = -np.bincount(rows, weights=info_field.query(centers), minlength=n)
+    return out
 
 
 class ReachTable:

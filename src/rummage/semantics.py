@@ -93,16 +93,20 @@ class SensorModel:
     alpha: float = 100.0
     zeta: float = 0.003
 
+    def __post_init__(self):
+        # a negative alpha would read surface probabilities above 1
+        if not self.alpha >= 0:
+            raise ValueError(f"sensor alpha must be at least 0, got {self.alpha!r}")
+
     def probabilities(self, v):
         """Return (p_free, p_occupied, p_surface) for sdf value(s) ``v``."""
         v = np.asarray(v, dtype=np.float64)
-        sign = np.where(v > 0, 1.0, -1.0)
-        vt = sign * np.maximum(0.0, np.abs(v) - self.zeta)
-        # the hinge zeroes whichever branch would overflow, so clamp exponents
-        p_free = np.maximum(0.0, 1.0 - np.exp(np.minimum(-self.alpha * vt, 0.0)))
-        p_occ = np.maximum(0.0, 1.0 - np.exp(np.minimum(self.alpha * vt, 0.0)))
-        p_surf = np.exp(-self.alpha * np.abs(vt))
-        return p_free, p_occ, p_surf
+        # one exponential: e = exp(-alpha * max(0, |v| - zeta)) is the
+        # surface probability, and the rest, 1 - e, goes to the side of the
+        # surface v lies on (a NaN distance reads NaN in all three)
+        p_surf = np.exp(-self.alpha * np.maximum(0.0, np.abs(v) - self.zeta))
+        rest = np.maximum(0.0, 1.0 - p_surf)
+        return np.where(v <= 0, 0.0, rest), np.where(v > 0, 0.0, rest), p_surf
 
 
 def grid_cells(points: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:

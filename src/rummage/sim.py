@@ -423,15 +423,8 @@ def nll(
     world_pts = true_pose.inverse().transform(surface_samples)
     obj = rigid_transform(*particles.distinct(), world_pts).reshape(-1, 3)
     surf = sensor.probabilities(blockwise(shape.sdf, obj))[2].reshape(len(particles.first), -1)
-    acc = _running_sum(particles.weights[:, None] * surf[particles.inverse])
+    acc = particles.weighted_sum(surf)
     return float(-np.sum(np.log(np.maximum(acc, 1e-12))))
-
-
-def _running_sum(terms: np.ndarray) -> np.ndarray:
-    """``terms`` (n, ...) added in order onto 0.0, as a loop of
-    ``acc += term`` adds them (the final 0.0 turns the -0.0 of all-zero
-    terms into the loop's 0.0, and changes no other sum)."""
-    return np.cumsum(terms, axis=0)[-1] + 0.0
 
 
 def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.ndarray) -> float:
@@ -557,7 +550,7 @@ def slide_policy(
     if in_contact and contact_point is not None:
         cp = np.asarray(contact_point, dtype=np.float64)
         normals = world_gradients(shape, *particles.distinct(), cp[None])[:, 0]
-        normal = _running_sum(particles.weights[:, None] * normals[particles.inverse])
+        normal = particles.weighted_sum(normals)
         n2 = normal[:2]
         nn = float(np.linalg.norm(n2))
         if nn > 1e-12:

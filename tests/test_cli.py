@@ -373,6 +373,22 @@ class TestCorrelateCommand:
             assert repr(col) in err
 
 
+    @pytest.mark.parametrize("row, message", [
+        ("2,1.0\n", "line 4 has no value in column 'chamfer'"),
+        ("2,abc,2.0,0,0.0,0.0,0.0,1.0\n", "line 4, column 'nll': 'abc' is not a number"),
+    ], ids=["short row", "not a number"])
+    def test_bad_row_named(self, tmp_path, capsys, row, message):
+        """A short row or a value that is not a number is a config error
+        naming the file, the line and the column."""
+        p = tmp_path / "m.csv"
+        self.write_metrics(p, [(1, 2), (2, 4)])
+        with open(p, "a") as fh:
+            fh.write(row)
+        rc = main(["correlate", "--inputs", str(p)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: metrics CSV {p} {message}\n"
+
+
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
         proc = subprocess.run(

@@ -16,8 +16,8 @@ import pytest
 from rummage import belief as belief_mod
 from rummage.belief import BeliefParams, BeliefState, ParticleSet, update_step
 from rummage.discrepancy import DiscrepancyParams, discrepancies
-from rummage.geometry import Pose, Workspace, mug_shape, rotation_about_axis
-from rummage.infogain import build_info_fields
+from rummage.geometry import PAIR_BUDGET, Pose, Workspace, mug_shape, rotation_about_axis
+from rummage.infogain import _accumulate, build_info_fields
 from rummage.planner import ActionScale, PlanningContext
 from rummage.semantics import SemanticCloud, SensorModel, _downsample_positions, merge_observations
 from rummage.sim import nll, pairwise_chamfer, sample_surface, slide_policy
@@ -62,6 +62,19 @@ def nine_term(T, points):
     R, t = T.rotation, T.translation
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     return np.stack([R[i, 0] * x + R[i, 1] * y + R[i, 2] * z + t[i] for i in range(3)], axis=-1)
+
+
+def field_sums(particles, shape, nodes):
+    """Per-particle loop: each particle's sensor probabilities and expected
+    class costs at the nodes, ``w * value`` added in particle order onto
+    0.0 -> rows p_free, p_occ, p_surf, E c_free, E c_occ, E c_surf."""
+    acc = np.zeros((6, len(nodes)))
+    for T, w in zip(particles.poses, particles.weights):
+        v = shape.sdf(nine_term(T, nodes))
+        costs = (DISC.sigma_f * np.maximum(0.0, DISC.epsilon - v), DISC.sigma_f * np.maximum(0.0, DISC.epsilon + v), np.abs(v))
+        for row, value in zip(acc, SENSOR.probabilities(v) + costs):
+            row += w * value
+    return acc
 
 
 def index(poses):
@@ -110,19 +123,12 @@ def shape():
 class TestKernelsMatchPerParticleLoops:
     def test_info_fields(self, particles, shape):
         ws = Workspace(bounds=((0.3, 0.6), (-0.15, 0.15), (0.0, 0.0)), resolution=0.01)
-        nodes = ws.grid_points()
-        w = particles.weights
-        v = np.stack([shape.sdf(nine_term(T, nodes)) for T in particles.poses])
-        f, o, s = SENSOR.probabilities(v)
-        pf, po, ps = w @ f, w @ o, w @ s
-        ef = w @ (DISC.sigma_f * np.maximum(0.0, DISC.epsilon - v))
-        eo = w @ (DISC.sigma_f * np.maximum(0.0, DISC.epsilon + v))
-        es = w @ np.abs(v)
+        pf, po, ps, ef, eo, es = field_sums(particles, shape, ws.grid_points())
         fields = build_info_fields(particles, shape, ws, 2.0, SENSOR, DISC)
-        npt.assert_array_equal(fields.info.values.ravel(), 2.0 * (pf * ef + po * eo + ps * es))
-        npt.assert_array_equal(fields.p_free.values.ravel(), pf)
-        npt.assert_array_equal(fields.p_occ.values.ravel(), po)
-        npt.assert_array_equal(fields.p_surf.values.ravel(), ps)
+        assert fields.info.values.ravel().tobytes() == (2.0 * (pf * ef + po * eo + ps * es)).tobytes()
+        assert fields.p_free.values.ravel().tobytes() == pf.tobytes()
+        assert fields.p_occ.values.ravel().tobytes() == po.tobytes()
+        assert fields.p_surf.values.ravel().tobytes() == ps.tobytes()
 
     def test_rollout_normals(self, particles, shape, rng):
         ws = Workspace(bounds=((0.3, 0.6), (-0.15, 0.15), (0.0, 0.0)), resolution=0.02)
@@ -208,6 +214,21 @@ class TestKernelsMatchPerParticleLoops:
             npt.assert_array_equal(got, want)
 
 
+ONE = ParticleSet.from_poses([Pose.from_placement(CENTER, 0.7)] * 4, [0.1, 0.4, 0.3, 0.2])
+
+
+@pytest.mark.parametrize("particles", [ONE, *PARTICLES], ids=["one", *IDS])
+def test_info_sums_across_blocks(particles, shape):
+    """Node counts of one node, one block of (distinct pose, node) pairs
+    +- 1 node and several blocks, with one, repeated and all-distinct
+    poses: bit for bit the per-particle loop."""
+    rng = np.random.default_rng(5)
+    block = PAIR_BUDGET // len(particles.first)
+    for m in (1, block - 1, block, block + 1, 3 * block + 5):
+        nodes = CENTER + rng.uniform(-0.12, 0.12, (m, 3)) * [1, 1, 0.5]
+        assert _accumulate(particles, shape, nodes, SENSOR, DISC).tobytes() == field_sums(particles, shape, nodes).tobytes()
+
+
 class TestNoDuplicatePasses:
     def test_reweigh_only_update_takes_one_discrepancy_pass(self, shape, monkeypatch):
         """A reweigh-only update evaluates the discrepancies once and hands
@@ -248,8 +269,9 @@ class TestMemory:
 
     @pytest.mark.parametrize("particles", PARTICLES, ids=IDS)
     def test_info_fields_peak_on_5mm_grid(self, particles, shape):
-        """No (particles, nodes, 3) stack: evaluating all particles in one
-        batch through it peaks at about 198 MB here."""
+        """One block of (distinct pose, node) pairs at a time: (distinct
+        poses, nodes) arrays peak at 48 MB (repeated) and 81 MB (distinct)
+        here."""
         ws = Workspace(bounds=((0.0, 0.8), (-0.4, 0.4), (0.0, 0.0)), resolution=0.005)
         tracemalloc.start()
         try:
@@ -257,4 +279,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"

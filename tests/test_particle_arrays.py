@@ -17,7 +17,6 @@ from rummage.belief import BeliefParams, BeliefState, resample, systematic_resam
 from rummage.discrepancy import DescentSchedule, DiscrepancyParams, _step_poses, refine_pose, total_discrepancy
 from rummage.geometry import ParticleSet, Pose, orthonormalize, rotation_about_axis
 from rummage.semantics import SemanticCloud
-from rummage.sim import _running_sum
 
 from conftest import random_pose
 from test_discrepancy import pose_descent_step, scene_cloud
@@ -168,12 +167,18 @@ def test_refine_best_iterate(rng, mug):
 
 
 def test_running_sum():
-    """Adds in order onto 0.0, as ``acc += term`` does, signed zeros too."""
-    terms = np.array([[-0.0, -0.0, 1e-300], [-0.0, 0.0, -1e-300], [-0.0, 3.0, 1e16], [-0.0, 0.5, 1.0]])
-    acc = np.zeros(3)
-    for term in terms:
-        acc += term
-    assert _running_sum(terms).tobytes() == acc.tobytes()
+    """``ParticleSet.weighted_sum`` adds ``w * rows[inverse[i]]`` in
+    particle order onto 0.0, as ``acc += w * row`` does, signed zeros too;
+    the last column's sum is 0 in this order and 1 in reverse order."""
+    t = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    particles = ParticleSet(np.stack([np.eye(3)] * 4), t, np.array([0.5, 1.0, 0.5, 2.0]))
+    rows = np.array([[-0.0, -0.0, 1e-300, 2.0], [-0.0, 0.0, -1e-300, 1e16], [-0.0, 3.0, 1e16, -5e15]])
+    acc = np.zeros(4)
+    for w, k in zip(particles.weights, particles.inverse):
+        acc += w * rows[k]
+    got = particles.weighted_sum(rows)
+    assert got.tobytes() == acc.tobytes()
+    assert got[3] == 0.0 and np.signbit(got[:2]).tolist() == [False, False]
 
 
 def test_refine_best_iterate_ties(rng, monkeypatch):

@@ -1,6 +1,7 @@
 """Kernel interpolation, contact dynamics, trajectory costs, sampling MPC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from rummage import planner as planner_mod
 from rummage.belief import ParticleSet
-from rummage.geometry import Pose, ScalarField, Sphere, Workspace, mug_shape
+from rummage.geometry import PAIR_BUDGET, Pose, ScalarField, Sphere, Workspace, mug_shape
 from rummage.infogain import InfoFields, build_info_fields, build_reachability, ReachabilityModel
 from rummage.planner import (
     ActionScale,
@@ -25,7 +26,7 @@ from rummage.planner import (
     mppi_update,
     total_cost,
 )
-from rummage.semantics import SensorModel
+from rummage.semantics import SensorModel, grid_cells
 
 from test_semantics import unique_cell_centers
 
@@ -425,7 +426,57 @@ class TestInfoCost:
         assert sticking == pytest.approx(single, abs=abs(single))
 
 
+def sweep_all_at_once(q_traj, d_traj, info_field, robot, r_ds):
+    """Reference: the sweep costs of every rollout from one point stack."""
+    B, H, _ = q_traj.shape
+    pts = robot.info_points_world(q_traj.reshape(-1, 3)).reshape(B, H, -1, 3)
+    pts -= d_traj[:, :, None, :]
+    rows, centers = grid_cells(pts.reshape(B, -1, 3), r_ds)
+    return -np.bincount(rows, weights=info_field.query(centers), minlength=B)
+
+
+def sweep_inputs(rng, B, H):
+    f = ScalarField(origin=np.array([-0.1, -0.3, 0.0]), resolution=0.01, values=rng.uniform(0, 1, (60, 60, 1)))
+    q_traj = rng.uniform(-0.05, 0.3, (B, H, 3))
+    d_traj = np.cumsum(rng.uniform(-0.01, 0.01, (B, H, 3)) * [1, 1, 0], axis=1)
+    return q_traj, d_traj, f
+
+
+# rollout counts, given the rollouts of one block
+SWEEP_COUNTS = {
+    "1": lambda block: 1, "block-1": lambda block: block - 1, "block": lambda block: block,
+    "block+1": lambda block: block + 1, "2500": lambda block: 2500,
+}
+
+
 class TestBatchedSweepCost:
+    @pytest.mark.parametrize("count", SWEEP_COUNTS.values(), ids=SWEEP_COUNTS.keys())
+    def test_blocks_match_one_stack(self, rng, count):
+        """Rollout counts of one rollout, one block +- 1 and several blocks,
+        bit for bit the costs of one stack of all rollouts."""
+        from rummage.planner import batched_sweep_cost
+
+        robot, H = PaddleRobot(), 15
+        block = PAIR_BUDGET // (H * int(robot.info_mask.sum()))
+        B = count(block)
+        q_traj, d_traj, f = sweep_inputs(rng, B, H)
+        got = batched_sweep_cost(q_traj, d_traj, f, robot, 0.01)
+        assert got.tobytes() == sweep_all_at_once(q_traj, d_traj, f, robot, 0.01).tobytes()
+
+    def test_peak_memory_one_block(self, rng):
+        """2500 rollouts of 15 steps: the sweep holds one block of rollouts
+        at a time (one stack of all of them peaks at about 28 MB here)."""
+        from rummage.planner import batched_sweep_cost
+
+        q_traj, d_traj, f = sweep_inputs(rng, 2500, 15)
+        tracemalloc.start()
+        try:
+            batched_sweep_cost(q_traj, d_traj, f, PaddleRobot(), 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_matches_scalar_op(self, rng):
         from rummage.planner import batched_sweep_cost
 

@@ -106,6 +106,32 @@ class TestPairedBench:
         assert "loopbench/run.py" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("seed, message", [("-1", "not at least 0"), ("x", "invalid integer value")])
+    def test_bad_seed_rejected(self, seed, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load("paired_bench").main(["--workload", "mug-mpc", "--base", str(SCRIPTS.parent), "--pairs", "1", "--seed", seed])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "2"], 2)])
+    def test_seed_reaches_every_run(self, argv, seed, tmp_path, capsys):
+        """Every run gets the seed (0 by default); the summary names it."""
+        bench = load("paired_bench")
+        (tmp_path / "loopbench").mkdir()
+        (tmp_path / "loopbench" / "run.py").write_text("")
+        calls = []
+
+        def run_once(tree, workload, seed, seconds):
+            calls.append((tree, workload, seed))
+            return result_line(steps_per_s=1.0, step_p50_s=1.0, setup_s=0.1, initial_nll=120.0, peak_rss_mb=60.0)
+
+        bench.run_once = run_once
+        assert bench.main(["--workload", "mug-mpc", "--base", str(tmp_path), "--pairs", "2", *argv]) == 0
+        assert [c[1:] for c in calls] == [("mug-mpc", seed)] * 4
+        assert {c[0] for c in calls} == {SCRIPTS.parent.resolve(), tmp_path.resolve()}
+        assert f"mug-mpc seed {seed}: 2 pairs" in capsys.readouterr().out
+
+
 class TestCheckTestOnly:
     def tree(self, tmp_path, package, scripts=""):
         for top in ("src/rummage", "scripts", "loopbench", "tests"):

@@ -56,12 +56,44 @@ class TestSensorModel:
         assert pf >= 0 and po >= 0 and ps >= 0
         assert pf + po + ps == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+    def test_alpha_below_zero_rejected(self, alpha):
+        with pytest.raises(ValueError, match="sensor alpha must be at least 0"):
+            SensorModel(alpha=alpha)
+
     def test_monotonicity(self):
         m = SensorModel()
         v = np.linspace(-0.1, 0.1, 2001)
         pf, po, _ = m.probabilities(v)
         assert np.all(np.diff(pf) >= 0)
         assert np.all(np.diff(po) <= 0)
+
+
+def three_exp(model, v):
+    """Reference: the class probabilities with one exponential per class,
+    each clamped to the side of the surface it belongs to."""
+    sign = np.where(v > 0, 1.0, -1.0)
+    vt = sign * np.maximum(0.0, np.abs(v) - model.zeta)
+    p_free = np.maximum(0.0, 1.0 - np.exp(np.minimum(-model.alpha * vt, 0.0)))
+    p_occ = np.maximum(0.0, 1.0 - np.exp(np.minimum(model.alpha * vt, 0.0)))
+    p_surf = np.exp(-model.alpha * np.abs(vt))
+    return p_free, p_occ, p_surf
+
+
+@pytest.mark.parametrize("model", [SensorModel(), SensorModel(alpha=1e-3, zeta=0.0), SensorModel(alpha=1e4, zeta=0.05)])
+def test_one_exponential_matches_three(model, rng):
+    """Bit for bit the three-exponential form: around 0 and +-zeta (with
+    their neighbours), at the extremes and over every magnitude; a NaN
+    distance reads NaN in all three."""
+    z = model.zeta
+    edges = [0.0, z, np.nextafter(z, 0.0), np.nextafter(z, 1.0), 5e-324, 1e-300, 1e308, np.inf]
+    mags = np.concatenate([edges, 10.0 ** rng.uniform(-12, 2, 20000), rng.uniform(0, 2 * z + 0.05, 20000)])
+    v = np.concatenate([mags, -mags])
+    with np.errstate(over="ignore"):  # alpha * 1e308
+        pairs = list(zip(model.probabilities(v), three_exp(model, v)))
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+    assert all(np.isnan(p) for p in model.probabilities(np.nan))
 
 
 class TestSemanticCloud:
