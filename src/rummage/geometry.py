@@ -40,21 +40,6 @@ def _as_points(p) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def planar_rotations(yaws) -> np.ndarray:
-    """``Rz(yaw)`` for one yaw ``()`` or a stack ``(N,)``: ``(3, 3)`` or
-    ``(N, 3, 3)``, ``[[c, -s, 0], [s, c, 0], [0, 0, 1]]`` with ``c, s`` the
-    yaw's ``cos`` and ``sin``.  The z row and column are exact 0 and 1, so
-    :func:`rigid_transform` maps by them with 4 products."""
-    yaws = np.asarray(yaws, dtype=np.float64)
-    c, s = np.cos(yaws), np.sin(yaws)
-    R = np.zeros(yaws.shape + (3, 3))
-    R[..., 0, 0] = R[..., 1, 1] = c
-    R[..., 0, 1] = -s
-    R[..., 1, 0] = s
-    R[..., 2, 2] = 1.0
-    return R
-
-
 def rotation_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -153,12 +138,8 @@ def rigid_transform(rotations, translations, points, pose_idx=None) -> np.ndarra
         shape, coef, shift = p.shape[:-1], lambda i, k: lo[i][k], lambda i: t_lo[i]
     else:  # a stack: each coefficient's bounds over its poses
         t = np.zeros((len(R), 3)) if translations is None else translations
-        # the 12 coefficients' bounds, reduced along contiguous rows of a
-        # coefficient-major copy: several times faster than along the poses
-        coefs = np.concatenate([R.reshape(len(R), 9), t], axis=1).T.copy()
-        low, high = coefs.min(axis=1).tolist(), coefs.max(axis=1).tolist()
-        lo, hi = [low[0:3], low[3:6], low[6:9]], [high[0:3], high[3:6], high[6:9]]
-        t_lo, t_hi = low[9:], high[9:]
+        lo, hi = R.min(axis=0).tolist(), R.max(axis=0).tolist()
+        t_lo, t_hi = t.min(axis=0).tolist(), t.max(axis=0).tolist()
         if pose_idx is None:
             shape, coef, shift = (len(R),) + p.shape[-2:-1], lambda i, k: R[:, i, k, None], lambda i: t[:, i, None]
         else:

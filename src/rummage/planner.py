@@ -16,17 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    PAIR_BUDGET,
-    POINT_BLOCK,
-    ParticleSet,
-    ScalarField,
-    Shape,
-    Workspace,
-    planar_rotations,
-    rigid_transform,
-    world_gradients,
-)
+from .geometry import PAIR_BUDGET, POINT_BLOCK, ParticleSet, ScalarField, Shape, Workspace, world_gradients
 from .infogain import InfoFields
 from .semantics import grid_cells
 
@@ -67,15 +57,14 @@ class PaddleRobot:
         xs = np.linspace(-hx, hx, nx)
         ys = np.linspace(-hy, hy, ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        # body-frame points at z = 0: the paddle's plane is its pose's z
-        grid = np.stack([X.ravel(), Y.ravel(), np.zeros(X.size)], axis=-1)
+        grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
         front = np.unique(grid[:, 0])[-self.info_depth :]
         object.__setattr__(self, "_body", grid)
         object.__setattr__(self, "_info", np.isin(grid[:, 0], front))
         # dense tactile pad on the +x face (observation only; the planner's
         # point sets stay at the coarse resolution)
         ns = max(2, int(round(2 * hy / self.sense_resolution)) + 1)
-        pad = np.stack([np.full(ns, hx), np.linspace(-hy, hy, ns), np.zeros(ns)], axis=-1)
+        pad = np.stack([np.full(ns, hx), np.linspace(-hy, hy, ns)], axis=-1)
         object.__setattr__(self, "_pad", pad)
 
     @property
@@ -96,16 +85,17 @@ class PaddleRobot:
         return float(np.max(np.hypot(self._body[:, 0], self._body[:, 1])))
 
     def _transform_body(self, q, body: np.ndarray) -> np.ndarray:
-        """Body-frame points ``(M, 3)``, or ``(n, M, 3)`` with points of
-        their own for each of ``n`` configurations, to world points: the
-        planar pose ``Rz(yaw)``, ``(x, y, plane_z)`` of each configuration
-        ``(x, y, yaw)`` by :func:`~rummage.geometry.rigid_transform`."""
+        """Body-frame points ``(M, 2)``, or ``(n, M, 2)`` with points of
+        their own for each of ``n`` configurations, to world points."""
         q = np.asarray(q, dtype=np.float64)
         single = q.shape == (3,)
         qb = q.reshape(-1, 3)
-        t = qb.copy()
-        t[:, 2] = self.plane_z
-        out = rigid_transform(planar_rotations(qb[:, 2]), t, body)
+        c, s = np.cos(qb[:, 2])[:, None], np.sin(qb[:, 2])[:, None]
+        bx, by = body[..., 0], body[..., 1]
+        out = np.empty((len(qb), body.shape[-2], 3))
+        out[..., 0] = c * bx - s * by + qb[:, 0:1]
+        out[..., 1] = s * bx + c * by + qb[:, 1:2]
+        out[..., 2] = self.plane_z
         return out[0] if single else out
 
     def points_world(self, q) -> np.ndarray:
