@@ -19,7 +19,7 @@ import numpy as np
 
 from .discrepancy import DescentSchedule, DiscrepancyParams, discrepancies, refine_pose
 from .discrepancy import total_discrepancy  # noqa: F401  (loopbench/tracing.py wraps belief.total_discrepancy)
-from .geometry import ParticleSet, Pose, Shape, compose_poses, rotation_about_axis
+from .geometry import ParticleSet, Pose, Shape, compose_poses
 from .semantics import SemanticCloud, merge_observations
 
 log = logging.getLogger(__name__)
@@ -30,7 +30,6 @@ class BeliefParams:
     gamma: float = 2.0          # posterior peakiness
     eta: float = 5.0            # resample discrepancy threshold
     sigma_t: float = 0.010      # translation process noise, meters
-    sigma_r: float = 0.0        # rotation process noise, radians
     k_opt: int = 10             # descent steps per refinement
     n_particles: int = 100
     r_free: float = 0.010
@@ -60,23 +59,20 @@ def weigh(
         w = np.full(len(particles), 1.0 / len(particles))
     else:
         w = w / total
-    return ParticleSet(particles.rotations, particles.translations, w)
+    return ParticleSet(particles.translations, particles.yaws, w)
 
 
-def perturb(rng: np.random.Generator, n: int, sigma_t: float, sigma_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``n`` small planar random transforms, as rotations (n, 3, 3)
-    and translations (n, 3): Gaussian x and y translation, Gaussian angle
-    about the z axis.
+def perturb(rng: np.random.Generator, n: int, sigma_t: float) -> np.ndarray:
+    """Sample ``n`` small planar random translations (n, 3): Gaussian x and
+    y, zero z (no draw at all for ``sigma_t <= 0``).
 
-    One standard-normal block holds each transform's draws in turn (x, y,
-    angle), so the stream is that of drawing them one transform at a time
+    One standard-normal block holds each translation's draws in turn (x,
+    y), so the stream is that of drawing them one translation at a time
     with ``rng.normal``."""
-    m = 2 if sigma_t > 0 else 0
-    z = rng.standard_normal((n, m + (sigma_r > 0)))
     t = np.zeros((n, 3))
-    t[:, :m] = sigma_t * z[:, :m]
-    angle = sigma_r * z[:, -1] if sigma_r > 0 else np.zeros(n)
-    return rotation_about_axis(np.tile([0.0, 0.0, 1.0], (n, 1)), angle), t
+    if sigma_t > 0:
+        t[:, :2] = sigma_t * rng.standard_normal((n, 2))
+    return t
 
 
 def systematic_resample_indices(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -98,8 +94,8 @@ def resample(
     """Systematic resampling by weight, then perturb and locally refine each
     copy against the accumulated cloud.  Weights reset to uniform."""
     idx = systematic_resample_indices(particles.weights, rng)
-    noise = perturb(rng, len(idx), params.sigma_t, params.sigma_r)
-    copies = ParticleSet(*compose_poses(*noise, particles.rotations[idx], particles.translations[idx]))
+    # the noise translates each copy in the world
+    copies = ParticleSet(particles.translations[idx] + perturb(rng, len(idx), params.sigma_t), particles.yaws[idx])
     return refine_pose(disc, shape, cloud, copies, params.k_opt, params.schedule)
 
 
@@ -176,9 +172,10 @@ def update_step(
 
     particles = state.particles
     if not dT.is_identity():
-        # (noise dT) T for every particle
-        noise = perturb(rng, len(particles), params.sigma_t, params.sigma_r)
-        moved = compose_poses(*compose_poses(*noise, dT.rotation, dT.translation), particles.rotations, particles.translations)
+        # (noise dT) T for every particle: noise dT is dT with the noise
+        # added to its translation
+        noise = perturb(rng, len(particles), params.sigma_t)
+        moved = compose_poses(dT.translation + noise, dT.yaw, particles.translations, particles.yaws)
         particles = ParticleSet(*moved, particles.weights)
 
     cloud = merge_observations(state.cloud, new_cloud, particles, dT_w, shape, params.r_free, params.r_surf)
@@ -213,14 +210,13 @@ def initialize_particles(
     if len(cloud) == 0:
         if len(priors) < n:
             raise ValueError("need at least n_particles prior poses")
-        return ParticleSet(priors.rotations[:n], priors.translations[:n])
+        return ParticleSet(priors.translations[:n], priors.yaws[:n])
 
     refined = refine_pose(disc, shape, cloud, priors, params.k_opt, params.schedule)
     costs = discrepancies(disc, shape, cloud, refined)
 
-    # each pose's yaw bin (Pose.placement_yaw), then each bin's lowest cost
-    R = refined.rotations
-    yaw = np.arctan2(R[:, 0, 1], R[:, 0, 0]) % (2.0 * math.pi)
+    # each pose's placement-yaw bin, then each bin's lowest cost
+    yaw = -refined.yaws % (2.0 * math.pi)
     bins = np.minimum((yaw / (2.0 * math.pi / 36)).astype(np.intp), 35)
     order = np.lexsort((costs, bins))  # stable: the first among equal costs leads
     _, lead = np.unique(bins[order], return_index=True)
@@ -230,6 +226,6 @@ def initialize_particles(
     if len(good):
         elites = good
     rows = elites[rng.integers(0, len(elites), size=n)]
-    particles = ParticleSet(R[rows], refined.translations[rows])
+    particles = ParticleSet(refined.translations[rows], refined.yaws[rows])
     # a pose's discrepancy does not depend on the batch it is evaluated in
     return weigh(particles, cloud, shape, disc, params, costs[rows])

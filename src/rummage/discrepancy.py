@@ -40,11 +40,10 @@ from .geometry import (
     Pose,
     Shape,
     object_origins,
-    orthonormalize,
     pairs_within,
+    planar_rotations,
     pose_groups,
     rigid_transform,
-    rotation_about_axis,
     support_radius,
 )
 from .semantics import SemanticCloud, Semantics
@@ -131,17 +130,18 @@ class _CloudKernel:
             out[lo:hi] = np.bincount(ii, weights=costs, minlength=hi - lo)
         return out
 
-    def descent_steps(self, rotations: np.ndarray, translations: np.ndarray, step_t: float, step_r: float):
-        """One descent step for every pose of a stack, as ``(rotations,
-        translations, costs)``: the costs are at the incoming poses (from
-        the same distance evaluation, so refinement needs one pass per step)."""
-        n = len(rotations)
+    def descent_steps(self, translations: np.ndarray, yaws: np.ndarray, step_t: float, step_r: float):
+        """One planar descent step for every pose of a stack, as
+        ``(translations, yaws, costs)``: the costs are at the incoming poses
+        (from the same distance evaluation, so refinement needs one pass
+        per step)."""
+        n = len(yaws)
         cost = np.zeros(n)
         count = np.zeros(n, dtype=np.intp)
-        dir_sum = np.zeros((n, 3))
-        torque_sum = np.zeros((n, 3))
+        dir_sum = np.zeros((n, 2))
+        torque_sum = np.zeros(n)
         lever_sq = np.zeros(n)
-        for lo, hi, ii, x_obj, labels, v, costs in self.passes(rotations, translations):
+        for lo, hi, ii, x_obj, labels, v, costs in self.passes(planar_rotations(yaws), translations):
             m = hi - lo
             cost[lo:hi] = np.bincount(ii, weights=costs, minlength=m)
             # aggregate over active points only: satisfied points carry no
@@ -152,10 +152,12 @@ class _CloudKernel:
             ia = ii[active]
             x_act = x_obj[active]
             d_act = _scaled_gradient(self.shape, x_act, labels[active], costs[active], v[active])
-            cross = np.cross(x_act, d_act)
-            for j in range(3):
+            for j in range(2):
                 dir_sum[lo:hi, j] = np.bincount(ia, weights=d_act[:, j], minlength=m)
-                torque_sum[lo:hi, j] = np.bincount(ia, weights=cross[:, j], minlength=m)
+            # the z component of x cross d, the only torque a yaw step reads
+            torque = x_act[:, 0] * d_act[:, 1]
+            torque -= x_act[:, 1] * d_act[:, 0]
+            torque_sum[lo:hi] = np.bincount(ia, weights=torque, minlength=m)
             k = np.bincount(ia, minlength=m)
             count[lo:hi] = k
             # each pose's np.mean over its own active points: np.mean adds
@@ -170,11 +172,8 @@ class _CloudKernel:
         # bincount adds in index order: the sequential column sums of a
         # lone pose's mean(axis=0)
         g_mean = dir_sum / np.maximum(count, 1)[:, None]
-        torque = torque_sum / np.maximum(count, 1)[:, None] / np.maximum(lever_sq, 1e-12)[:, None]
-        # planar poses: x, y and yaw only
-        g_mean[:, 2] = 0.0
-        torque[:, :2] = 0.0
-        return (*_step_poses(rotations, translations, g_mean, torque, step_t, step_r), cost)
+        torque = torque_sum / np.maximum(count, 1) / np.maximum(lever_sq, 1e-12)
+        return (*_step_poses(translations, yaws, g_mean, torque, step_t, step_r), cost)
 
 
 def discrepancies(params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, particles: ParticleSet) -> np.ndarray:
@@ -220,32 +219,27 @@ class DescentSchedule:
 
 
 def _clamp_norms(vecs: np.ndarray, cap: float) -> np.ndarray:
-    """Rows longer than ``cap`` (and not shorter than 1e-15) scaled to
-    ``cap``; the norms are ``np.linalg.norm``'s, ``sqrt`` of a dot."""
-    n = np.sqrt(np.vecdot(vecs, vecs))
+    """Rows ``(n, 2)`` longer than ``cap`` (and not shorter than 1e-15)
+    scaled to ``cap``; the norms are ``sqrt(x*x + y*y)``."""
+    n = np.sqrt(vecs[:, 0] * vecs[:, 0] + vecs[:, 1] * vecs[:, 1])
     over = ~((n <= cap) | (n < 1e-15))
     out = vecs.copy()
     out[over] *= (cap / n[over])[:, None]
     return out
 
 
-def _step_poses(R: np.ndarray, t: np.ndarray, g_mean: np.ndarray, torque: np.ndarray, step_t: float, step_r: float):
-    """Move each pose of a stack against its mean point direction
-    (translation) and lever-normalized mean torque (rotation about the
-    object origin), each clamped to its cap; the origin moves by the
-    clamped translation only, and a pose with both zero stays put.  Each
-    row gets the matrix products stepping its :class:`Pose` alone would
-    make (stacked ``@``, ``svd`` and ``det`` act on each 3x3 as on a lone
-    one)."""
-    omega = _clamp_norms(torque, step_r)
-    R, t = R.copy(), t - _clamp_norms(g_mean, step_t)
-    angle = np.sqrt(np.vecdot(omega, omega))
-    turn = angle > 1e-15
-    if turn.any():
-        R_delta = rotation_about_axis(omega[turn] / angle[turn, None], -angle[turn])
-        R[turn] = orthonormalize(R_delta @ R[turn])
-        t[turn] = np.matmul(R_delta, t[turn, :, None])[..., 0]
-    return R, t
+def _step_poses(t: np.ndarray, yaws: np.ndarray, g_mean: np.ndarray, torque: np.ndarray, step_t: float, step_r: float):
+    """Move each pose of a stack against its mean point direction ``(n, 2)``
+    in x and y and its lever-normalized mean z torque ``(n,)`` (a turn about
+    the object origin), each clamped to its cap: the translation steps by
+    the clamped direction, then the yaw drops by the clamped torque and the
+    translation turns with it (``Rz(-turn)``), so the origin moves by the
+    clamped direction only.  A pose with both zero keeps its yaw and
+    translation (up to the sign of a zero coordinate)."""
+    turn = np.clip(torque, -step_r, step_r)
+    moved = t.copy()
+    moved[:, :2] -= _clamp_norms(g_mean, step_t)
+    return rigid_transform(planar_rotations(-turn), None, moved, np.arange(len(moved))), yaws - turn
 
 
 def refine_pose(
@@ -266,19 +260,19 @@ def refine_pose(
         return T
     caps = [schedule.step_t * schedule.decay**k for k in range(steps)]
     kernel = _CloudKernel(params, shape, cloud, travel=sum(caps))
-    R, t = T.rotations, T.translations
-    best_R, best_t, best_cost = R.copy(), t.copy(), None
+    t, yaw = T.translations, T.yaws
+    best_t, best_yaw, best_cost = t.copy(), yaw.copy(), None
     st, sr = schedule.step_t, schedule.step_r
     for _ in range(steps):
-        next_R, next_t, cost_here = kernel.descent_steps(R, t, st, sr)
+        next_t, next_yaw, cost_here = kernel.descent_steps(t, yaw, st, sr)
         if best_cost is None:
             best_cost = cost_here
         else:
             better = cost_here < best_cost
-            best_R[better], best_t[better], best_cost[better] = R[better], t[better], cost_here[better]
-        R, t = next_R, next_t
+            best_t[better], best_yaw[better], best_cost[better] = t[better], yaw[better], cost_here[better]
+        t, yaw = next_t, next_yaw
         st *= schedule.decay
         sr *= schedule.decay
-    better = kernel.totals(R, t) < best_cost
-    best_R[better], best_t[better] = R[better], t[better]
-    return ParticleSet(best_R, best_t, T.weights)
+    better = kernel.totals(planar_rotations(yaw), t) < best_cost
+    best_t[better], best_yaw[better] = t[better], yaw[better]
+    return ParticleSet(best_t, best_yaw, T.weights)

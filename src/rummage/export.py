@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .geometry import ParticleSet, ScalarField, quaternion_from_matrix
+from .geometry import ParticleSet, ScalarField
 from .semantics import SemanticCloud, Semantics
 from .sim import Metrics
 
@@ -118,12 +118,16 @@ def write_cloud_csv(cloud: SemanticCloud, path) -> None:
 
 
 def particles_to_rows(particles: ParticleSet) -> list[dict]:
-    """Serializable rows (translation + quaternion + weight) for logging."""
+    """Serializable rows (translation + quaternion + weight) for logging.
+    The quaternion of ``Rz(yaw)`` is ``(cos(yaw/2), 0, 0, sin(yaw/2))`` with
+    the yaw wrapped to (-pi, pi], so ``qw >= 0``."""
     names = ("tx", "ty", "tz", "qw", "qx", "qy", "qz", "weight")
-    return [
-        dict(zip(names, (*t, *quaternion_from_matrix(R), float(w))))
-        for R, t, w in zip(particles.rotations, particles.translations, particles.weights)
-    ]
+    rows = []
+    for t, yaw, w in zip(particles.translations, particles.yaws.tolist(), particles.weights):
+        wrapped = math.remainder(yaw, 2.0 * math.pi)
+        half = (math.pi if wrapped == -math.pi else wrapped) / 2.0
+        rows.append(dict(zip(names, (*t, math.cos(half), 0.0, 0.0, math.sin(half), float(w)))))
+    return rows
 
 
 def write_particles_csv(particles: ParticleSet, path) -> None:

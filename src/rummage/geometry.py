@@ -3,8 +3,9 @@
 Conventions used throughout the package:
 
 - A :class:`Pose` maps world coordinates into the object frame,
-  ``x_obj = R @ x_world + t``.  The inverse maps object points back to
-  the world.
+  ``x_obj = R @ x_world + t``, for an object lying on the table: it is
+  held as the translation ``t`` and a yaw, ``R = Rz(yaw)``.  The inverse
+  maps object points back to the world.
 - Every pose-by-point map goes through :func:`rigid_transform`, for one
   pose or a stack of them, with one rule: each coordinate is summed left
   to right, a term whose coefficient is exactly 0 for every pose is
@@ -40,71 +41,19 @@ def _as_points(p) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def rotation_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rotation_about_axis(axis, angle) -> np.ndarray:
-    """Rodrigues rotation matrices: an axis ``(..., 3)`` and an angle
-    ``(...)`` give ``(..., 3, 3)``.  The axis is normalized first; an axis
-    shorter than 1e-12 or an angle of 0 gives the identity."""
-    ax = np.asarray(axis, dtype=np.float64)
-    angle = np.asarray(angle, dtype=np.float64)
-    n = np.sqrt(np.vecdot(ax, ax))
-    turn = ~((n < _GRAD_EPS) | (angle == 0.0))
-    out = np.broadcast_to(np.eye(3), turn.shape + (3, 3)).copy()
-    if turn.any():
-        kx, ky, kz = (ax[turn] / n[turn][:, None]).T
-        o = np.zeros_like(kx)
-        K = np.stack([o, -kz, ky, kz, o, -kx, -ky, kx, o], axis=-1).reshape(-1, 3, 3)
-        a = angle[turn][:, None, None]
-        out[turn] = np.eye(3) + np.sin(a) * K + (1.0 - np.cos(a)) * (K @ K)
-    return out
-
-
-def orthonormalize(R: np.ndarray) -> np.ndarray:
-    """Project near-rotations ``(..., 3, 3)`` onto SO(3) via polar decomposition."""
-    U, _, Vt = np.linalg.svd(R)
-    out = U @ Vt
-    flip = np.linalg.det(out) < 0
-    if flip.any():
-        U = U[flip]
-        U[..., -1] = -U[..., -1]
-        out[flip] = U @ Vt[flip]
-    return out
-
-
-def quaternion_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) from a rotation matrix."""
-    m = R
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    q = np.array([w, x, y, z])
-    return q / np.linalg.norm(q)
+def planar_rotations(yaws) -> np.ndarray:
+    """``Rz(yaw)`` for one yaw ``()`` or a stack ``(N,)``: ``(3, 3)`` or
+    ``(N, 3, 3)``, ``[[c, -s, 0], [s, c, 0], [0, 0, 1]]`` with ``c, s`` the
+    yaw's ``cos`` and ``sin``.  The z row and column are exact 0 and 1, so
+    :func:`rigid_transform` maps by them with 4 products."""
+    yaws = np.asarray(yaws, dtype=np.float64)
+    c, s = np.cos(yaws), np.sin(yaws)
+    R = np.zeros(yaws.shape + (3, 3))
+    R[..., 0, 0] = R[..., 1, 1] = c
+    R[..., 0, 1] = -s
+    R[..., 1, 0] = s
+    R[..., 2, 2] = 1.0
+    return R
 
 
 def rigid_transform(rotations, translations, points, pose_idx=None) -> np.ndarray:
@@ -170,56 +119,65 @@ def rigid_transform(rotations, translations, points, pose_idx=None) -> np.ndarra
     return out[..., 0, :] if single else out
 
 
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.float64, order="C")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Pose:
-    """Rigid world-to-object transform: ``x_obj = rotation @ x_world + translation``."""
+    """Rigid world-to-object transform of an object lying on the table,
+    ``x_obj = rotation @ x_world + translation`` with ``rotation`` the yaw's
+    :func:`planar_rotations` matrix ``Rz(yaw)``.  The translation ``(3,)``
+    carries the height offset in z; ``rotation`` is derived once, read-only."""
 
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    yaw: float = 0.0
+    rotation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # one memory layout: a matrix product can round differently on a
-        # transposed copy, so results would depend on how R was stored
-        object.__setattr__(self, "rotation", np.ascontiguousarray(self.rotation))
+        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
+        object.__setattr__(self, "yaw", float(self.yaw))
+        object.__setattr__(self, "rotation", _read_only(planar_rotations(self.yaw)))
 
     @staticmethod
     def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
+        return Pose(np.zeros(3), 0.0)
 
     @staticmethod
     def from_placement(center, yaw: float = 0.0) -> "Pose":
         """Pose of an object whose frame origin sits at ``center`` with the given yaw.
 
-        Returns the world-to-object map of that placement.
+        Returns the world-to-object map of that placement, ``Rz(-yaw)`` and
+        ``-Rz(-yaw) center``.
         """
-        c = np.asarray(center, dtype=np.float64)
-        R = rotation_z(yaw).T
-        return Pose(R, -R @ c)
+        turn = Pose(np.zeros(3), -yaw)
+        return Pose(-turn.transform(center), turn.yaw)
 
     def compose(self, other: "Pose") -> "Pose":
         """``self`` after ``other``: ``(self * other)(x) = self(other(x))``."""
-        return Pose(*compose_poses(self.rotation, self.translation, other.rotation, other.translation))
+        return Pose(*compose_poses(self.translation, self.yaw, other.translation, other.yaw))
 
     def inverse(self) -> "Pose":
-        Rt = self.rotation.T
-        return Pose(Rt, -Rt @ self.translation)
+        return Pose(self.object_center_world(), -self.yaw)
 
     def transform(self, points):
         """Apply the map to one point ``(3,)`` or a batch ``(..., 3)``: :func:`rigid_transform`."""
         return rigid_transform(self.rotation, self.translation, points)
 
     def object_center_world(self) -> np.ndarray:
-        """World position of the object-frame origin."""
-        return -self.rotation.T @ self.translation
+        """World position of the object-frame origin, ``-R^T t``."""
+        return object_origins(self.rotation, self.translation)
 
     def placement_yaw(self) -> float:
-        """Yaw of the object placement (rotation of the object frame in the world)."""
-        return math.atan2(self.rotation[0, 1], self.rotation[0, 0])
+        """Yaw of the object placement (rotation of the object frame in the
+        world), in ``[-pi, pi]``."""
+        return -math.remainder(self.yaw, 2.0 * math.pi)
 
     def rotation_angle(self) -> float:
         """Magnitude of the rotation, radians in [0, pi]."""
-        c = (np.trace(self.rotation) - 1.0) / 2.0
-        return math.acos(min(1.0, max(-1.0, c)))
+        return abs(math.remainder(self.yaw, 2.0 * math.pi))
 
     def is_identity(self, trans_tol: float = 1e-6, rot_tol: float = 1e-6) -> bool:
         return float(np.linalg.norm(self.translation)) <= trans_tol and self.rotation_angle() <= rot_tol
@@ -235,42 +193,39 @@ PAIR_BUDGET = 1 << 16
 _TEST_BUDGET = 1 << 18
 
 
-def _read_only(a) -> np.ndarray:
-    a = np.array(a, dtype=np.float64, order="C")
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class ParticleSet:
     """Pose hypotheses with normalized weights, held as C-ordered read-only
-    copies of the arrays passed: ``rotations`` (N, 3, 3), ``translations``
-    (N, 3) and ``weights`` (N,), uniform by default.
+    copies of the arrays passed: ``translations`` (N, 3), ``yaws`` (N,) and
+    ``weights`` (N,), uniform by default.  ``rotations`` (N, 3, 3) is
+    derived from the yaws once, by :func:`planar_rotations`.
 
     The distinct-pose index is built once per set: ``first`` holds the
-    first row of each distinct pose (equal bytes), in order of first
-    appearance, and ``inverse`` each row's place among them.  A kernel that
-    reads one pose at a time evaluates the ``first`` rows and gathers
-    through ``inverse``, bit for bit as evaluating every row."""
+    first row of each distinct pose (equal translation and yaw bytes), in
+    order of first appearance, and ``inverse`` each row's place among them.
+    A kernel that reads one pose at a time evaluates the ``first`` rows and
+    gathers through ``inverse``, bit for bit as evaluating every row."""
 
-    rotations: np.ndarray
     translations: np.ndarray
+    yaws: np.ndarray
     weights: np.ndarray | None = None
+    rotations: np.ndarray = field(init=False, repr=False)
     first: np.ndarray = field(init=False, repr=False)
     inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        R, t = _read_only(self.rotations), _read_only(self.translations)
-        n = len(R)
-        if n == 0 or R.shape != (n, 3, 3) or t.shape != (n, 3):
-            raise ValueError("a particle set needs N > 0 rotations (N, 3, 3) and translations (N, 3)")
+        t, yaws = _read_only(self.translations), _read_only(self.yaws)
+        n = len(t)
+        if n == 0 or t.shape != (n, 3) or yaws.shape != (n,):
+            raise ValueError("a particle set needs N > 0 translations (N, 3) and yaws (N,)")
         w = _read_only(np.full(n, 1.0 / n) if self.weights is None else self.weights)
         if w.shape != (n,):
             raise ValueError("poses and weights length mismatch")
-        rows = np.concatenate([R.reshape(n, 9), t], axis=1).view(np.int64)
+        rows = np.concatenate([t, yaws[:, None]], axis=1).view(np.int64)
         _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
-        for name, value in (("rotations", R), ("translations", t), ("weights", w),
+        for name, value in (("translations", t), ("yaws", yaws), ("weights", w),
+                            ("rotations", _read_only(planar_rotations(yaws))),
                             ("first", first[order]), ("inverse", np.argsort(order)[inverse.ravel()])):
             object.__setattr__(self, name, value)
 
@@ -278,17 +233,17 @@ class ParticleSet:
     def from_poses(poses, weights=None) -> "ParticleSet":
         """A set of :class:`Pose` objects (uniform weights by default)."""
         poses = list(poses)
-        return ParticleSet(np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]), weights)
+        return ParticleSet(np.stack([p.translation for p in poses]), np.array([p.yaw for p in poses]), weights)
 
     def __len__(self) -> int:
         return len(self.weights)
 
     def pose(self, i: int) -> Pose:
-        return Pose(self.rotations[i], self.translations[i])
+        return Pose(self.translations[i], self.yaws[i])
 
     @property
     def poses(self) -> list[Pose]:
-        return [Pose(R, t) for R, t in zip(self.rotations, self.translations)]
+        return [Pose(t, yaw) for t, yaw in zip(self.translations, self.yaws)]
 
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Rotations and translations of the distinct poses."""
@@ -309,15 +264,19 @@ class ParticleSet:
         return acc
 
     def weighted_center(self) -> np.ndarray:
-        """Weighted mean of the object origins in the world."""
-        return (self.weights[:, None] * object_origins(self.rotations, self.translations)).sum(axis=0)
+        """Weighted mean of the object origins in the world, by
+        :meth:`weighted_sum` (so its bits do not depend on the layout the
+        origins are computed in)."""
+        return self.weighted_sum(object_origins(*self.distinct()))
 
 
-def compose_poses(R1: np.ndarray, t1: np.ndarray, R2: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(R1, t1)`` after ``(R2, t2)``, as :meth:`Pose.compose`; either side
-    is one pose ``(3, 3), (3,)`` or a stack ``(N, 3, 3), (N, 3)``, and each
-    row is the matrix products of composing its poses alone."""
-    return R1 @ R2, np.matmul(R1, t2[..., None])[..., 0] + t1
+def compose_poses(t1, yaw1, t2, yaw2) -> tuple[np.ndarray, np.ndarray]:
+    """``(t1, yaw1)`` after ``(t2, yaw2)``, as :meth:`Pose.compose`: the
+    yaws add, and ``t2`` turns by ``yaw1`` (:func:`rigid_transform`'s
+    ``c*x - s*y`` products) before ``t1`` is added.  The left side is one
+    pose ``(3,), ()``, or ``t1`` a stack ``(N, 3)``; the right side one pose
+    or a stack ``(N, 3), (N,)``."""
+    return rigid_transform(planar_rotations(yaw1), None, t2) + t1, yaw1 + np.asarray(yaw2, dtype=np.float64)
 
 
 def world_gradients(shape, rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -329,9 +288,12 @@ def world_gradients(shape, rotations: np.ndarray, translations: np.ndarray, poin
 
 
 def object_origins(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
-    """World positions (N, 3) of the object-frame origins of a pose stack,
-    ``-R^T t`` with the products of :meth:`Pose.object_center_world`."""
-    return np.matmul(-rotations.transpose(0, 2, 1), translations[..., None])[..., 0]
+    """World positions of the object-frame origins, ``-R^T t``, of one pose
+    ``(3, 3), (3,)`` or a stack ``(N, 3, 3), (N, 3)``: each row as
+    :meth:`Pose.object_center_world` makes it alone."""
+    if rotations.ndim == 2:
+        return -rigid_transform(rotations.T, None, translations)
+    return -rigid_transform(rotations.transpose(0, 2, 1), None, translations, np.arange(len(translations)))
 
 
 def pairs_within(points: np.ndarray, origins: np.ndarray, radius: float, always=None) -> tuple[np.ndarray, np.ndarray]:
@@ -772,7 +734,7 @@ class Transformed(Shape):
 
 def translated(child: Shape, offset) -> Transformed:
     off = np.asarray(offset, dtype=np.float64)
-    return Transformed(child, Pose(np.eye(3), -off))
+    return Transformed(child, Pose(-off))
 
 
 def mug_shape(

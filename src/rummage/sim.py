@@ -36,7 +36,6 @@ from .geometry import (
     mug_shape,
     object_origins,
     rigid_transform,
-    rotation_z,
     translated,
     world_gradients,
 )
@@ -289,12 +288,12 @@ def tactile_observe(world: World, q, robot: PaddleRobot, tol: float = 0.003) -> 
 def _world_motion(delta: np.ndarray, pivot: np.ndarray, angle: float) -> Pose:
     """World map: translate by ``delta`` then rotate by ``angle`` about the
     displaced pivot."""
-    trans = Pose(np.eye(3), delta.copy())
+    trans = Pose(delta.copy())
     if angle == 0.0:
         return trans
-    R = rotation_z(angle)
     c = pivot + delta
-    rot = Pose(R, c - R @ c)
+    turn = Pose(np.zeros(3), angle)
+    rot = Pose(c - turn.transform(c), angle)
     return rot.compose(trans)
 
 
@@ -652,7 +651,7 @@ def run_episode(
     chamfers: dict[bytes, float] = {}
 
     def chamfer() -> float:
-        key = state.particles.rotations.tobytes() + state.particles.translations.tobytes()
+        key = state.particles.translations.tobytes() + state.particles.yaws.tobytes()
         if key not in chamfers:
             chamfers[key] = pairwise_chamfer(state.particles, shape, surface_samples)
         return chamfers[key]
@@ -702,7 +701,7 @@ def run_episode(
         else:
             # sticking contact: the object moves with the paddle
             motion = (
-                Pose(np.eye(3), np.array([world.q[0] - q_before[0], world.q[1] - q_before[1], 0.0]))
+                Pose(np.array([world.q[0] - q_before[0], world.q[1] - q_before[1], 0.0]))
                 if contact
                 else None
             )

@@ -21,14 +21,20 @@ PRIMITIVES = [
 ]
 
 
+def rodrigues(axis, angle) -> np.ndarray:
+    """Rotation matrix ``(3, 3)`` about ``axis`` by ``angle`` (Rodrigues'
+    formula): the general 3-D rotations the package never builds, for tests
+    of :func:`~rummage.geometry.rigid_transform` itself."""
+    kx, ky, kz = np.asarray(axis, dtype=np.float64) / np.linalg.norm(axis)
+    K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
 def random_pose(rng, planar=False, trans_scale=0.3):
+    """A uniform yaw and a translation; ``planar`` places the object's
+    origin on the table (z = 0), otherwise the translation has a z offset."""
     t = rng.uniform(-trans_scale, trans_scale, 3)
     if planar:
         t[2] = 0.0
         return Pose.from_placement(t, rng.uniform(-np.pi, np.pi))
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    from rummage.geometry import rotation_about_axis
-
-    R = rotation_about_axis(axis, rng.uniform(-np.pi, np.pi))
-    return Pose(R, t)
+    return Pose(t, rng.uniform(-np.pi, np.pi))

@@ -14,7 +14,7 @@ from rummage.discrepancy import (
     refine_pose,
     total_discrepancy,
 )
-from rummage.geometry import Box, Cylinder, ParticleSet, Pose, Sphere, rotation_z
+from rummage.geometry import Box, Cylinder, ParticleSet, Pose, Sphere
 from rummage.semantics import SemanticCloud, Semantics
 
 from conftest import PRIMITIVES, random_pose
@@ -73,8 +73,8 @@ def pose_descent_step(params, shape, cloud, T, step_t=1e-2, step_r=1e-1):
     takes per iteration, on a one-pose stack."""
     if len(cloud) == 0:
         return T
-    R, t, _ = _CloudKernel(params, shape, cloud).descent_steps(T.rotation[None], T.translation[None], step_t, step_r)
-    return Pose(R[0], t[0])
+    t, yaw, _ = _CloudKernel(params, shape, cloud).descent_steps(T.translation[None], np.array([T.yaw]), step_t, step_r)
+    return Pose(t[0], yaw[0])
 
 
 def random_cloud(rng, n=40, scale=0.2):
@@ -327,11 +327,11 @@ def refine_one(params, shape, cloud, T, steps):
 def reference_refine(params, shape, cloud, T, steps, step_t=1e-2, step_r=1e-1, decay=0.9):
     """Reference: one pose, every point evaluated, aggregated with plain
     NumPy reductions (the per-pose loop the batched kernel replaces); the
-    step moves x, y and yaw only."""
-    from rummage.geometry import orthonormalize, rotation_about_axis
+    step moves x, y and yaw only: the yaw drops by the clamped z torque and
+    the translation turns by ``c*x - s*y`` products of that angle."""
 
     def clamp(vec, cap):
-        n = float(np.linalg.norm(vec))
+        n = math.sqrt(vec[0] * vec[0] + vec[1] * vec[1])
         return vec if n <= cap or n < 1e-15 else vec * (cap / n)
 
     def step(T, st, sr):
@@ -344,16 +344,11 @@ def reference_refine(params, shape, cloud, T, steps, step_t=1e-2, step_r=1e-1, d
         x_act, d_act = x_obj[active], dirs[active]
         g_mean = d_act.mean(axis=0)
         lever_sq = float(np.mean(np.sum(x_act**2, axis=-1)))
-        torque = np.cross(x_act, d_act).mean(axis=0) / max(lever_sq, 1e-12)
-        g_mean[2] = 0.0
-        torque[:2] = 0.0
-        dt, omega = clamp(g_mean, st), clamp(torque, sr)
-        new_t = T.translation - dt
-        angle = float(np.linalg.norm(omega))
-        if angle > 1e-15:
-            R_delta = rotation_about_axis(omega / angle, -angle)
-            return Pose(orthonormalize(R_delta @ T.rotation), R_delta @ new_t), cost_here
-        return Pose(T.rotation, new_t), cost_here
+        torque = float(np.cross(x_act, d_act).mean(axis=0)[2]) / max(lever_sq, 1e-12)
+        turn = min(max(torque, -sr), sr)
+        x, y = T.translation[:2] - clamp(g_mean[:2], st)
+        c, s = np.cos(-turn), np.sin(-turn)
+        return Pose(np.array([c * x - s * y, s * x + c * y, T.translation[2]]), T.yaw - turn), cost_here
 
     best, best_cost, current, st, sr = T, None, T, step_t, step_r
     for _ in range(steps):

@@ -16,7 +16,7 @@ import pytest
 from rummage import belief as belief_mod
 from rummage.belief import BeliefParams, BeliefState, ParticleSet, update_step
 from rummage.discrepancy import DiscrepancyParams, discrepancies
-from rummage.geometry import PAIR_BUDGET, Pose, Workspace, mug_shape, rotation_about_axis
+from rummage.geometry import PAIR_BUDGET, Pose, Workspace, mug_shape
 from rummage.infogain import _accumulate, build_info_fields
 from rummage.planner import ActionScale, PlanningContext
 from rummage.semantics import SemanticCloud, SensorModel, _downsample_positions, merge_observations
@@ -42,7 +42,7 @@ def particle_sets():
     repeated = []
     for k in rng.integers(0, len(elites), 100):
         T = elites[int(k)]
-        copy = Pose(np.copy(T.rotation, order="K"), np.copy(T.translation, order="K"))
+        copy = Pose(np.copy(T.translation, order="K"), T.yaw)
         repeated.append(copy if rng.random() < 0.3 else T)
     distinct = [placement(rng) for _ in range(100)]
     out = []
@@ -57,9 +57,8 @@ IDS = [name for name, _ in SETS]
 PARTICLES = [p for _, p in SETS]
 
 
-def nine_term(T, points):
+def nine_term(R, t, points):
     """``R x + t`` with every term, as a per-particle reference."""
-    R, t = T.rotation, T.translation
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     return np.stack([R[i, 0] * x + R[i, 1] * y + R[i, 2] * z + t[i] for i in range(3)], axis=-1)
 
@@ -70,7 +69,7 @@ def field_sums(particles, shape, nodes):
     0.0 -> rows p_free, p_occ, p_surf, E c_free, E c_occ, E c_surf."""
     acc = np.zeros((6, len(nodes)))
     for T, w in zip(particles.poses, particles.weights):
-        v = shape.sdf(nine_term(T, nodes))
+        v = shape.sdf(nine_term(T.rotation, T.translation, nodes))
         costs = (DISC.sigma_f * np.maximum(0.0, DISC.epsilon - v), DISC.sigma_f * np.maximum(0.0, DISC.epsilon + v), np.abs(v))
         for row, value in zip(acc, SENSOR.probabilities(v) + costs):
             row += w * value
@@ -93,11 +92,12 @@ class TestDistinctPoses:
 
     def test_equal_valued_separate_objects_merge(self):
         T = Pose.from_placement((0.4, -0.1, 0.0), 2.0)
-        copy = Pose(np.copy(T.rotation, order="F"), np.copy(T.translation))
-        near = Pose(np.copy(T.rotation), T.translation + [1e-15, 0.0, 0.0])
-        first, inverse = index([T, copy, near, copy])
-        npt.assert_array_equal(first, [0, 2])
-        npt.assert_array_equal(inverse, [0, 0, 1, 0])
+        copy = Pose(np.copy(T.translation), T.yaw)
+        near = Pose(T.translation + [1e-15, 0.0, 0.0], T.yaw)
+        turned = Pose(np.copy(T.translation), np.nextafter(T.yaw, 4.0))
+        first, inverse = index([T, copy, near, copy, turned])
+        npt.assert_array_equal(first, [0, 2, 4])
+        npt.assert_array_equal(inverse, [0, 0, 1, 0, 2])
 
     def test_all_distinct_and_empty(self):
         first, inverse = index(Pose.from_placement((0.01 * i, 0.0, 0.0)) for i in range(5))
@@ -106,7 +106,7 @@ class TestDistinctPoses:
         with pytest.raises(ValueError):
             ParticleSet.from_poses([])
         with pytest.raises(ValueError):
-            ParticleSet(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+            ParticleSet(np.zeros((0, 3)), np.zeros(0))
 
     def test_particle_sets(self):
         (_, repeated), (_, distinct) = SETS
@@ -135,8 +135,8 @@ class TestKernelsMatchPerParticleLoops:
         fields = build_info_fields(particles, shape, ws)
         ctx = PlanningContext(fields=fields, particles=particles, shape=shape)
         points = CENTER + rng.uniform(-0.07, 0.07, (300, 3)) * [1, 1, 0.3]
-        R = particles.rotations
-        obj = np.stack([nine_term(T, points) for T in particles.poses])
+        R = np.stack([T.rotation for T in particles.poses])
+        obj = np.stack([nine_term(T.rotation, T.translation, points) for T in particles.poses])
         g = shape.gradient(obj.reshape(-1, 3)).reshape(obj.shape)
         # R^T g summed left to right, per particle
         world = np.empty_like(g)
@@ -151,7 +151,7 @@ class TestKernelsMatchPerParticleLoops:
         columns = np.concatenate([T.inverse().transform(samples) for T in particles.poses])
         total = 0.0
         for T in particles.poses:
-            row = np.abs(shape.sdf(nine_term(T, columns)))
+            row = np.abs(shape.sdf(nine_term(T.rotation, T.translation, columns)))
             row[0] += total
             total = float(np.cumsum(row)[-1])
         n = len(particles)
@@ -163,7 +163,7 @@ class TestKernelsMatchPerParticleLoops:
         world = truth.inverse().transform(samples)
         acc = np.zeros(len(samples))
         for T, w in zip(particles.poses, particles.weights):
-            acc += w * SENSOR.probabilities(shape.sdf(nine_term(T, world)))[2]
+            acc += w * SENSOR.probabilities(shape.sdf(nine_term(T.rotation, T.translation, world)))[2]
         want = float(-np.sum(np.log(np.maximum(acc, 1e-12))))
         assert nll(particles, shape, truth, samples, SENSOR) == want
 
@@ -183,19 +183,19 @@ class TestKernelsMatchPerParticleLoops:
             surface=CENTER + rng.uniform(-0.05, 0.05, (30, 3)),
         )
         new = SemanticCloud.from_parts(free=CENTER + rng.uniform(-0.15, 0.15, (300, 3)) * [1, 1, 0.2])
-        dT_w = Pose(rotation_about_axis((0, 0, 1), 0.03), np.array([0.004, -0.002, 0.0]))
+        dT_w = Pose(np.array([0.004, -0.002, 0.0]), 0.03)
         got = merge_observations(prev, new, particles, dT_w, shape, 0.01, 0.002)
         # every particle in turn: a free point stays only if all place it outside
         keep_prev = np.ones(len(prev.free), dtype=bool)
         for T in particles.poses:
-            keep_prev &= shape.sdf(nine_term(T, prev.free)) > 0.0
+            keep_prev &= shape.sdf(nine_term(T.rotation, T.translation, prev.free)) > 0.0
         merged = SemanticCloud.from_parts(
             free=prev.free[keep_prev], surface=dT_w.transform(prev.surface)
         ).extend(new)
         free_ds = _downsample_positions(merged.free, 0.01)
         keep = np.ones(len(free_ds), dtype=bool)
         for T in particles.poses:
-            keep &= shape.sdf(nine_term(T, free_ds)) > 0.0
+            keep &= shape.sdf(nine_term(T.rotation, T.translation, free_ds)) > 0.0
         npt.assert_array_equal(got.free, free_ds[keep])
         npt.assert_array_equal(got.surface, _downsample_positions(merged.surface, 0.002))
         assert 0 < len(got.free) < len(free_ds)
@@ -205,8 +205,8 @@ class TestKernelsMatchPerParticleLoops:
         for cp in ([0.50, 0.01, 0.0], [0.41, -0.05, 0.01]):
             normal = np.zeros(3)
             for T, w in zip(particles.poses, particles.weights):
-                g = shape.gradient(nine_term(T, np.asarray([cp])))
-                normal += w * nine_term(Pose(T.rotation.T, np.zeros(3)), g)[0]
+                g = shape.gradient(nine_term(T.rotation, T.translation, np.asarray([cp])))
+                normal += w * nine_term(T.rotation.T, np.zeros(3), g)[0]
             n2 = normal[:2]
             tangent = np.array([-n2[1], n2[0]]) * -1.0 / float(np.linalg.norm(n2))
             want = np.array([tangent[0] * 0.5, tangent[1] * 0.5, 0.0])

@@ -21,13 +21,12 @@ from rummage.geometry import (
     Union,
     Workspace,
     mug_shape,
-    rotation_about_axis,
-    rotation_z,
+    rigid_transform,
     support_radius,
     translated,
 )
 
-from conftest import PRIMITIVES, random_pose
+from conftest import PRIMITIVES, random_pose, rodrigues
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,7 @@ class TestPose:
         npt.assert_allclose(Pose.identity().transform(x), x)
 
     def test_yaw_quarter_turn(self):
-        T = Pose(rotation_z(math.pi / 2), np.zeros(3))
+        T = Pose(np.zeros(3), math.pi / 2)
         npt.assert_allclose(T.transform((1.0, 0.0, 0.0)), (0.0, 1.0, 0.0), atol=1e-15)
 
     def test_composition_identity(self, rng):
@@ -69,20 +68,27 @@ class TestPose:
         npt.assert_allclose(T.transform(center), np.zeros(3), atol=1e-12)
 
     def test_results_do_not_depend_on_rotation_layout(self, rng):
-        """A pose built from an F-ordered copy of its rotation holds it
-        C-ordered, so its matrix products round as the C-ordered pose's."""
+        """A pose derives its rotation C-ordered and read-only, and the map
+        by a transposed (F-ordered) view of a rotation, as the inverse and
+        the gradients read it, rounds as the map by a C-ordered copy; a
+        strided translation gives the bits of a contiguous one."""
         assert Pose.from_placement((0.4, -0.1, 0.0), 2.0).rotation.flags["C_CONTIGUOUS"]
         for k in range(200):
             T = random_pose(rng, planar=k % 2 == 0)
-            F = Pose(np.asfortranarray(T.rotation), T.translation.copy())
-            assert F.rotation.flags["C_CONTIGUOUS"] and T.inverse().rotation.flags["C_CONTIGUOUS"]
+            strided = np.repeat(T.translation, 2)[::2]
+            F = Pose(strided, T.yaw)
+            for R in (T.rotation, F.rotation, T.inverse().rotation):
+                assert R.flags["C_CONTIGUOUS"] and not R.flags.writeable
             other = random_pose(rng)
             x = rng.uniform(-1, 1, (5, 3))
             pairs = [(T.inverse(), F.inverse()), (T.compose(other), F.compose(other)), (other.compose(T), other.compose(F))]
             for a, b in pairs:
                 assert a.rotation.tobytes() == b.rotation.tobytes()
                 assert a.translation.tobytes() == b.translation.tobytes()
+                assert a.yaw == b.yaw
             assert T.transform(x).tobytes() == F.transform(x).tobytes()
+            Rt = T.rotation.T
+            assert _bits(rigid_transform(Rt, None, x)) == _bits(rigid_transform(np.ascontiguousarray(Rt), None, x))
 
     def test_batch_matches_single(self, rng):
         T = random_pose(rng)
@@ -362,11 +368,9 @@ class TestSupportRadius:
         # a whole union moved off the origin
         translated(mug_shape(), (0.1, -0.05, 0.02)),
     ]
-    # rotated about an oblique axis and offset: its box is the box of the
-    # rotated child box, so its radius can exceed the child's plus the offset
-    ROTATED = Transformed(
-        Box((0.04, 0.015, 0.025)), Pose(rotation_about_axis(np.array([1.0, 2.0, 3.0]), 0.7), np.array([0.03, -0.05, 0.02]))
-    )
+    # turned and offset (in z too): its box is the box of the turned child
+    # box, so its radius can exceed the child's plus the offset
+    ROTATED = Transformed(Box((0.04, 0.015, 0.025)), Pose(np.array([0.03, -0.05, 0.02]), 0.7))
     SHAPES = BUILDABLE + [ROTATED]
 
     def test_distance_at_least_excess_beyond_radius(self, rng):
@@ -418,7 +422,7 @@ class TestManyPoses:
         poses = [random_pose(rng, trans_scale=0.2) for _ in range(9)]
         pts = rng.uniform(-0.4, 0.4, (50, 3))
         always = rng.random(50) < 0.1
-        origins = object_origins(np.stack([T.rotation for T in poses]), np.stack([T.translation for T in poses]))
+        origins = object_origins(*_stack([(T.rotation, T.translation) for T in poses]))
         for radius in (0.1, 0.3, math.inf):
             ii, pp = pairs_within(pts, origins, radius, always)
             expect = [
@@ -464,13 +468,19 @@ def _nine_term(R: np.ndarray, t: np.ndarray | None, p: np.ndarray) -> np.ndarray
     return np.stack(rows, axis=-1)
 
 
+def _pose(T: Pose):
+    return T.rotation, T.translation
+
+
 class TestPoseTransformKernel:
+    # (rotation, translation): the 3-D rotations are built here, since the
+    # package holds planar poses only
     POSES = {
-        "general": Pose(geometry.rotation_about_axis((0.3, -0.5, 0.8), 1.1), np.array([0.2, -0.1, 0.05])),
-        "planar": Pose.from_placement((0.4, -0.2, 0.0), 0.7),
-        "near-planar": Pose(geometry.rotation_about_axis((1e-4, -2e-5, 1.0), 0.7), np.array([0.1, 0.3, 1e-6])),
-        "translation": Pose(np.eye(3), np.array([-0.06, -0.0, 0.0])),
-        "identity": Pose.identity(),
+        "general": (rodrigues((0.3, -0.5, 0.8), 1.1), np.array([0.2, -0.1, 0.05])),
+        "planar": _pose(Pose.from_placement((0.4, -0.2, 0.0), 0.7)),
+        "near-planar": (rodrigues((1e-4, -2e-5, 1.0), 0.7), np.array([0.1, 0.3, 1e-6])),
+        "translation": _pose(Pose(np.array([-0.06, -0.0, 0.0]))),
+        "identity": _pose(Pose.identity()),
     }
 
     @pytest.mark.parametrize("name", list(POSES))
@@ -478,36 +488,50 @@ class TestPoseTransformKernel:
         """Skipping zero terms and unit factors leaves every value (up to
         the sign of a zero) as the full formula gives it, and each output
         coordinate is contiguous."""
-        T = self.POSES[name]
+        R, t = self.POSES[name]
         pts = rng.uniform(-0.5, 0.5, (4, 37, 3))
         pts[0, :5] = 0.0
-        got = T.transform(pts)
-        npt.assert_array_equal(got, _nine_term(T.rotation, T.translation, pts))
+        got = rigid_transform(R, t, pts)
+        npt.assert_array_equal(got, _nine_term(R, t, pts))
         assert got.shape == pts.shape
         assert np.moveaxis(got, -1, 0).flags.c_contiguous
 
     @pytest.mark.parametrize("name", list(POSES))
     def test_batch_equals_single_bit_for_bit(self, rng, name):
-        T = self.POSES[name]
+        R, t = self.POSES[name]
         pts = rng.uniform(-0.5, 0.5, (30, 3))
         pts[:3, 2] = 0.0
-        batch = T.transform(pts)
+        batch = rigid_transform(R, t, pts)
         for i in range(len(pts)):
-            single = T.transform(pts[i])
+            single = rigid_transform(R, t, pts[i])
             assert single.shape == (3,)
             assert _bits(batch[i]) == _bits(single)
         # a column-major input gives the same bits
-        assert _bits(T.transform(np.asfortranarray(pts))) == _bits(batch)
+        assert _bits(rigid_transform(R, t, np.asfortranarray(pts))) == _bits(batch)
 
-    def test_planar_pose_skips_zero_terms(self, rng):
-        """A planar pose's z row is a copy of z: finite values exactly z."""
-        T = self.POSES["planar"]
+    def test_planar_pose_skips_zero_terms(self, rng, monkeypatch):
+        """A planar pose's z row is a copy of z: finite values exactly z.
+        Every rotation a pose or a particle set derives has exact 0.0 and
+        1.0 in its z row and column, so a set's stack always takes the
+        4-product path."""
+        R, t = self.POSES["planar"]
         pts = rng.uniform(-0.5, 0.5, (20, 3))
-        assert _bits(T.transform(pts)[:, 2]) == _bits(pts[:, 2])
+        assert _bits(rigid_transform(R, t, pts)[:, 2]) == _bits(pts[:, 2])
+        yaws = np.concatenate([rng.uniform(-4 * math.pi, 4 * math.pi, 300), [0.0, -0.0, math.pi, -math.pi, 1e-300, 2 * math.pi]])
+        particles = geometry.ParticleSet(rng.normal(0.0, 0.3, (len(yaws), 3)), yaws)
+        stacks = [particles.rotations, *(T.rotation for T in particles.poses[:20])]
+        for R in stacks:
+            assert _bits(R[..., 2, :]) == _bits(np.broadcast_to([0.0, 0.0, 1.0], R.shape[:-2] + (3,)))
+            assert _bits(R[..., :2, 2]) == _bits(np.zeros(R.shape[:-2] + (2,)))
+        calls = _count_products(monkeypatch)
+        got = rigid_transform(*particles.distinct(), pts)
+        assert len(calls) == 4
+        assert _bits(got[..., 2]) == _bits(np.broadcast_to(pts[:, 2] + particles.translations[:, 2, None], got.shape[:-1]))
 
 
 def _stack(poses):
-    return np.stack([T.rotation for T in poses]), np.stack([T.translation for T in poses])
+    """Rotations and translations of ``(rotation, translation)`` pairs."""
+    return np.stack([R for R, _ in poses]), np.stack([t for _, t in poses])
 
 
 def _coordinate_contiguous(a) -> bool:
@@ -531,10 +555,10 @@ _KERNEL_POSES = TestPoseTransformKernel.POSES
 # each stack's poses; "mixed" has coefficients that are 0 or 1 for some
 # poses only, so no term of a rotation may be skipped for the whole stack
 STACKS = {
-    "planar": [Pose.from_placement((0.4, -0.2, 0.0), a) for a in (0.7, -2.1, 0.0, 3.0)],
+    "planar": [_pose(Pose.from_placement((0.4, -0.2, 0.0), a)) for a in (0.7, -2.1, 0.0, 3.0)],
     "mixed": [_KERNEL_POSES[k] for k in ("planar", "general", "identity", "near-planar", "translation")],
-    "translations": [Pose(np.eye(3), np.array(t)) for t in ((-0.06, 0.0, 0.0), (0.0, 0.0, 0.0), (0.02, 0.0, 0.0))],
-    "identity": [Pose.identity()] * 3,
+    "translations": [_pose(Pose(np.array(t))) for t in ((-0.06, 0.0, 0.0), (0.0, 0.0, 0.0), (0.02, 0.0, 0.0))],
+    "identity": [_pose(Pose.identity())] * 3,
 }
 
 
@@ -575,14 +599,14 @@ class TestRigidTransform:
         assert got.shape == (300, 3) and _coordinate_contiguous(got)
         npt.assert_array_equal(got, _nine_term(R[idx], t[idx], pts))
         for k in range(0, 300, 7):
-            npt.assert_array_equal(got[k], poses[idx[k]].transform(pts[k]))
+            npt.assert_array_equal(got[k], rigid_transform(*poses[idx[k]], pts[k]))
 
     def test_one_pose_rotation_only(self, rng):
-        T = _KERNEL_POSES["general"]
+        R, _ = _KERNEL_POSES["general"]
         pts = self._points(rng, (4, 9, 3))
-        got = geometry.rigid_transform(T.rotation, None, pts)
+        got = geometry.rigid_transform(R, None, pts)
         assert got.shape == pts.shape and _coordinate_contiguous(got)
-        npt.assert_array_equal(got, _nine_term(T.rotation, None, pts))
+        npt.assert_array_equal(got, _nine_term(R, None, pts))
 
     @pytest.mark.parametrize(
         "name, products",
@@ -611,7 +635,7 @@ class TestRigidTransform:
         calls = _count_products(monkeypatch)
         for name, products in (("planar", 4), ("general", 9), ("translation", 0), ("identity", 0)):
             del calls[:]
-            _KERNEL_POSES[name].transform(pts)
+            rigid_transform(*_KERNEL_POSES[name], pts)
             assert len(calls) == products, name
 
     def test_single_point(self, rng):
@@ -719,9 +743,7 @@ def _unculled_sdf(shape, p):
 
 
 def _union_children():
-    rotated = geometry.Transformed(
-        Cylinder(0.015, 0.03), Pose(geometry.rotation_about_axis((1.0, 1.0, 0.2), 0.9), np.array([0.02, -0.05, 0.01]))
-    )
+    rotated = geometry.Transformed(Box((0.015, 0.01, 0.03)), Pose(np.array([0.02, -0.05, 0.01]), 0.9))
     nested = Union(Sphere(0.02), translated(Box((0.01, 0.02, 0.015)), (-0.06, 0.01, 0.0)))
     return [
         Extrusion(Annulus2D(0.05, 0.042), 0.04),

@@ -56,7 +56,7 @@ class TestSemanticsProbability:
         shape = Sphere(0.05)
         # particle A puts x on the surface (p_surf 1), B far away (p_surf ~ 0)
         A = Pose.identity()
-        B = Pose(np.eye(3), np.array([10.0, 0.0, 0.0]))
+        B = Pose(np.array([10.0, 0.0, 0.0]))
         particles = ParticleSet.from_poses([A, B], np.array([0.5, 0.5]))
         _, _, ps = semantics_probability(particles, shape, np.array([0.05, 0.0, 0.0]), SENSOR)
         assert ps == pytest.approx(0.5, abs=1e-4)
@@ -93,7 +93,7 @@ class TestInfoGain:
         expected value about 0.05 (gamma 2, sigma_f 10, epsilon 0)."""
         shape = Sphere(0.05)
         A = Pose.identity()                                # sdf at x: 0
-        B = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))     # sdf at x: +0.1
+        B = Pose(np.array([0.1, 0.0, 0.0]))     # sdf at x: +0.1
         particles = ParticleSet.from_poses([A, B], np.array([0.5, 0.5]))
         x = np.array([0.05, 0.0, 0.0])
         assert float(shape.sdf(A.transform(x))) == pytest.approx(0.0, abs=1e-15)
@@ -119,7 +119,7 @@ class TestInfoGain:
         # both read sdf +0.02 at x_agree; at x_disagree A reads +0.02, B reads -0.02
         A = Pose.identity()
         B_agree = Pose.identity()
-        B_disagree = Pose(np.eye(3), np.array([-0.04, 0.0, 0.0]))  # sdf at x: 0.07-0.04-0.05 = -0.02
+        B_disagree = Pose(np.array([-0.04, 0.0, 0.0]))  # sdf at x: 0.07-0.04-0.05 = -0.02
         x = np.array([0.07, 0.0, 0.0])
         agree = ParticleSet.from_poses([A, B_agree], np.array([0.5, 0.5]))
         disagree = ParticleSet.from_poses([A, B_disagree], np.array([0.5, 0.5]))

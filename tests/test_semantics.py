@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rummage.belief import ParticleSet
-from rummage.geometry import Pose, Sphere, rotation_about_axis
+from rummage.geometry import Pose, Sphere
 from rummage.semantics import (
     SemanticCloud,
     Semantics,
@@ -263,7 +263,7 @@ class TestMergeObservations:
 
     def test_surface_points_ride_displacement(self):
         prev = SemanticCloud.from_parts(surface=[[0.05, 0.0, 0.0]])
-        shift = Pose(np.eye(3), np.array([0.05, 0.0, 0.0]))
+        shift = Pose(np.array([0.05, 0.0, 0.0]))
         out = merge_observations(prev, SemanticCloud(), self.particles, shift, self.shape, 0.01, 0.002)
         assert len(out.surface) == 1
         npt.assert_allclose(out.surface[0], (0.10, 0.0, 0.0), atol=1e-9)
@@ -318,7 +318,7 @@ class TestMergeCull:
                 surface=center + rng.uniform(-0.06, 0.06, (20, 3)),
             )
             new = SemanticCloud.from_parts(free=center + rng.uniform(-0.2, 0.2, (200, 3)) * [1, 1, 0.2])
-            dT_w = Pose(rotation_about_axis((0, 0, 1), 0.05), np.array([0.01, -0.005, 0.0]))
+            dT_w = Pose(np.array([0.01, -0.005, 0.0]), 0.05)
             got = merge_observations(prev, new, ParticleSet.from_poses(poses), dT_w, mug, 0.01, 0.002)
             want = reference_merge(prev, new, poses, dT_w, mug, 0.01, 0.002)
             npt.assert_array_equal(got.positions, want.positions)
