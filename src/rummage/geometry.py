@@ -168,7 +168,7 @@ class Pose:
 
     def object_center_world(self) -> np.ndarray:
         """World position of the object-frame origin, ``-R^T t``."""
-        return object_origins(self.rotation, self.translation)
+        return object_origins(self.rotation[None], self.translation[None])[0]
 
     def placement_yaw(self) -> float:
         """Yaw of the object placement (rotation of the object frame in the
@@ -276,7 +276,7 @@ def compose_poses(t1, yaw1, t2, yaw2) -> tuple[np.ndarray, np.ndarray]:
     ``c*x - s*y`` products) before ``t1`` is added.  The left side is one
     pose ``(3,), ()``, or ``t1`` a stack ``(N, 3)``; the right side one pose
     or a stack ``(N, 3), (N,)``."""
-    return rigid_transform(planar_rotations(yaw1), None, t2) + t1, yaw1 + np.asarray(yaw2, dtype=np.float64)
+    return rigid_transform(planar_rotations(yaw1), None, t2) + t1, yaw1 + yaw2
 
 
 def world_gradients(shape, rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -288,11 +288,8 @@ def world_gradients(shape, rotations: np.ndarray, translations: np.ndarray, poin
 
 
 def object_origins(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
-    """World positions of the object-frame origins, ``-R^T t``, of one pose
-    ``(3, 3), (3,)`` or a stack ``(N, 3, 3), (N, 3)``: each row as
-    :meth:`Pose.object_center_world` makes it alone."""
-    if rotations.ndim == 2:
-        return -rigid_transform(rotations.T, None, translations)
+    """World positions (N, 3) of the object-frame origins of a pose stack,
+    ``-R^T t``, each row as :meth:`Pose.object_center_world` makes it."""
     return -rigid_transform(rotations.transpose(0, 2, 1), None, translations, np.arange(len(translations)))
 
 

@@ -21,9 +21,10 @@ from rummage.semantics import SemanticCloud
 from conftest import random_pose, rodrigues
 from test_discrepancy import pose_descent_step, scene_cloud
 
-# (planar, sigma_t): particle origins on the table or with z offsets, with
-# no process noise (no draw) and with the noise draws
-NOISE = [(True, 0.0), (True, 0.01), (False, 0.01)]
+# (planar, value): particle origins on the table or with z offsets; the
+# value is the measured motion's yaw for test_update_step_motion and the
+# translation noise sigma_t for test_resample_perturb_compose (0: no draw)
+NOISE = [(True, 0.0), (True, 0.05), (False, 0.05)]
 
 
 def assert_bits(a: Pose, b: Pose):
@@ -72,11 +73,13 @@ def particle_set(rng, n: int, planar: bool) -> ParticleSet:
     return ParticleSet.from_poses(poses, w / w.sum())
 
 
-@pytest.mark.parametrize("planar, sigma_t", NOISE)
-def test_update_step_motion(planar, sigma_t, mug):
-    """Every particle becomes (noise dT) T, its noise drawn in turn."""
+@pytest.mark.parametrize("planar, yaw", NOISE)
+def test_update_step_motion(planar, yaw, mug):
+    """Every particle becomes (noise dT) T, its noise drawn in turn; a
+    motion without a turn takes the skip path of the 0 and 1 factors."""
     particles = particle_set(np.random.default_rng(3), 200, planar)
-    dT = Pose(np.array([0.01, -0.004, 0.0 if planar else 0.002]), 0.05)
+    dT = Pose(np.array([0.01, -0.004, 0.0 if planar else 0.002]), yaw)
+    sigma_t = 0.01
     params = BeliefParams(sigma_t=sigma_t)
     state = BeliefState(particles=particles, cloud=SemanticCloud())
     out = update_step(
