@@ -612,68 +612,21 @@ def Cylinder(radius: float, half_height: float) -> Extrusion:
     return Extrusion(Circle2D(radius), half_height)
 
 
-def _support_ball(shape) -> tuple[np.ndarray, float]:
-    """Center and radius beyond which ``shape`` reads at least the excess:
-    a :class:`Transformed` shape's ball sits at its frame origin with its
-    child's radius, any other shape's at the origin with its own."""
-    if isinstance(shape, Transformed):
-        return shape.pose.object_center_world(), support_radius(shape.child)
-    return np.zeros(3), support_radius(shape)
-
-
-def _rows_within(p: np.ndarray, center: np.ndarray, radius: float, v: np.ndarray) -> np.ndarray:
-    """Rows of the ``(n, 3)`` points ``p`` where ``|p - center| <= radius +
-    max(v, 0)`` can hold.
-
-    The bound gets a relative slack of 1e-9 and an absolute one of 1e-12,
-    which cover the rounding of the squared distances and of the distances
-    the shapes compute, and a NaN distance or bound keeps the row.  A row
-    left out lies strictly more than ``max(v, 0)`` beyond the ball."""
-    d2 = np.zeros(len(p))
-    for i, c in enumerate(center.tolist()):
-        d2 += np.square(p[:, i] - c) if c else np.square(p[:, i])
-    bound = np.maximum(v, 0.0)
-    bound += radius
-    bound *= 1.0 + 1e-9
-    bound += 1e-12
-    np.square(bound, out=bound)
-    return np.flatnonzero(~(d2 > bound))
-
-
 @dataclass(frozen=True)
 class Union(Shape):
-    """Min of the children's distances.
-
-    A child is evaluated only at the points where it could be below the
-    running min: its support ball (:func:`_support_ball`, computed once)
-    widened by that min.  Beyond the ball a child reads at least the
-    distance past it, strictly above the running min, so ``np.minimum``
-    would have returned the running min there: the values are those of
-    evaluating every child everywhere, bit for bit.
-    """
+    """Min of the children's distances, every child evaluated at every point."""
 
     children: tuple[Shape, ...]
 
     def __init__(self, *children: Shape):
         object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "_balls", tuple(_support_ball(c) for c in children))
-
-    def _candidates(self, k: int, p: np.ndarray, v: np.ndarray):
-        """Rows where child ``k`` could be below ``v``; ``None`` for all rows."""
-        center, radius = self._balls[k]
-        rows = _rows_within(p, center, radius, v)
-        return None if len(rows) == len(p) else rows
 
     def sdf(self, points):
         p, single = self._pts(points)
         flat = p.reshape(-1, 3)
         v = self.children[0].sdf(flat)
-        for k in range(1, len(self.children)):
-            rows = self._candidates(k, flat, v)
-            if rows is None:
-                v = np.minimum(v, self.children[k].sdf(flat))
-            elif len(rows):
-                v[rows] = np.minimum(v[rows], self.children[k].sdf(flat[rows]))
+        for c in self.children[1:]:
+            v = np.minimum(v, c.sdf(flat))
         return self._ret(v.reshape(p.shape[:-1]), single)
 
     def gradient(self, points):
@@ -685,15 +638,10 @@ class Union(Shape):
         v = self.children[0].sdf(flat)
         pick = np.zeros(len(flat), dtype=np.intp)
         for k in range(1, len(self.children)):
-            rows = self._candidates(k, flat, v)
-            if rows is None:
-                rows = np.arange(len(flat))
-            cv = self.children[k].sdf(flat[rows])
-            cur = v[rows]
-            better = (cv < cur) | (np.isnan(cv) & ~np.isnan(cur))
-            rows = rows[better]
-            v[rows] = cv[better]
-            pick[rows] = k
+            cv = self.children[k].sdf(flat)
+            better = (cv < v) | (np.isnan(cv) & ~np.isnan(v))
+            v[better] = cv[better]
+            pick[better] = k
         g = np.empty(flat.shape, dtype=np.float64)
         for k, c in enumerate(self.children):
             rows = np.flatnonzero(pick == k)

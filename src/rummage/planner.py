@@ -20,6 +20,10 @@ from .geometry import PAIR_BUDGET, POINT_BLOCK, ParticleSet, ScalarField, Shape,
 from .infogain import InfoFields
 from .semantics import grid_cells
 
+POINT_PITCH = 0.01   # interior grid pitch of the paddle body
+PAD_PITCH = 0.002    # pitch of the dense tactile pad on the +x face
+SWEEP_CELL = 0.01    # side of the cells that de-duplicate a rollout's sweep
+
 
 @dataclass(frozen=True)
 class ActionScale:
@@ -40,30 +44,25 @@ class PaddleRobot:
     """Planar paddle end effector.
 
     Interior points are a fixed-order grid over the body rectangle; the
-    sensing subset is the leading ``info_depth`` column(s) on the +x face.
-    Configurations are ``(x, y, yaw)`` at a fixed working height.
+    sensing subset is its column on the +x face.  Configurations are
+    ``(x, y, yaw)`` in the table plane, z = 0.
     """
 
     half_extents: tuple[float, float] = (0.01, 0.03)
-    point_resolution: float = 0.01
-    plane_z: float = 0.0
-    info_depth: int = 1
-    sense_resolution: float = 0.002
 
     def __post_init__(self):
         hx, hy = self.half_extents
-        nx = max(2, int(round(2 * hx / self.point_resolution)) + 1)
-        ny = max(2, int(round(2 * hy / self.point_resolution)) + 1)
+        nx = max(2, int(round(2 * hx / POINT_PITCH)) + 1)
+        ny = max(2, int(round(2 * hy / POINT_PITCH)) + 1)
         xs = np.linspace(-hx, hx, nx)
         ys = np.linspace(-hy, hy, ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        front = np.unique(grid[:, 0])[-self.info_depth :]
         object.__setattr__(self, "_body", grid)
-        object.__setattr__(self, "_info", np.isin(grid[:, 0], front))
+        object.__setattr__(self, "_info", grid[:, 0] == xs[-1])
         # dense tactile pad on the +x face (observation only; the planner's
         # point sets stay at the coarse resolution)
-        ns = max(2, int(round(2 * hy / self.sense_resolution)) + 1)
+        ns = max(2, int(round(2 * hy / PAD_PITCH)) + 1)
         pad = np.stack([np.full(ns, hx), np.linspace(-hy, hy, ns)], axis=-1)
         object.__setattr__(self, "_pad", pad)
 
@@ -95,7 +94,7 @@ class PaddleRobot:
         out = np.empty((len(qb), body.shape[-2], 3))
         out[..., 0] = c * bx - s * by + qb[:, 0:1]
         out[..., 1] = s * bx + c * by + qb[:, 1:2]
-        out[..., 2] = self.plane_z
+        out[..., 2] = 0.0
         return out[0] if single else out
 
     def points_world(self, q) -> np.ndarray:
@@ -124,7 +123,6 @@ class PaddleRobot:
 class PlannerParams:
     horizon: int = 15
     control_points: int = 8
-    kernel_scale: float = 2.0
     samples: int = 500
     rollouts: int = 5
     mini_steps: int = 4
@@ -136,7 +134,6 @@ class PlannerParams:
     reach_weight: float = 200.0
     warm_start_iters: int = 5
     opt_iters: int = 1              # optimization iterations per replan
-    downsample_res: float = 0.01    # sweep de-duplication cell size
     action_scale: ActionScale = field(default_factory=ActionScale)
 
     def __post_init__(self):
@@ -480,7 +477,7 @@ def mppi_update(
     H_c, dim = theta.shape
     eps = rng.normal(0.0, math.sqrt(params.noise_cov), size=(params.samples, H_c, dim))
     cand = theta[None] + eps
-    W = interpolation_weights(np.arange(params.horizon, dtype=np.float64), params.horizon, H_c, params.kernel_scale)
+    W = interpolation_weights(np.arange(params.horizon, dtype=np.float64), params.horizon, H_c)
     actions = np.clip(np.einsum("ht,sta->sha", W, cand), -1.0, 1.0)
     costs = np.asarray(cost_fn(actions), dtype=np.float64)
     shifted = (costs - costs.min()) / params.temperature
@@ -513,7 +510,7 @@ def make_rollout_cost(
         q_traj, d_traj = _rollout_batch(
             np.asarray(q0, dtype=np.float64), np.zeros(3), rep, ctx, robot, params, rng
         )
-        info_c = batched_sweep_cost(q_traj, d_traj, ctx.fields.info, robot, params.downsample_res)
+        info_c = batched_sweep_cost(q_traj, d_traj, ctx.fields.info, robot, SWEEP_CELL)
         if params.reach_weight != 0.0:
             reach_c = ctx.reach_table.reach_cost_batch(d_traj)
         else:
@@ -556,7 +553,7 @@ class Planner:
         cost_fn = make_rollout_cost(np.asarray(q, dtype=np.float64), ctx, self.robot, self.params, rng)
         for it in range(max(1, iters)):
             self.theta, costs = mppi_update(self.theta, cost_fn, self.params, rng)
-            actions = np.clip(kernel_interpolate(self.theta, self.params.horizon, self.params.kernel_scale), -1.0, 1.0)
+            actions = np.clip(kernel_interpolate(self.theta, self.params.horizon), -1.0, 1.0)
             self.trace.append(
                 {"iteration": len(self.trace), "costs": costs.copy(), "chosen_action": actions[0].copy()}
             )

@@ -52,6 +52,11 @@ from .semantics import SemanticCloud, SensorModel, voxel_downsample
 
 METHODS = ("full", "info-only", "reach-only", "slide")
 
+MAX_RESOLVE = 8            # penetration resolutions per pushing sub-step
+PENETRATION_TOL = 1e-5     # depth below which a body point does not push
+CONTACT_MARGIN = 0.003     # clearance that still reports contact
+PRIOR_POSITION_STD = 0.05  # per-axis spread of the "gaussian" prior positions
+
 
 # ---------------------------------------------------------------------------
 # Scenario configuration
@@ -99,11 +104,7 @@ class CameraModel:
 @dataclass(frozen=True)
 class SimParams:
     substeps: int = 8
-    max_resolve: int = 8
-    penetration_tol: float = 1e-5
-    contact_margin: float = 0.003
     push_angle: float = math.radians(45.0)
-    tactile_tol: float = 0.003
 
 
 @dataclass(frozen=True)
@@ -125,14 +126,12 @@ class Scenario:
     sim: SimParams = field(default_factory=SimParams)
     prior_mode: str = "surface_centroid"   # or "gaussian"
     prior_center: tuple[float, float, float] = (0.45, 0.0, 0.0)
-    prior_position_std: float = 0.05
     prior_count: int | None = None         # None: one prior per particle
     n_steps: int = 40
     surface_samples: int = 500
     termination_ratio: float = 0.03
     observe_movement_directly: bool = True
     camera_every_step: bool = False
-    slide_speed: float = 0.5
     nll_threshold: float | None = None     # None: calibrated per scenario
 
     def __post_init__(self):
@@ -185,7 +184,6 @@ class World:
     shape: Shape
     true_pose: Pose
     q: np.ndarray
-    occluders: list[Shape] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -193,57 +191,56 @@ class World:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_trace(origin, directions, sdf_fns, max_range, tol):
-    """March the rays ``origin + t * directions[i]`` against several batched
-    distance functions, all rays in lockstep.
+def _sphere_trace(origin, directions, sdf, max_range, tol):
+    """March the rays ``origin + t * directions[i]`` against one batched
+    distance function, all rays in lockstep.
 
-    A ray takes the first minimum over the functions at ``origin + t *
-    direction``, hits when it is below ``tol``, and otherwise advances
-    ``t`` by ``max(d, tol)``; it stops at a hit, past ``max_range`` or after
-    256 steps.  Each ray's arithmetic is that of marching it alone.
-    Returns ``(hit_t, hit_index)`` per ray, ``(max_range, -1)`` on a miss.
+    A ray hits when the distance at ``origin + t * direction`` is below
+    ``tol``, and otherwise advances ``t`` by ``max(d, tol)``; it stops at a
+    hit, past ``max_range`` or after 256 steps.  Each ray's arithmetic is
+    that of marching it alone.  Returns ``(hit_t, hit)`` per ray,
+    ``(max_range, False)`` on a miss.
     """
     n = len(directions)
     t = np.zeros(n)
     hit_t = np.full(n, float(max_range))
-    hit_k = np.full(n, -1, dtype=np.intp)
+    hits = np.zeros(n, dtype=bool)
     live = np.arange(n)
     for _ in range(256):
         if not len(live):
             break
-        dists = np.stack([f(origin + t[live, None] * directions[live]) for f in sdf_fns])
-        k = np.argmin(dists, axis=0)
-        dv = dists[k, np.arange(len(live))]
+        dv = sdf(origin + t[live, None] * directions[live])
         hit = dv < tol
         hit_t[live[hit]] = t[live[hit]]
-        hit_k[live[hit]] = k[hit]
+        hits[live[hit]] = True
         live = live[~hit]
         t[live] += np.maximum(dv[~hit], tol)
         live = live[~(t[live] > max_range)]
-    return hit_t, hit_k
+    return hit_t, hits
 
 
 def camera_observe(world: World, camera: CameraModel) -> SemanticCloud:
-    """Fan-trace the scene: a surface point where a ray hits the object, free
+    """Fan-trace the object: a surface point where a ray hits it, free
     points along 95% of every ray's detected depth (full range on misses)."""
     origin = np.asarray(camera.position, dtype=np.float64)
     T = world.true_pose
-    sdf_fns = [lambda p: world.shape.sdf(T.transform(p))] + [occ.sdf for occ in world.occluders]
 
     if camera.n_rays == 1:
         angles = [camera.look_angle]
     else:
         angles = camera.look_angle + np.linspace(-camera.fov / 2, camera.fov / 2, camera.n_rays)
     directions = np.array([[math.cos(a), math.sin(a), 0.0] for a in angles])
-    hit_ts, hit_ks = _sphere_trace(origin, directions, sdf_fns, camera.max_range, camera.surface_tol)
+    hit_ts, hits = _sphere_trace(
+        origin, directions, lambda p: world.shape.sdf(T.transform(p)), camera.max_range, camera.surface_tol
+    )
 
     frees, surfaces = [], []
-    for direction, hit_t, hit_k in zip(directions, hit_ts, hit_ks):
-        free_to = camera.free_fraction * hit_t if hit_k >= 0 else camera.max_range
+    for direction, hit_t, hit in zip(directions, hit_ts, hits):
+        free_to = camera.free_fraction * hit_t if hit else camera.max_range
         ts = np.arange(camera.sample_spacing, free_to, camera.sample_spacing)
         if len(ts):
             frees.append(origin[None, :] + ts[:, None] * direction[None, :])
-        if hit_k == 0:
+        if hit:
             surfaces.append(origin + hit_t * direction)
     return SemanticCloud.from_parts(
         free=np.concatenate(frees) if frees else None,
@@ -323,10 +320,10 @@ def world_step(
         pts_prev = robot.points_world(q)
         pts = robot.points_world(q_new)
         blocked = False
-        for _ in range(params.max_resolve):
+        for _ in range(MAX_RESOLVE):
             v = world.shape.sdf(T.transform(pts))
             i = int(np.argmin(v))
-            if v[i] >= -params.penetration_tol:
+            if v[i] >= -PENETRATION_TOL:
                 break
             contact = True
             x = pts[i]
@@ -356,7 +353,7 @@ def world_step(
             for _ in range(8):
                 mid = 0.5 * (lo + hi)
                 v_mid = world.shape.sdf(T.transform(robot.points_world(q + mid * phys)))
-                if float(v_mid.min()) > params.penetration_tol:
+                if float(v_mid.min()) > PENETRATION_TOL:
                     lo = mid
                 else:
                     hi = mid
@@ -365,7 +362,7 @@ def world_step(
         q = q_new
         if not contact:
             v = world.shape.sdf(T.transform(robot.points_world(q)))
-            if float(v.min()) < params.contact_margin:
+            if float(v.min()) < CONTACT_MARGIN:
                 contact = True
 
     world.q = q
@@ -581,7 +578,7 @@ def _sample_priors(scenario: Scenario, cloud: SemanticCloud, rng: np.random.Gene
     base = np.asarray(scenario.prior_center, dtype=np.float64)
     priors = []
     for _ in range(n):
-        offset = np.array([rng.normal(0, scenario.prior_position_std), rng.normal(0, scenario.prior_position_std), 0.0])
+        offset = np.array([rng.normal(0, PRIOR_POSITION_STD), rng.normal(0, PRIOR_POSITION_STD), 0.0])
         priors.append(Pose.from_placement(base + offset, rng.uniform(-math.pi, math.pi)))
     return priors
 
@@ -675,7 +672,7 @@ def run_episode(
         if method == "slide":
             action = slide_policy(
                 state.particles, shape, world.q, in_contact, contact_point,
-                tangent_sign, pparams.action_scale, scenario.slide_speed,
+                tangent_sign, pparams.action_scale,
             )
         else:
             fields = build_info_fields(
@@ -689,7 +686,7 @@ def run_episode(
 
         q_before = world.q.copy()
         dT_true, contact = world_step(world, action, robot, pparams.action_scale, scenario.sim)
-        obs = tactile_observe(world, world.q, robot, scenario.sim.tactile_tol)
+        obs = tactile_observe(world, world.q, robot)
         if scenario.camera_every_step:
             obs = obs.extend(camera_observe(world, scenario.camera))
 

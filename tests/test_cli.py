@@ -261,12 +261,18 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "section, key",
-        [("planner", "kernel"), ("robot", "max_range"), ("robot", "base"), ("belief", "planar"), ("sim", "torque_radius")],
+        [
+            ("planner", "kernel"), ("robot", "max_range"), ("robot", "base"), ("belief", "planar"), ("sim", "torque_radius"),
+            ("sim", "tactile_tol"), ("planner", "kernel_scale"), ("robot", "info_depth"),
+        ],
     )
     def test_unknown_setting_is_config_error(self, tmp_path, tiny_scenario_file, capsys, section, key):
         """Settings the program does not have are errors, not ignored."""
         cfg = json.loads(tiny_scenario_file.read_text())
-        value = {"kernel": "bspline", "max_range": 0.5, "base": [0.0, 0.0], "planar": False, "torque_radius": 0.02}[key]
+        value = {
+            "kernel": "bspline", "max_range": 0.5, "base": [0.0, 0.0], "planar": False, "torque_radius": 0.02,
+            "tactile_tol": 0.003, "kernel_scale": 2.0, "info_depth": 1,
+        }[key]
         rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, **{section: {**cfg.get(section, {}), key: value}})
         assert rc == 1
         assert err.startswith("config error:") and key in err

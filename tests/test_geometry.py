@@ -730,16 +730,34 @@ class TestInPlaceShapes:
             assert _bits(shape.sdf(p[i])) == _bits(ref[i])
 
 
-def _unculled_sdf(shape, p):
-    """Every child of every union evaluated at every point."""
+def _every_child_sdf(shape, p):
+    """Every child of every union evaluated at every point, the min taken
+    in child order."""
     if isinstance(shape, Union):
-        v = _unculled_sdf(shape.children[0], p)
+        v = _every_child_sdf(shape.children[0], p)
         for c in shape.children[1:]:
-            v = np.minimum(v, _unculled_sdf(c, p))
+            v = np.minimum(v, _every_child_sdf(c, p))
         return v
     if isinstance(shape, geometry.Transformed):
-        return _unculled_sdf(shape.child, shape.pose.transform(p))
+        return _every_child_sdf(shape.child, shape.pose.transform(p))
+    if isinstance(shape, _Flipped):
+        return _every_child_sdf(shape.child, p)
     return shape.sdf(p)
+
+
+def _first_minimum_gradient(shape, p):
+    """Point by point, the gradient of the first child of every union with
+    the smallest distance, a NaN distance counting as smallest."""
+    if isinstance(shape, _Flipped):
+        return -_first_minimum_gradient(shape.child, p)
+    if not isinstance(shape, Union):
+        return shape.gradient(p)
+    out = np.empty_like(p)
+    for i in range(len(p)):
+        row = p[i : i + 1]
+        k = int(np.argmin([_every_child_sdf(c, row)[0] for c in shape.children]))
+        out[i] = _first_minimum_gradient(shape.children[k], row)[0]
+    return out
 
 
 def _union_children():
@@ -751,6 +769,21 @@ def _union_children():
         rotated,
         nested,
     ]
+
+
+class _Flipped(geometry.Shape):
+    """A shape's distances with its gradient negated: listed after that
+    shape in a union it ties on every row, and the gradient shows which of
+    the two was picked."""
+
+    def __init__(self, child):
+        self.child = child
+
+    def sdf(self, points):
+        return self.child.sdf(points)
+
+    def gradient(self, points):
+        return -self.child.gradient(points)
 
 
 class TestUnionCull:
@@ -765,49 +798,31 @@ class TestUnionCull:
         ),
     )
     def test_sdf_equals_unculled_min(self, order, count, seed, offsets):
-        """Culling by the children's support balls leaves every value, a NaN
-        row and points on and near each ball's boundary included, bit for
-        bit what the min over every child gives."""
+        """The distances are the min over every child and the gradient is
+        that of the first minimum, bit for bit, at a NaN row, at points on
+        and near each child's bounding box and where children tie."""
         children = [_union_children()[k] for k in order[:count]]
-        shape = Union(*children)
         rng = np.random.default_rng(seed)
         pts = [rng.uniform(-0.15, 0.15, (40, 3)), np.full((1, 3), np.nan)]
-        offsets = np.asarray(offsets)[:, None]
-        for k, (center, radius) in enumerate(shape._balls):
-            u = rng.normal(size=(len(offsets), 3))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            pts.append(center + u * (radius + offsets))
-            if k:
-                # near the ball widened by the running min of the children before
-                before = Union(*children[:k])
-                q = center + u * radius
-                for _ in range(3):
-                    q = center + u * (radius + np.maximum(_unculled_sdf(before, q), 0.0))[:, None]
-                pts.append(q + u * offsets)
+        offsets = np.asarray(offsets)
+        rows = np.arange(len(offsets))
+        for c in children:
+            # on a face of the box, moved out (or in) along its normal
+            lo, hi = c.bounding_box()
+            q = rng.uniform(lo, hi, (len(offsets), 3))
+            axis = rng.integers(0, 3, len(offsets))
+            upper = rng.random(len(offsets)) < 0.5
+            q[rows, axis] = np.where(upper, hi[axis] + offsets, lo[axis] - offsets)
+            pts.append(q)
         p = np.concatenate(pts)
-        ref = _unculled_sdf(shape, p)
-        assert _bits(shape.sdf(p)) == _bits(ref)
-        for i in range(0, len(p), 7):
-            assert _bits(shape.sdf(p[i])) == _bits(ref[i])
-
-    def test_handle_is_skipped_away_from_it(self, mug):
-        """The mug's handle is evaluated only near its ball."""
-        body, handle = mug.children
-        seen = []
-
-        class CountingBox(geometry.Shape):
-            def sdf(self, points):
-                seen.append(len(points))
-                return handle.child.sdf(points)
-
-            def bounding_box(self):
-                return handle.child.bounding_box()
-
-        counted = Union(body, geometry.Transformed(CountingBox(), handle.pose))
-        p = np.random.default_rng(0).uniform(-0.1, 0.1, (500, 3))
-        p[:, 0] -= 0.05  # mostly on the far side from the handle
-        assert _bits(counted.sdf(p)) == _bits(mug.sdf(p))
-        assert 0 < sum(seen) < len(p) // 2
+        for shape in (Union(*children), Union(*children, _Flipped(children[0]))):
+            ref = _every_child_sdf(shape, p)
+            ref_g = _first_minimum_gradient(shape, p)
+            assert _bits(shape.sdf(p)) == _bits(ref)
+            assert _bits(shape.gradient(p)) == _bits(ref_g)
+            for i in range(0, len(p), 7):
+                assert _bits(shape.sdf(p[i])) == _bits(ref[i])
+                assert _bits(shape.gradient(p[i])) == _bits(ref_g[i])
 
     def test_gradient_matches_stacked_reference(self, rng, mug):
         """Each child's gradient at the points that pick it equals the old

@@ -161,3 +161,33 @@ class TestCheckTestOnly:
         package = "def helper():\n    return 1\nclass Thing:\n    def step(self):\n        return helper()\n"
         root = self.tree(tmp_path, package, "from rummage.core import Thing\nThing().step()\n")
         assert load("check_test_only").unused(root) == []
+
+    def test_reports_settings_nothing_sets(self, tmp_path):
+        """Of the dataclass fields with a default, only the one that nothing
+        sets and only its own module reads is reported."""
+        package = (
+            "from dataclasses import dataclass, field, replace\n"
+            "@dataclass\n"
+            "class Params:\n"
+            "    required: int\n"
+            "    by_keyword: int = 1\n"
+            "    by_replace: int = 2\n"
+            "    by_scenario: int = 3\n"
+            "    by_dict: dict = field(default_factory=dict)\n"
+            "    read_by_test: float = 0.5\n"
+            "    lonely: float = 0.1\n"
+            "    derived: float = field(init=False, default=0.0)\n"
+            "def build():\n"
+            "    return replace(Params(0, by_keyword=4), by_replace=5)\n"
+            "def use(p):\n"
+            "    return p.lonely + p.derived + p.by_scenario\n"
+        )
+        root = self.tree(tmp_path, package, "from rummage.core import build, use\nuse(build())\nCFG = {'by_dict': {}}\n")
+        (root / "scenarios").mkdir()
+        (root / "scenarios/s.json").write_text('{"outer": [{"by_scenario": 6}]}')
+        (root / "tests/test_params.py").write_text("from rummage.core import build\nassert build().read_by_test == 0.5\n")
+        check = load("check_test_only")
+        assert check.unset(root) == ["src/rummage/core.py:10: Params.lonely"]
+        # a test that sets it through a config dict's key
+        (root / "tests/test_params.py").write_text("cfg = {}\ncfg['lonely'] = 0.2\n")
+        assert check.unset(root) == ["src/rummage/core.py:9: Params.read_by_test"]
