@@ -149,7 +149,7 @@ def main() -> int:
     if found:
         print(f"{len(found)} definition(s) in src/rummage named nowhere in {', '.join(SEARCHED)}", file=sys.stderr)
     if fields:
-        print(f"{len(fields)} dataclass field(s) in src/rummage set nowhere in {', '.join(SETTERS)} or scenarios", file=sys.stderr)
+        print(f"{len(fields)} dataclass field(s) in src/rummage set nowhere and named only in their own module", file=sys.stderr)
     return 1 if found or fields else 0
 
 
