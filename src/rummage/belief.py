@@ -90,19 +90,38 @@ def resample(
     disc: DiscrepancyParams,
     params: BeliefParams,
     rng: np.random.Generator,
-) -> ParticleSet:
+) -> tuple[ParticleSet, np.ndarray]:
     """Systematic resampling by weight, then perturb and locally refine each
-    copy against the accumulated cloud.  Weights reset to uniform."""
+    copy against the accumulated cloud.  Weights reset to uniform.
+
+    Returns the copies and their discrepancies against ``cloud``, as
+    :func:`refine_pose` returns them."""
     idx = systematic_resample_indices(particles.weights, rng)
     # the noise translates each copy in the world
     copies = ParticleSet(particles.translations[idx] + perturb(rng, len(idx), params.sigma_t), particles.yaws[idx])
     return refine_pose(disc, shape, cloud, copies, params.k_opt, params.schedule)
 
 
+@dataclass
+class BeliefState:
+    """A weighed particle set, the cloud it was weighed against, and each
+    particle's total discrepancy against that cloud, ``costs`` (N,), equal
+    to :func:`discrepancies` of the two bit for bit.  The update that makes
+    a state has the costs at hand, so the next update reads them instead of
+    evaluating them again."""
+
+    particles: ParticleSet
+    cloud: SemanticCloud
+    costs: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.costs) != (len(self.particles),):
+            raise ValueError("a belief state needs one cost per particle")
+
+
 def estimate_movement(
-    prev_cloud: SemanticCloud,
+    state: BeliefState,
     new_cloud: SemanticCloud,
-    particles: ParticleSet,
     shape: Shape,
     disc: DiscrepancyParams,
     params: BeliefParams,
@@ -110,9 +129,11 @@ def estimate_movement(
 ) -> tuple[Pose, Pose]:
     """Estimate the object's pose delta from the newest observations.
 
-    Picks the lowest discrepancy particle as the representative pose,
-    applies the sticking-contact prior to it, and descends the discrepancy
-    of the new cloud under the composed pose.  Returns ``(dT, dT_w)`` where
+    Picks the particle of the lowest discrepancy against the state's
+    cloud as the representative pose (read from ``state.costs``, not
+    evaluated again), applies the sticking-contact prior to it, and
+    descends the discrepancy of the new cloud under the composed pose.
+    Returns ``(dT, dT_w)`` where
     ``dT`` left-composes onto pose particles and ``dT_w`` is the
     world-frame point motion consistent with it:
     ``dT_w = T_i^-1 dT^-1 T_i``, which makes
@@ -125,21 +146,14 @@ def estimate_movement(
     """
     if len(new_cloud.surface) == 0:
         return Pose.identity(), Pose.identity()
-    d = discrepancies(disc, shape, prev_cloud, particles)
-    T_i = particles.pose(int(np.argmin(d)))
+    T_i = state.particles.pose(int(np.argmin(state.costs)))
     # composed even when it is the identity, which can flip the sign of zeros
     prior = Pose.identity() if prior_w is None else T_i.compose(prior_w.inverse()).compose(T_i.inverse())
     start = ParticleSet.from_poses([prior.compose(T_i)])
-    composed = refine_pose(disc, shape, new_cloud, start, params.k_opt, params.schedule).pose(0)
+    composed = refine_pose(disc, shape, new_cloud, start, params.k_opt, params.schedule)[0].pose(0)
     dT = composed.compose(T_i.inverse())
     dT_w = T_i.inverse().compose(dT.inverse()).compose(T_i)
     return dT, dT_w
-
-
-@dataclass
-class BeliefState:
-    particles: ParticleSet
-    cloud: SemanticCloud
 
 
 def update_step(
@@ -162,13 +176,17 @@ def update_step(
     motion.  Without it the motion is estimated from the new cloud, with
     ``prior_w``, the contact's world-frame motion, as the sticking prior
     (see :func:`estimate_movement`).
+
+    The particles' discrepancies against the merged cloud are evaluated
+    once, or come from the refinement when they are resampled; the
+    weights and the returned state's costs both use them.
     """
     if known is not None and prior_w is not None:
         raise ValueError("give the known motion or its prior, not both")
     if known is not None:
         dT, dT_w = known
     else:
-        dT, dT_w = estimate_movement(state.cloud, new_cloud, state.particles, shape, disc, params, prior_w)
+        dT, dT_w = estimate_movement(state, new_cloud, shape, disc, params, prior_w)
 
     particles = state.particles
     if not dT.is_identity():
@@ -182,38 +200,35 @@ def update_step(
 
     d = discrepancies(disc, shape, cloud, particles)
     if d.max() > params.eta:
-        particles = resample(particles, cloud, shape, disc, params, rng)
-        particles = weigh(particles, cloud, shape, disc, params)
-    else:
-        particles = weigh(particles, cloud, shape, disc, params, d)
-    return BeliefState(particles=particles, cloud=cloud)
+        particles, d = resample(particles, cloud, shape, disc, params, rng)
+    return BeliefState(weigh(particles, cloud, shape, disc, params, d), cloud, d)
 
 
 def initialize_particles(
-    prior_poses: list[Pose],
+    priors: ParticleSet,
     cloud: SemanticCloud,
     shape: Shape,
     disc: DiscrepancyParams,
     params: BeliefParams,
     rng: np.random.Generator,
-) -> ParticleSet:
-    """Diversity-preserving initialization from prior poses.
+) -> BeliefState:
+    """Diversity-preserving initialization from prior poses: the first
+    belief state against the first cloud.
 
     Each prior is locally refined against the initial cloud, then binned by
     placement yaw into 36 bins of 10 degrees; the lowest-discrepancy pose
     per bin survives.  Bins whose elite still exceeds the resample
     threshold are dropped when anything better exists.  The particle set
-    is filled by sampling surviving bins uniformly at random, then weighed.
+    is filled by sampling surviving bins uniformly at random, then weighed
+    by the costs the refinement returned.
     """
     n = params.n_particles
-    priors = ParticleSet.from_poses(prior_poses)
     if len(cloud) == 0:
         if len(priors) < n:
             raise ValueError("need at least n_particles prior poses")
-        return ParticleSet(priors.translations[:n], priors.yaws[:n])
+        return BeliefState(ParticleSet(priors.translations[:n], priors.yaws[:n]), cloud, np.zeros(n))
 
-    refined = refine_pose(disc, shape, cloud, priors, params.k_opt, params.schedule)
-    costs = discrepancies(disc, shape, cloud, refined)
+    refined, costs = refine_pose(disc, shape, cloud, priors, params.k_opt, params.schedule)
 
     # each pose's placement-yaw bin, then each bin's lowest cost
     yaw = -refined.yaws % (2.0 * math.pi)
@@ -228,4 +243,4 @@ def initialize_particles(
     rows = elites[rng.integers(0, len(elites), size=n)]
     particles = ParticleSet(refined.translations[rows], refined.yaws[rows])
     # a pose's discrepancy does not depend on the batch it is evaluated in
-    return weigh(particles, cloud, shape, disc, params, costs[rows])
+    return BeliefState(weigh(particles, cloud, shape, disc, params, costs[rows]), cloud, costs[rows])

@@ -25,7 +25,10 @@ exact 0.0 from a sequential sum leaves the sum unchanged.  The support
 radius is the farthest corner of the shape's bounding box
 (:func:`~rummage.geometry.support_radius`); it rests on the contract that
 ``bounding_box()`` encloses every point with sdf <= 0 and that the distance
-outside it is at least the distance to the box.
+outside it is at least the distance to the box.  So the costs a refinement
+pass sums, over its own pairs, are the costs :func:`discrepancies` sums, and
+:func:`refine_pose` returns them with the poses rather than leaving them to
+be evaluated again.
 """
 
 from __future__ import annotations
@@ -84,6 +87,12 @@ class _CloudKernel:
     pairs within the radius plus that travel of the first origins are
     listed once and every pass keeps those within the radius of the current
     origins; an origin that strays farther gets its pairs listed again.
+
+    The listed pairs are pose-major, so a pass reads each origin once per
+    run of its pairs (``np.repeat`` over the listing's run lengths) and the
+    cloud through ``take`` on one contiguous copy per axis, made once per
+    kernel: no per-pair gather of a strided row, and no per-pair
+    coordinates kept between passes.
     """
 
     def __init__(self, params: DiscrepancyParams, shape: Shape, cloud: SemanticCloud, travel: float = 0.0):
@@ -94,22 +103,27 @@ class _CloudKernel:
         self.always = cloud.labels != int(Semantics.FREE)
         self.radius = support_radius(shape) + max(params.epsilon, 0.0)
         self.travel = travel * (1.0 + 1e-6)
+        self._axes = [np.ascontiguousarray(self.points[:, j]) for j in range(3)]
         self._origins = None
         self._pairs = None
+        self._runs = None
 
     def _live(self, rotations: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         origins = object_origins(rotations, translations)
         if self._origins is None or np.any(np.sum((origins - self._origins) ** 2, axis=1) > self.travel**2):
             self._origins = origins
             self._pairs = pairs_within(self.points, origins, self.radius + self.travel, self.always)
+            self._runs = np.bincount(self._pairs[0], minlength=len(origins))
         ii, pp = self._pairs
         if self.travel > 0.0 and math.isfinite(self.radius):
             # column by column: no (pairs, 3) temporaries at set-up's peak
             d2 = np.zeros(len(pp))
             for j in range(3):
-                d2 += np.square(self.points[pp, j] - origins[ii, j])
-            near = ~(d2 > (self.radius * (1.0 + 1e-9)) ** 2)
-            keep = self.always[pp] | near
+                diff = self._axes[j].take(pp)
+                diff -= np.repeat(origins[:, j], self._runs)
+                d2 += np.square(diff, out=diff)
+            keep = ~(d2 > (self.radius * (1.0 + 1e-9)) ** 2)
+            keep |= self.always.take(pp)
             ii, pp = ii[keep], pp[keep]
         return ii, pp
 
@@ -249,15 +263,23 @@ def refine_pose(
     T: ParticleSet,
     steps: int,
     schedule: DescentSchedule = DescentSchedule(),
-) -> ParticleSet:
+) -> tuple[ParticleSet, np.ndarray]:
     """Run ``steps`` planar descent iterations with a decaying step cap,
     keeping the best iterate seen (descent is not monotone on hard
     instances).  The set is refined in one batched pass per iteration and
     comes back with the same weights, each pose refined exactly as it
     would be alone.
+
+    Returns ``(refined set, costs)``: the costs are the returned poses'
+    total discrepancies against ``cloud``, from the passes that chose
+    them, and equal :func:`discrepancies` of the refined set bit for bit:
+    the two list different pairs only among the free points beyond the
+    cull radius, whose costs are exact zeros, and each pose's sum adds the
+    other costs in cloud order onto 0.0.  With no steps the set comes back
+    as it is, with one pass for its costs.
     """
     if steps <= 0 or len(cloud) == 0:
-        return T
+        return T, discrepancies(params, shape, cloud, T)
     caps = [schedule.step_t * schedule.decay**k for k in range(steps)]
     kernel = _CloudKernel(params, shape, cloud, travel=sum(caps))
     t, yaw = T.translations, T.yaws
@@ -273,6 +295,7 @@ def refine_pose(
         t, yaw = next_t, next_yaw
         st *= schedule.decay
         sr *= schedule.decay
-    better = kernel.totals(planar_rotations(yaw), t) < best_cost
-    best_t[better], best_yaw[better] = t[better], yaw[better]
-    return ParticleSet(best_t, best_yaw, T.weights)
+    cost_here = kernel.totals(planar_rotations(yaw), t)
+    better = cost_here < best_cost
+    best_t[better], best_yaw[better], best_cost[better] = t[better], yaw[better], cost_here[better]
+    return ParticleSet(best_t, best_yaw, T.weights), best_cost

@@ -235,6 +235,14 @@ class ParticleSet:
         poses = list(poses)
         return ParticleSet(np.stack([p.translation for p in poses]), np.array([p.yaw for p in poses]), weights)
 
+    @staticmethod
+    def from_placements(centers, yaws) -> "ParticleSet":
+        """Placements of an object at ``centers`` (N, 3) with placement
+        ``yaws`` (N,), uniform weights: each row is
+        :meth:`Pose.from_placement` of its center and yaw, bit for bit."""
+        turns = -np.asarray(yaws, dtype=np.float64)
+        return ParticleSet(-rigid_transform(planar_rotations(turns), None, centers, np.arange(len(turns))), turns)
+
     def __len__(self) -> int:
         return len(self.weights)
 

@@ -23,6 +23,7 @@ from .semantics import grid_cells
 POINT_PITCH = 0.01   # interior grid pitch of the paddle body
 PAD_PITCH = 0.002    # pitch of the dense tactile pad on the +x face
 SWEEP_CELL = 0.01    # side of the cells that de-duplicate a rollout's sweep
+PUSH_ANGLE = math.radians(45.0)  # half-angle of the pushing cone about the contact normal
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,6 @@ class PlannerParams:
     replan_interval: int = 3
     temperature: float = 0.01
     noise_cov: float = 1.5          # isotropic covariance of control-point noise
-    push_angle: float = math.radians(45.0)
     info_weight: float = 1.0
     reach_weight: float = 200.0
     warm_start_iters: int = 5
@@ -328,7 +328,7 @@ def _rollout_batch(
     d = np.array(d0, dtype=np.float64).reshape(1, 3).repeat(B, axis=0) if np.asarray(d0).ndim == 1 else np.array(d0, dtype=np.float64)
     q_traj = np.empty((B, H, 3))
     d_traj = np.empty((B, H, 3))
-    cos_thresh = math.cos(params.push_angle)
+    cos_thresh = math.cos(PUSH_ANGLE)
     floor = ctx.fields.free_floor(robot.body_radius)
 
     for t in range(H):

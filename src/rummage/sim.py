@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .belief import BeliefParams, BeliefState, initialize_particles, update_step
+from .belief import BeliefParams, initialize_particles, update_step
 from .discrepancy import DiscrepancyParams
 from .geometry import (
     Annulus2D,
@@ -42,6 +42,7 @@ from .geometry import (
 from .infogain import InfoFields, ReachabilityModel, build_info_fields, build_reachability
 from .planner import (
     ActionScale,
+    PUSH_ANGLE,
     PaddleRobot,
     Planner,
     PlannerParams,
@@ -104,7 +105,6 @@ class CameraModel:
 @dataclass(frozen=True)
 class SimParams:
     substeps: int = 8
-    push_angle: float = math.radians(45.0)
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ def world_step(
     T = T_old
     q = np.asarray(world.q, dtype=np.float64).copy()
     contact = False
-    cos_thresh = math.cos(params.push_angle)
+    cos_thresh = math.cos(PUSH_ANGLE)
     rho = world.shape.characteristic_length / 4.0  # torque radius
 
     for _ in range(params.substeps):
@@ -568,19 +568,20 @@ def slide_policy(
 # ---------------------------------------------------------------------------
 
 
-def _sample_priors(scenario: Scenario, cloud: SemanticCloud, rng: np.random.Generator) -> list[Pose]:
+def _sample_priors(scenario: Scenario, cloud: SemanticCloud, rng: np.random.Generator) -> ParticleSet:
     n = scenario.prior_count if scenario.prior_count is not None else scenario.belief.n_particles
     n = max(n, scenario.belief.n_particles)
     if scenario.prior_mode == "surface_centroid" and len(cloud.surface):
         center = cloud.surface.mean(axis=0)
         center[2] = scenario.true_center[2]
-        return [Pose.from_placement(center, rng.uniform(-math.pi, math.pi)) for _ in range(n)]
-    base = np.asarray(scenario.prior_center, dtype=np.float64)
-    priors = []
-    for _ in range(n):
-        offset = np.array([rng.normal(0, PRIOR_POSITION_STD), rng.normal(0, PRIOR_POSITION_STD), 0.0])
-        priors.append(Pose.from_placement(base + offset, rng.uniform(-math.pi, math.pi)))
-    return priors
+        # one block of draws: the stream of n scalar draws
+        return ParticleSet.from_placements(np.broadcast_to(center, (n, 3)), rng.uniform(-math.pi, math.pi, n))
+    offsets, yaws = np.zeros((n, 3)), np.empty(n)
+    for k in range(n):  # each prior's draws in turn: x, y, then its yaw
+        offsets[k, 0], offsets[k, 1], yaws[k] = (
+            rng.normal(0, PRIOR_POSITION_STD), rng.normal(0, PRIOR_POSITION_STD), rng.uniform(-math.pi, math.pi)
+        )
+    return ParticleSet.from_placements(np.asarray(scenario.prior_center, dtype=np.float64) + offsets, yaws)
 
 
 @dataclass
@@ -637,8 +638,7 @@ def run_episode(
         camera_observe(world, scenario.camera), scenario.belief.r_free
     )
     priors = _sample_priors(scenario, cloud0, rng)
-    particles = initialize_particles(priors, cloud0, shape, scenario.disc, scenario.belief, rng)
-    state = BeliefState(particles=particles, cloud=cloud0)
+    state = initialize_particles(priors, cloud0, shape, scenario.disc, scenario.belief, rng)
 
     term_level = scenario.termination_ratio * shape.characteristic_length
     tangent_sign = 1.0 if rng.random() < 0.5 else -1.0

@@ -28,6 +28,11 @@ from rummage.sim import sample_surface
 DISC = DiscrepancyParams()
 
 
+def state_of(particles, cloud, shape):
+    """A belief state of ``particles`` against ``cloud``, with their costs."""
+    return BeliefState(particles, cloud, discrepancies(DISC, shape, cloud, particles))
+
+
 def make_particles(n, rng, center=(0.3, 0.0, 0.0), spread=0.0):
     poses = []
     for _ in range(n):
@@ -109,7 +114,7 @@ class TestResample:
         w = np.array([0.0, 0.0, 1.0, 0.0])
         particles = ParticleSet.from_poses(poses, w)
         params = BeliefParams(sigma_t=0.0, k_opt=0)
-        out = resample(particles, SemanticCloud(), shape, DISC, params, rng)
+        out, _ = resample(particles, SemanticCloud(), shape, DISC, params, rng)
         for T in out.poses:
             npt.assert_allclose(T.translation, poses[2].translation, atol=1e-12)
         npt.assert_allclose(out.weights, 0.25)
@@ -119,7 +124,7 @@ class TestResample:
         poses = [Pose.from_placement((0.1 * i, 0.0, 0.0), 0.1 * i) for i in range(5)]
         particles = ParticleSet.from_poses(poses)
         params = BeliefParams(sigma_t=0.0, k_opt=0)
-        out = resample(particles, SemanticCloud(), shape, DISC, params, rng)
+        out, _ = resample(particles, SemanticCloud(), shape, DISC, params, rng)
         for a, b in zip(out.poses, poses):
             npt.assert_allclose(a.translation, b.translation, atol=1e-12)
             npt.assert_allclose(a.rotation, b.rotation, atol=1e-12)
@@ -135,14 +140,14 @@ class TestResample:
         particles = ParticleSet.from_poses(poses)
         params = BeliefParams(sigma_t=0.0, k_opt=10)
         before = discrepancies(DISC, mug, cloud, particles).max()
-        out = resample(particles, cloud, mug, DISC, params, rng)
+        out, _ = resample(particles, cloud, mug, DISC, params, rng)
         after = discrepancies(DISC, mug, cloud, out).max()
         assert after <= before
 
     def test_preserves_count(self, rng):
         shape = Sphere(0.05)
         particles = make_particles(12, rng)
-        out = resample(particles, SemanticCloud(), shape, DISC, BeliefParams(k_opt=0), rng)
+        out, _ = resample(particles, SemanticCloud(), shape, DISC, BeliefParams(k_opt=0), rng)
         assert len(out) == 12
 
     def test_systematic_indices_uniform(self, rng):
@@ -154,7 +159,7 @@ class TestEstimateMovement:
     def test_no_surface_points_identity(self, rng, mug):
         particles = make_particles(3, rng)
         new = SemanticCloud.from_parts(free=[[0.5, 0.5, 0.0]])
-        dT, dT_w = estimate_movement(SemanticCloud(), new, particles, mug, DISC, BeliefParams())
+        dT, dT_w = estimate_movement(state_of(particles, SemanticCloud(), mug), new, mug, DISC, BeliefParams())
         assert dT.is_identity()
         assert dT_w.is_identity()
 
@@ -163,7 +168,7 @@ class TestEstimateMovement:
         samples = sample_surface(mug, 80, rng)
         cloud = SemanticCloud.from_parts(surface=T.inverse().transform(samples))
         particles = ParticleSet.from_poses([T])
-        dT, _ = estimate_movement(cloud, cloud, particles, mug, DISC, BeliefParams())
+        dT, _ = estimate_movement(state_of(particles, cloud, mug), cloud, mug, DISC, BeliefParams())
         assert np.linalg.norm(dT.translation) < 1e-3
 
     def test_recovers_translation(self, rng):
@@ -178,7 +183,7 @@ class TestEstimateMovement:
         prev_cloud = SemanticCloud.from_parts(surface=T_old.inverse().transform(samples))
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
         particles = ParticleSet.from_poses([T_old])
-        dT, dT_w = estimate_movement(prev_cloud, new_cloud, particles, shape, DISC, BeliefParams())
+        dT, dT_w = estimate_movement(state_of(particles, prev_cloud, shape), new_cloud, shape, DISC, BeliefParams())
         recovered = dT_w.transform(np.zeros(3))
         npt.assert_allclose(recovered, move, atol=0.005)
 
@@ -193,7 +198,7 @@ class TestEstimateMovement:
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
         particles = ParticleSet.from_poses([T_old])
         paddle = Pose(move + np.array([0.004, 0.0, 0.0]))
-        dT, dT_w = estimate_movement(prev_cloud, new_cloud, particles, mug, DISC, BeliefParams(), prior_w=paddle)
+        dT, dT_w = estimate_movement(state_of(particles, prev_cloud, mug), new_cloud, mug, DISC, BeliefParams(), prior_w=paddle)
         recovered = dT_w.transform(np.zeros(3))
         npt.assert_allclose(recovered, move, atol=0.005)
 
@@ -205,7 +210,7 @@ class TestEstimateMovement:
         new_cloud = SemanticCloud.from_parts(surface=T_new.inverse().transform(samples))
         prev_cloud = SemanticCloud.from_parts(surface=T_old.inverse().transform(samples))
         particles = ParticleSet.from_poses([T_old])
-        dT, dT_w = estimate_movement(prev_cloud, new_cloud, particles, mug, DISC, BeliefParams())
+        dT, dT_w = estimate_movement(state_of(particles, prev_cloud, mug), new_cloud, mug, DISC, BeliefParams())
         x = rng.uniform(-0.3, 0.3, (20, 3))
         lhs = dT.compose(T_old).transform(dT_w.transform(x))
         rhs = T_old.transform(x)
@@ -224,7 +229,7 @@ class TestEstimateMovement:
         particles = ParticleSet.from_poses([Pose.from_placement((0.3, 0.0, 0.0), y) for y in yaws])
         assert int(np.argmin(discrepancies(DISC, mug, prev_cloud, particles))) == 2
         paddle = Pose(np.array([0.012, -0.007, 0.0]))
-        dT, dT_w = estimate_movement(prev_cloud, new_cloud, particles, mug, DISC, BeliefParams(k_opt=0), prior_w=paddle)
+        dT, dT_w = estimate_movement(state_of(particles, prev_cloud, mug), new_cloud, mug, DISC, BeliefParams(k_opt=0), prior_w=paddle)
         x = rng.uniform(-0.3, 0.3, (10, 3))
         npt.assert_allclose(dT_w.transform(x), paddle.transform(x), atol=1e-12)
         # the object-frame delta moves the chosen particle's object with the paddle
@@ -243,7 +248,7 @@ class TestUpdateStep:
         ]
         particles = ParticleSet.from_poses(poses)
         params = BeliefParams(sigma_t=0.0)
-        return BeliefState(particles=particles, cloud=cloud), params, T_star
+        return state_of(particles, cloud, mug), params, T_star
 
     def test_empty_update_renormalizes_only(self, rng, mug):
         state, params, _ = self.make_state(rng, mug)
@@ -308,12 +313,72 @@ class TestUpdateStep:
         npt.assert_array_equal(out1.particles.weights, out2.particles.weights)
 
 
+class TestStateCosts:
+    """A belief state's costs are ``discrepancies`` of its particles and
+    cloud, bit for bit, and the next motion estimate reads them."""
+
+    def test_update_costs_on_both_branches(self, rng, mug, monkeypatch):
+        from rummage import belief as belief_mod
+
+        resampled = []
+        real = belief_mod.resample
+        monkeypatch.setattr(belief_mod, "resample", lambda *a: resampled.append(1) or real(*a))
+        ys = np.linspace(-0.3, 0.3, 15)
+        contradiction = SemanticCloud.from_parts(surface=np.stack([np.full(15, 0.75), ys, np.zeros(15)], axis=1))
+        for k in range(12):
+            state, _, T_star = TestUpdateStep().make_state(rng, mug, n=int(rng.integers(2, 9)))
+            params = BeliefParams(sigma_t=0.005)
+            if k % 2:
+                new = contradiction
+            else:
+                new = SemanticCloud.from_parts(surface=T_star.inverse().transform(sample_surface(mug, 10, rng)))
+            before = len(resampled)
+            out = update_step(state, new, mug, DISC, params, rng, prior_w=Pose(np.array([0.002, 0.0, 0.0])))
+            assert len(resampled) - before == k % 2  # the contradiction resamples, the rest reweighs
+            want = discrepancies(DISC, mug, out.cloud, out.particles)
+            assert out.costs.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_initial_state_costs(self, rng, mug):
+        T_star = Pose.from_placement((0.4, 0.0, 0.0), 0.3)
+        world = T_star.inverse().transform(sample_surface(mug, 200, rng))
+        cloud = SemanticCloud.from_parts(surface=world[world[:, 0] < 0.4], free=rng.uniform(0.2, 0.6, (300, 3)) * [1, 1, 0])
+        priors = make_particles(60, rng, center=(0.4, 0.0, 0.0), spread=0.01)
+        state = initialize_particles(priors, cloud, mug, DISC, BeliefParams(n_particles=30), rng)
+        want = discrepancies(DISC, mug, cloud, state.particles)
+        assert state.cloud is cloud
+        assert state.costs.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_motion_estimate_reads_the_costs(self, rng, mug, monkeypatch):
+        """No discrepancy of the state's cloud is evaluated again: the
+        representative particle is the one its costs name."""
+        from rummage import belief as belief_mod
+
+        T_star = Pose.from_placement((0.3, 0.0, 0.0), 1.1)
+        samples = sample_surface(mug, 80, rng)
+        particles = ParticleSet.from_poses([Pose.from_placement((0.3, 0.0, 0.0), y) for y in (-2.0, 0.3, 1.1, 2.5)])
+        new = SemanticCloud.from_parts(surface=T_star.inverse().transform(samples[:10]))
+        monkeypatch.setattr(belief_mod, "discrepancies", None)  # any call fails
+        paddle = Pose(np.array([0.012, -0.007, 0.0]))
+        for pick in range(4):
+            costs = np.full(4, 1.0)
+            costs[pick] = 0.5
+            state = BeliefState(particles, SemanticCloud(), costs)
+            dT, _ = estimate_movement(state, new, mug, DISC, BeliefParams(k_opt=0), prior_w=paddle)
+            moved = dT.compose(particles.pose(pick))
+            npt.assert_allclose(moved.object_center_world(), (0.312, -0.007, 0.0), atol=1e-12)
+
+    def test_one_cost_per_particle(self, rng):
+        particles = make_particles(3, rng)
+        with pytest.raises(ValueError, match="one cost per particle"):
+            BeliefState(particles, SemanticCloud(), np.zeros(2))
+
+
 class TestInitializeParticles:
     def test_empty_cloud_returns_priors(self, rng):
         shape = Sphere(0.05)
         priors = [Pose.from_placement((0.1 * i, 0.0, 0.0), 0.0) for i in range(10)]
         params = BeliefParams(n_particles=10)
-        out = initialize_particles(priors, SemanticCloud(), shape, DISC, params, rng)
+        out = initialize_particles(ParticleSet.from_poses(priors), SemanticCloud(), shape, DISC, params, rng).particles
         assert len(out) == 10
         npt.assert_allclose(out.weights, 0.1)
 
@@ -323,7 +388,7 @@ class TestInitializeParticles:
         cloud = SemanticCloud.from_parts(surface=T.inverse().transform(samples))
         priors = [T] * 20
         params = BeliefParams(n_particles=12)
-        out = initialize_particles(priors, cloud, mug, DISC, params, rng)
+        out = initialize_particles(ParticleSet.from_poses(priors), cloud, mug, DISC, params, rng).particles
         assert len(out) == 12
         for p in out.poses:
             npt.assert_allclose(p.object_center_world(), T.object_center_world(), atol=1e-6)
@@ -338,7 +403,7 @@ class TestInitializeParticles:
         cloud = SemanticCloud.from_parts(surface=seen)
         priors = [Pose.from_placement((0.4, 0.0, 0.0), rng.uniform(-math.pi, math.pi)) for _ in range(60)]
         params = BeliefParams(n_particles=30)
-        out = initialize_particles(priors, cloud, mug, DISC, params, rng)
+        out = initialize_particles(ParticleSet.from_poses(priors), cloud, mug, DISC, params, rng).particles
         d = discrepancies(DISC, mug, cloud, out)
         assert np.all(d < params.eta)
 

@@ -14,7 +14,7 @@ from rummage.discrepancy import (
     refine_pose,
     total_discrepancy,
 )
-from rummage.geometry import Box, Cylinder, ParticleSet, Pose, Sphere
+from rummage.geometry import Box, Cylinder, ParticleSet, Pose, Sphere, object_origins
 from rummage.semantics import SemanticCloud, Semantics
 
 from conftest import PRIMITIVES, random_pose
@@ -279,7 +279,7 @@ class TestPoseDescent:
             cloud = random_cloud(rng, n=25, scale=0.15)
             poses = ParticleSet.from_poses([random_pose(rng, planar=True, trans_scale=0.05) for _ in range(3)])
             c0 = discrepancies(self.P, shape, cloud, poses)
-            c1 = discrepancies(self.P, shape, cloud, refine_pose(self.P, shape, cloud, poses, steps=5))
+            c1 = discrepancies(self.P, shape, cloud, refine_pose(self.P, shape, cloud, poses, steps=5)[0])
             assert np.all(c1 <= c0)
             lowered += int(np.sum(c1 < c0))
         assert lowered > 90
@@ -321,7 +321,7 @@ def unculled_total(params, shape, cloud, T):
 
 def refine_one(params, shape, cloud, T, steps):
     """``refine_pose`` on a set of the one pose ``T``."""
-    return refine_pose(params, shape, cloud, ParticleSet.from_poses([T]), steps).pose(0)
+    return refine_pose(params, shape, cloud, ParticleSet.from_poses([T]), steps)[0].pose(0)
 
 
 def reference_refine(params, shape, cloud, T, steps, step_t=1e-2, step_r=1e-1, decay=0.9):
@@ -402,7 +402,7 @@ class TestBatchedKernel:
             params = DiscrepancyParams(epsilon=eps)
             cloud = scene_cloud(rng, shape, self.CENTER)
             poses = near_poses(rng, self.CENTER, 9, planar=k != 1)
-            batch = refine_pose(params, shape, cloud, ParticleSet.from_poses(poses), steps=6)
+            batch, _ = refine_pose(params, shape, cloud, ParticleSet.from_poses(poses), steps=6)
             assert isinstance(batch, ParticleSet) and len(batch) == len(poses)
             for T, B in zip(poses, batch.poses):
                 assert same_pose(refine_one(params, shape, cloud, T, steps=6), B)
@@ -428,7 +428,7 @@ class TestBatchedKernel:
         counting = CountingShape(mug)
         assert np.array_equal(discrepancies(DISC_DEFAULT, counting, cloud, poses), discrepancies(DISC_DEFAULT, mug, cloud, poses))
         assert 0 < counting.sdf_points < len(poses) * len(cloud) / 2
-        for a, b in zip(refine_pose(DISC_DEFAULT, counting, cloud, poses, 4).poses, refine_pose(DISC_DEFAULT, mug, cloud, poses, 4).poses):
+        for a, b in zip(refine_pose(DISC_DEFAULT, counting, cloud, poses, 4)[0].poses, refine_pose(DISC_DEFAULT, mug, cloud, poses, 4)[0].poses):
             assert same_pose(a, b)
 
     @pytest.mark.parametrize("eps", [0.0, 0.004])
@@ -451,3 +451,97 @@ class TestBatchedKernel:
         counting = CountingShape(shape)
         total_discrepancy(params, counting, cloud, T)
         assert counting.sdf_points == 2  # only the two inside the radius
+
+
+# ---------------------------------------------------------------------------
+# The refinement's costs and the per-pass cull
+# ---------------------------------------------------------------------------
+
+
+def surface_only_cloud(rng, shape, center):
+    """A scene cloud without free points: every pair is always kept."""
+    cloud = scene_cloud(rng, shape, center, n_free=0)
+    return SemanticCloud(cloud.positions, cloud.labels)
+
+
+class TestReturnedCosts:
+    CENTER = (0.4, 0.0, 0.0)
+
+    def test_costs_equal_discrepancies_of_refined_set(self, rng, mug):
+        """``refine_pose``'s costs are ``discrepancies`` of the set it
+        returns, bit for bit: mug and box, distinct and repeated poses, no
+        steps to six, clouds with and without free points, and empty ones."""
+        box = Box((0.05, 0.03, 0.04))
+        clouds = (scene_cloud, surface_only_cloud, lambda rng, shape, center: SemanticCloud())
+        for case in range(240):
+            shape, planar = (mug, True) if case % 2 == 0 else (box, False)
+            params = DiscrepancyParams(epsilon=float(rng.choice([0.0, 0.004])))
+            cloud = clouds[case // 2 % 3](rng, shape, self.CENTER)
+            poses = near_poses(rng, self.CENTER, int(rng.integers(1, 8)), spread=0.02, planar=planar)
+            # repeated poses: some rows drawn more than once
+            rows = rng.integers(0, len(poses), int(rng.integers(1, 12)))
+            start = ParticleSet.from_poses([poses[i] for i in rows])
+            steps = int(rng.choice([0, 1, 3, 6]))
+            got, costs = refine_pose(params, shape, cloud, start, steps)
+            want = discrepancies(params, shape, cloud, got)
+            assert costs.shape == (len(start),)
+            assert costs.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_no_steps_return_the_set(self, rng, mug):
+        cloud = scene_cloud(rng, mug, self.CENTER)
+        start = ParticleSet.from_poses(near_poses(rng, self.CENTER, 5))
+        got, costs = refine_pose(DISC_DEFAULT, mug, cloud, start, 0)
+        assert got is start
+        assert costs.tobytes() == discrepancies(DISC_DEFAULT, mug, cloud, start).tobytes()
+        got, costs = refine_pose(DISC_DEFAULT, mug, SemanticCloud(), start, 4)
+        assert got is start and costs.tolist() == [0.0] * 5
+
+
+def reference_live(kernel, cloud, poses):
+    """Reference: the pairs a refinement pass keeps, one pose at a time in
+    set order and one point at a time in cloud order: every non-free point,
+    and each free point whose squared distance to the pose's object origin,
+    summed over x, y, z in turn, is within the slackened cull radius."""
+    limit2 = (kernel.radius * (1.0 + 1e-9)) ** 2
+    ii, pp = [], []
+    for i, T in enumerate(poses):
+        o = T.object_center_world()
+        for p, (x, label) in enumerate(zip(cloud.positions.tolist(), cloud.labels.tolist())):
+            d2 = 0.0
+            for j in range(3):
+                diff = x[j] - float(o[j])
+                d2 += diff * diff
+            if label != int(Semantics.FREE) or not d2 > limit2:
+                ii.append(i)
+                pp.append(p)
+    return ii, pp
+
+
+class TestPassCull:
+    CENTER = (0.4, 0.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.004])
+    def test_live_pairs_equal_per_pose_loop(self, rng, mug, eps):
+        """After the first listing, origins moved by up to the full travel
+        (some by all of it) keep the pairs of a per-pose loop, without
+        listing again."""
+        params = DiscrepancyParams(epsilon=eps)
+        travel = 0.04
+        for shape in (mug, Box((0.05, 0.03, 0.04))):
+            cloud = scene_cloud(rng, shape, self.CENTER, n_free=400, spread=0.2)
+            start = ParticleSet.from_poses(near_poses(rng, self.CENTER, 12, spread=0.03))
+            kernel = _CloudKernel(params, shape, cloud, travel=travel)
+            for T, moved in [(start, start), (start, None), (start, None)]:
+                if moved is None:
+                    # each origin moves in the plane by up to the travel
+                    angle = rng.uniform(-math.pi, math.pi, len(start))
+                    length = travel * np.where(rng.random(len(start)) < 0.3, 1.0, rng.random(len(start)))
+                    shift = np.stack([length * np.cos(angle), length * np.sin(angle), np.zeros(len(start))], axis=1)
+                    yaws = start.yaws + rng.uniform(-0.5, 0.5, len(start))
+                    moved = ParticleSet.from_placements(object_origins(*start.distinct())[start.inverse] + shift, -yaws)
+                listing = kernel._pairs
+                ii, pp = kernel._live(moved.rotations, moved.translations)
+                if listing is not None:
+                    assert kernel._pairs is listing  # no second listing
+                want_ii, want_pp = reference_live(kernel, cloud, moved.poses)
+                assert ii.tolist() == want_ii and pp.tolist() == want_pp

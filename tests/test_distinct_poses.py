@@ -245,7 +245,7 @@ class TestNoDuplicatePasses:
         truth = Pose.from_placement(CENTER, 0.3)
         cloud = SemanticCloud.from_parts(surface=truth.inverse().transform(sample_surface(shape, 40, np.random.default_rng(4))))
         params = BeliefParams(eta=1e9)  # never resample
-        state = BeliefState(particles=particles, cloud=cloud)
+        state = BeliefState(particles, cloud, discrepancies(DiscrepancyParams(), shape, cloud, particles))
         rng = np.random.default_rng(0)
         out = update_step(state, SemanticCloud(), shape, DiscrepancyParams(), params, rng, known=(Pose.identity(), Pose.identity()))
         assert len(calls) == 1

@@ -433,6 +433,23 @@ class TestManyPoses:
             ]
             assert list(zip(ii.tolist(), pp.tolist())) == expect
 
+    def test_planar_rotations_do_not_depend_on_position(self, rng):
+        """A yaw's cos and sin are the same bits alone and wherever it sits
+        in a stack (the refinement's stack, a set's distinct rows and a
+        prior made alone all read one rotation per yaw); NumPy's vector
+        loops could differ from their scalar tails, so this is tested."""
+        from rummage.geometry import planar_rotations
+
+        edges = [0.0, -0.0, 1e-9, -1e-300, math.pi / 2, math.pi, -math.pi]
+        yaws = np.concatenate([rng.uniform(-math.pi, math.pi, 20000), rng.uniform(-40.0, 40.0, 500), edges])
+        whole = planar_rotations(yaws)
+        for k in range(1, 17):
+            assert _bits(planar_rotations(yaws[k:])) == _bits(whole[k:])
+        assert _bits(planar_rotations(yaws[::-1])) == _bits(whole[::-1])
+        assert _bits(planar_rotations(yaws[1::3])) == _bits(whole[1::3])
+        for y, R in zip(yaws.tolist(), whole):
+            assert _bits(planar_rotations(y)) == _bits(R)
+
     def test_pose_groups_cover_pairs(self, monkeypatch):
         from rummage import geometry
         from rummage.geometry import pose_groups

@@ -7,12 +7,13 @@ match it bit for bit.
 
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rummage import discrepancy
+from rummage import discrepancy, sim
 from rummage.belief import BeliefParams, BeliefState, resample, systematic_resample_indices, update_step
 from rummage.discrepancy import DescentSchedule, DiscrepancyParams, _step_poses, refine_pose, total_discrepancy
 from rummage.geometry import ParticleSet, Pose
@@ -81,7 +82,7 @@ def test_update_step_motion(planar, yaw, mug):
     dT = Pose(np.array([0.01, -0.004, 0.0 if planar else 0.002]), yaw)
     sigma_t = 0.01
     params = BeliefParams(sigma_t=sigma_t)
-    state = BeliefState(particles=particles, cloud=SemanticCloud())
+    state = BeliefState(particles, SemanticCloud(), np.zeros(len(particles)))
     out = update_step(
         state, SemanticCloud(), mug, DiscrepancyParams(), params,
         np.random.default_rng(11), known=(dT, Pose.identity()),
@@ -97,7 +98,7 @@ def test_resample_perturb_compose(planar, sigma_t, mug):
     """Every resampled copy is noise T, its noise drawn after the indices."""
     particles = particle_set(np.random.default_rng(4), 200, planar)
     params = BeliefParams(sigma_t=sigma_t)
-    out = resample(particles, SemanticCloud(), mug, DiscrepancyParams(), params, np.random.default_rng(5))
+    out, _ = resample(particles, SemanticCloud(), mug, DiscrepancyParams(), params, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     idx = systematic_resample_indices(particles.weights, rng)
     assert len(np.unique(idx)) < len(idx)  # some particles copied more than once
@@ -174,7 +175,7 @@ def test_refine_best_iterate(rng, mug):
     params = DiscrepancyParams()
     schedule = DescentSchedule(step_t=0.03, step_r=0.6, decay=0.9)
     poses = [Pose.from_placement(np.add(center, rng.normal(0, 0.01, 3) * [1, 1, 0]), rng.uniform(-math.pi, math.pi)) for _ in range(30)]
-    got = refine_pose(params, mug, cloud, ParticleSet.from_poses(poses), 5, schedule)
+    got, _ = refine_pose(params, mug, cloud, ParticleSet.from_poses(poses), 5, schedule)
     kept_last = []
     for T, G in zip(poses, got.poses):
         best, best_cost, current = T, None, T
@@ -225,7 +226,7 @@ def test_refine_best_iterate_ties(rng, monkeypatch):
     monkeypatch.setattr(discrepancy, "_CloudKernel", Scripted)
     start = ParticleSet.from_poses([random_pose(rng) for _ in range(n)])
     cloud = SemanticCloud.from_parts(surface=[[0.0, 0.0, 0.0]])
-    got = refine_pose(DiscrepancyParams(), None, cloud, start, steps)
+    got, got_costs = refine_pose(DiscrepancyParams(), None, cloud, start, steps)
     for i in range(n):
         best, best_cost, current = None, None, start.translations[i]
         for k in range(steps + 1):
@@ -233,6 +234,7 @@ def test_refine_best_iterate_ties(rng, monkeypatch):
                 best, best_cost = current, costs[k, i]
             current = current + 1.0
         assert got.translations[i].tobytes() == best.tobytes()
+        assert got_costs[i] == best_cost
 
 
 def test_weighted_center(rng):
@@ -279,3 +281,38 @@ def test_loopbench_tracer_fits_the_package():
         patches.restore()
     for owner, attr, original in saved:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def reference_priors(scenario, cloud, rng) -> list[Pose]:
+    """The priors drawn one at a time: a uniform yaw about the surface
+    centroid, or (without surface points) normal x and y offsets from the
+    prior center and then a uniform yaw, each made by ``Pose.from_placement``."""
+    n = max(scenario.prior_count or 0, scenario.belief.n_particles)
+    if len(cloud.surface):
+        center = cloud.surface.mean(axis=0)
+        center[2] = scenario.true_center[2]
+        return [Pose.from_placement(center, rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+    base = np.asarray(scenario.prior_center, dtype=np.float64)
+    priors = []
+    for _ in range(n):
+        offset = np.array([rng.normal(0, sim.PRIOR_POSITION_STD), rng.normal(0, sim.PRIOR_POSITION_STD), 0.0])
+        priors.append(Pose.from_placement(base + offset, rng.uniform(-math.pi, math.pi)))
+    return priors
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_priors_as_arrays(seed):
+    """The array-built priors equal the per-prior loop bit for bit, on
+    both branches, and leave the generator where the loop leaves it."""
+    scenario = replace(sim.Scenario(), prior_count=200)
+    rng = np.random.default_rng(seed)
+    surface = SemanticCloud.from_parts(surface=rng.uniform(0.3, 0.6, (50, 3)), free=rng.uniform(0.0, 1.0, (20, 3)))
+    for cloud in (surface, SemanticCloud.from_parts(free=surface.free)):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sim._sample_priors(scenario, cloud, got_rng)
+        want = reference_priors(scenario, cloud, want_rng)
+        assert len(got) == len(want) == 200
+        for G, W in zip(got.poses, want):
+            assert_bits(G, W)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()

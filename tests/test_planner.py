@@ -15,6 +15,7 @@ from rummage.geometry import PAIR_BUDGET, Pose, ScalarField, Sphere, Workspace, 
 from rummage.infogain import InfoFields, build_info_fields, build_reachability, ReachabilityModel
 from rummage.planner import (
     ActionScale,
+    PUSH_ANGLE,
     PaddleRobot,
     Planner,
     PlannerParams,
@@ -255,7 +256,7 @@ def reference_rollouts(q0, actions, ctx, robot, params, rng):
                 d_prime = p_star[b] - robot.points_world(q[b])[k[b]]
                 nn, mn = np.linalg.norm(n), np.linalg.norm(d_prime)
                 cos = np.dot(n, -d_prime) / (nn * mn) if nn > 1e-12 and mn > 1e-12 else -1.0
-                if cos > math.cos(params.push_angle):
+                if cos > math.cos(PUSH_ANGLE):
                     d[b] = d[b] + d_prime
                     counts[0] += 1
                 else:
