@@ -11,20 +11,32 @@ methods are called by Python itself and are not checked.  Names are
 matched as identifiers, not resolved, so a name used for two things
 counts as used for both.
 
-Lists every dataclass field of ``src/rummage`` that is an ``__init__``
-parameter with a default, and reports it when nothing sets it and nothing
-outside its own module names it.  A field is set by a keyword argument of
-any call (``replace(...)`` included) or a string key of a dict literal or
-a subscript, in the Python files under ``src/``, ``scripts/``,
-``loopbench/`` and ``tests/``, or by a key, at any depth, of
-``scenarios/*.json``.  A field that another module, a script or a test
-names in any way, even only to read it, is part of an interface and is
-not reported.  A reported field is a constant held as a setting.
+A setting is a dataclass field of ``src/rummage`` that is an
+``__init__`` parameter with a default, or a parameter with a default of a
+function or method defined there.  One rule holds for both: a setting
+that nothing sets has one value in use, so it is a constant held as a
+setting, and it is reported, whoever reads it.  Setters are searched in
+the Python files under ``src/``, ``scripts/``, ``loopbench/`` and
+``tests/``:
+
+- A call to a function's name passes a parameter by keyword or by
+  position (a method's ``self`` or ``cls`` takes no place), and a ``*`` or
+  ``**`` argument passes every parameter.  A keyword counts only for the
+  function called: ``f(scale=...)`` does not pass ``g``'s ``scale``.
+  A call to a class's name calls the ``__init__`` the class defines.
+- A dataclass field is set by a positional argument, at its place, of a
+  call to its class's name; by a keyword argument of any call
+  (``replace(...)`` included); by a string key of a dict literal or a
+  subscript; or by a key, at any depth, of ``scenarios/*.json``.  A
+  splat into a dataclass sets the keys its dict was built with, which
+  those rules already see, so it sets nothing more.
 
     python scripts/check_test_only.py
 
-Exits 1 and prints ``path:line: name`` for each unused definition and
-``path:line: Class.field`` for each unset field, 0 when there is none.
+Exits 1 and prints ``path:line: name`` for each unused definition,
+``path:line: Class.field`` for each unset field and
+``path:line: function(parameter)`` for each unset default, 0 when there is
+none.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from __future__ import annotations
 import ast
 import json
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,26 +101,80 @@ def _called_name(func: ast.expr) -> str | None:
     return None
 
 
-def settings(tree: ast.AST):
-    """``(class, field, line)`` of every dataclass field in a module that
-    is an ``__init__`` parameter with a default."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_called_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list)
+
+
+def _init_fields(node: ast.ClassDef):
+    """``(field, has default, line)`` of a dataclass's ``__init__``
+    parameters, in order."""
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
             continue
-        if not any(_called_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list):
-            continue
-        for stmt in node.body:
-            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and stmt.value):
+        value, default = stmt.value, stmt.value is not None
+        if isinstance(value, ast.Call) and _called_name(value.func) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            init = kw.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
                 continue
-            value = stmt.value
-            if isinstance(value, ast.Call) and _called_name(value.func) == "field":
-                kw = {k.arg: k.value for k in value.keywords}
-                init = kw.get("init")
-                if isinstance(init, ast.Constant) and init.value is False:
-                    continue
-                if "default" not in kw and "default_factory" not in kw:
-                    continue
-            yield node.name, stmt.target.id, stmt.lineno
+            default = "default" in kw or "default_factory" in kw
+        yield stmt.target.id, default, stmt.lineno
+
+
+def _parameters(node: ast.FunctionDef, method: bool):
+    """A function's positional parameters, in order and without a method's
+    ``self``/``cls``, and ``(parameter, line)`` of each one with a
+    default."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+    defaulted += [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    static = any(_called_name(d) == "staticmethod" for d in node.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    return [p.arg for p in positional], [(p.arg, p.lineno) for p in defaulted]
+
+
+def settings(tree: ast.AST):
+    """``(callee, positional parameters, name, setting, line, is field)``
+    of every setting defined in a module: each dataclass field that is an
+    ``__init__`` parameter with a default and each defaulted parameter of
+    a function or method.  ``callee`` is the name a call to it is made by."""
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                if _is_dataclass(node) and not any(
+                    isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in node.body
+                ):
+                    fields = list(_init_fields(node))
+                    order = [f for f, _, _ in fields]
+                    for f, default, line in fields:
+                        if default:
+                            yield node.name, order, f"{node.name}.{f}", f, line, True
+                yield from visit(node.body, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                positional, defaulted = _parameters(node, cls is not None)
+                callee = cls.name if cls is not None and node.name == "__init__" else node.name
+                qualname = node.name if cls is None else f"{cls.name}.{node.name}"
+                for p, line in defaulted:
+                    yield callee, positional, f"{qualname}({p})", p, line, False
+                yield from visit(node.body, None)
+
+    yield from visit(tree.body, None)
+
+
+def _leading(call: ast.Call) -> int:
+    """The number of positional arguments before a call's first ``*``."""
+    return next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), len(call.args))
+
+
+def passes(call: ast.Call, positional: list[str], parameter: str) -> bool:
+    """Whether a call to a function passes a parameter: by position, by
+    keyword, or through a ``*`` or ``**`` splat."""
+    if _leading(call) < len(call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return parameter in positional[:len(call.args)] or any(k.arg == parameter for k in call.keywords)
 
 
 def names_set(tree: ast.AST) -> set[str]:
@@ -130,27 +197,34 @@ def json_keys(data) -> set[str]:
 
 
 def unset(root: Path = ROOT) -> list[str]:
-    sets, mentions = {}, {}
-    for path, tree in _parse(root, SETTERS):
-        sets[path] = names_set(tree)
-        mentions[path] = sets[path] | names_used(tree)
-    scenario_keys = set().union(*(json_keys(json.loads(p.read_text())) for p in sorted((root / "scenarios").glob("*.json"))))
+    by_callee: dict[str, list[ast.Call]] = defaultdict(list)
+    keyed = set().union(*(json_keys(json.loads(p.read_text())) for p in sorted((root / "scenarios").glob("*.json"))))
+    for _, tree in _parse(root, SETTERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                by_callee[_called_name(node.func)].append(node)
+        keyed |= names_set(tree)
     out = []
     for path, tree in _parse(root, ("src/rummage",)):
-        named = scenario_keys.union(sets[path], *(m for other, m in mentions.items() if other != path))
-        out += [f"{path.relative_to(root)}:{line}: {cls}.{name}" for cls, name, line in settings(tree) if name not in named]
+        for callee, positional, name, setting, line, is_field in sorted(settings(tree), key=lambda s: s[4]):
+            if is_field:
+                done = setting in keyed or any(setting in positional[:_leading(c)] for c in by_callee[callee])
+            else:
+                done = any(passes(c, positional, setting) for c in by_callee[callee])
+            if not done:
+                out.append(f"{path.relative_to(root)}:{line}: {name}")
     return out
 
 
 def main() -> int:
-    found, fields = unused(), unset()
-    for line in found + fields:
+    found, loose = unused(), unset()
+    for line in found + loose:
         print(line)
     if found:
         print(f"{len(found)} definition(s) in src/rummage named nowhere in {', '.join(SEARCHED)}", file=sys.stderr)
-    if fields:
-        print(f"{len(fields)} dataclass field(s) in src/rummage set nowhere and named only in their own module", file=sys.stderr)
-    return 1 if found or fields else 0
+    if loose:
+        print(f"{len(loose)} setting(s) in src/rummage set nowhere in {', '.join(SETTERS)} or scenarios", file=sys.stderr)
+    return 1 if found or loose else 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from rummage import export
 from rummage.belief import ParticleSet, weigh
 from rummage.geometry import Pose
 from rummage.infogain import build_info_fields, build_reachability
-from rummage.semantics import voxel_downsample
+from rummage.semantics import R_FREE, voxel_downsample
 from rummage.sim import Scenario, World, camera_observe
 
 
@@ -36,7 +36,7 @@ def run(argv=None) -> int:
     shape = scenario.build_shape()
     workspace = scenario.build_workspace()
     world = World(shape=shape, true_pose=scenario.true_pose(), q=np.asarray(scenario.robot_start, float))
-    cloud = voxel_downsample(camera_observe(world, scenario.camera), scenario.belief.r_free)
+    cloud = voxel_downsample(camera_observe(world, scenario.camera), R_FREE)
 
     center = cloud.surface.mean(axis=0) if len(cloud.surface) else np.asarray(scenario.prior_center)
     center[2] = scenario.true_center[2]

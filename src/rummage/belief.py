@@ -32,8 +32,6 @@ class BeliefParams:
     sigma_t: float = 0.010      # translation process noise, meters
     k_opt: int = 10             # descent steps per refinement
     n_particles: int = 100
-    r_free: float = 0.010
-    r_surf: float = 0.002
     schedule: DescentSchedule = field(default_factory=DescentSchedule)
 
 
@@ -196,7 +194,7 @@ def update_step(
         moved = compose_poses(dT.translation + noise, dT.yaw, particles.translations, particles.yaws)
         particles = ParticleSet(*moved, particles.weights)
 
-    cloud = merge_observations(state.cloud, new_cloud, particles, dT_w, shape, params.r_free, params.r_surf)
+    cloud = merge_observations(state.cloud, new_cloud, particles, dT_w, shape)
 
     d = discrepancies(disc, shape, cloud, particles)
     if d.max() > params.eta:

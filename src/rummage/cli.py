@@ -58,10 +58,10 @@ def cmd_run(args) -> int:
         if args.jobs < 1:
             raise ValueError(f"--jobs {args.jobs} is below 1")
         out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out.mkdir(parents=True, exist_ok=True)
 
     want_artifacts = args.export_fields or args.export_particles or args.export_traces
     jobs = [(scenario, args.method, s, args.steps, want_artifacts) for s in seeds]
@@ -124,7 +124,7 @@ def cmd_export_field(args) -> int:
         return 1
     try:
         export.field_to_svg(fieldv, args.out, percentile=args.percentile, slice_z=args.slice_z)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001
@@ -155,10 +155,14 @@ def cmd_correlate(args) -> int:
     for name, val in rows_out:
         print(f"{name},{val}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("series,pearson_r\n")
-            for name, val in rows_out:
-                fh.write(f"{name},{val}\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write("series,pearson_r\n")
+                for name, val in rows_out:
+                    fh.write(f"{name},{val}\n")
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _GRAD_EPS = 1e-12
+IDENTITY_TOL = 1e-6  # meters of translation and radians of turn
 
 
 def _as_points(p) -> tuple[np.ndarray, bool]:
@@ -179,8 +180,8 @@ class Pose:
         """Magnitude of the rotation, radians in [0, pi]."""
         return abs(math.remainder(self.yaw, 2.0 * math.pi))
 
-    def is_identity(self, trans_tol: float = 1e-6, rot_tol: float = 1e-6) -> bool:
-        return float(np.linalg.norm(self.translation)) <= trans_tol and self.rotation_angle() <= rot_tol
+    def is_identity(self) -> bool:
+        return float(np.linalg.norm(self.translation)) <= IDENTITY_TOL and self.rotation_angle() <= IDENTITY_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ POINT_PITCH = 0.01   # interior grid pitch of the paddle body
 PAD_PITCH = 0.002    # pitch of the dense tactile pad on the +x face
 SWEEP_CELL = 0.01    # side of the cells that de-duplicate a rollout's sweep
 PUSH_ANGLE = math.radians(45.0)  # half-angle of the pushing cone about the contact normal
+YAW_SCALE = 0.5      # radians of paddle turn at a yaw control of 1
+KERNEL_SCALE = 2.0   # RBF length scale of the control-point interpolation, in steps
 
 
 @dataclass(frozen=True)
@@ -31,12 +33,11 @@ class ActionScale:
     """Map of unit control values to physical units."""
 
     translation: float = 0.08  # meters at |u| = 1
-    rotation: float = 0.5      # radians at |u| = 1
 
     def to_physical(self, u: np.ndarray) -> np.ndarray:
         out = np.asarray(u, dtype=np.float64).copy()
         out[..., :2] *= self.translation
-        out[..., 2] *= self.rotation
+        out[..., 2] *= YAW_SCALE
         return out
 
 
@@ -146,10 +147,10 @@ class PlannerParams:
 # ---------------------------------------------------------------------------
 
 
-def kernel_value(a: np.ndarray, b: np.ndarray, scale: float = 2.0) -> np.ndarray:
-    """RBF kernel between time coordinates."""
+def kernel_value(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """RBF kernel between time coordinates, of length scale :data:`KERNEL_SCALE`."""
     d = np.abs(a[..., :, None] - b[..., None, :])
-    return np.exp(-(d**2) / (2.0 * scale**2))
+    return np.exp(-(d**2) / (2.0 * KERNEL_SCALE**2))
 
 
 def control_times(H: int, H_c: int) -> np.ndarray:
@@ -157,7 +158,7 @@ def control_times(H: int, H_c: int) -> np.ndarray:
     return np.linspace(0.0, float(H - 1), H_c)
 
 
-def interpolation_weights(times: np.ndarray, H: int, H_c: int, scale: float = 2.0) -> np.ndarray:
+def interpolation_weights(times: np.ndarray, H: int, H_c: int) -> np.ndarray:
     """Weights W with ``u(times) = W @ theta``.
 
     Rows at (numerically) exact control times are snapped to unit rows so
@@ -165,8 +166,8 @@ def interpolation_weights(times: np.ndarray, H: int, H_c: int, scale: float = 2.
     iterative refinement step tightens the rest.
     """
     tc = control_times(H, H_c)
-    K2 = kernel_value(tc, tc, scale)
-    Kt = kernel_value(np.asarray(times, dtype=np.float64), tc, scale)
+    K2 = kernel_value(tc, tc)
+    Kt = kernel_value(np.asarray(times, dtype=np.float64), tc)
     try:
         X = np.linalg.solve(K2, Kt.T)
         R = Kt.T - K2 @ X
@@ -186,11 +187,11 @@ def interpolation_weights(times: np.ndarray, H: int, H_c: int, scale: float = 2.
     return W
 
 
-def kernel_interpolate(theta: np.ndarray, H: int, scale: float = 2.0) -> np.ndarray:
+def kernel_interpolate(theta: np.ndarray, H: int) -> np.ndarray:
     """Expand control points ``(H_c, dim)`` to a full action sequence ``(H, dim)``."""
     theta = np.asarray(theta, dtype=np.float64)
     H_c = theta.shape[0]
-    W = interpolation_weights(np.arange(H, dtype=np.float64), H, H_c, scale)
+    W = interpolation_weights(np.arange(H, dtype=np.float64), H, H_c)
     return W @ theta
 
 

@@ -10,6 +10,9 @@ import numpy as np
 
 from .geometry import ParticleSet, Pose, Shape, object_origins, pairs_within, pose_groups, rigid_transform, support_radius
 
+R_FREE = 0.010  # downsampling cell of free space, meters
+R_SURF = 0.002  # downsampling cell of surface and occupied points, meters
+
 
 class Semantics(enum.IntEnum):
     FREE = 0
@@ -181,8 +184,6 @@ def merge_observations(
     particles: ParticleSet,
     dT_w: Pose,
     shape: Shape,
-    r_free: float = 0.010,
-    r_surf: float = 0.002,
 ) -> SemanticCloud:
     """Fold a new observation set into the accumulated one.
 
@@ -190,7 +191,7 @@ def merge_observations(
     ``dT_w``; previous free points stay where they are but are kept only if
     every pose particle still places them strictly outside the object.  The
     union with the new observations is voxel downsampled per class
-    (``r_free`` for free space, ``r_surf`` for surface and occupied).
+    (:data:`R_FREE` for free space, :data:`R_SURF` for surface and occupied).
     """
     moved_occ = dT_w.transform(prev.occupied)
     moved_surf = dT_w.transform(prev.surface)
@@ -215,7 +216,7 @@ def merge_observations(
     merged = SemanticCloud.from_parts(free=free_prev, occupied=moved_occ, surface=moved_surf).extend(new)
     # re-filter after downsampling: a cell center can fall inside a particle
     # even when the points that voted for the cell were outside
-    free_ds = consistent_free(_downsample_positions(merged.free, r_free))
-    occ_ds = _downsample_positions(merged.occupied, r_surf)
-    surf_ds = _downsample_positions(merged.surface, r_surf)
+    free_ds = consistent_free(_downsample_positions(merged.free, R_FREE))
+    occ_ds = _downsample_positions(merged.occupied, R_SURF)
+    surf_ds = _downsample_positions(merged.surface, R_SURF)
     return SemanticCloud.from_parts(free=free_ds, occupied=occ_ds, surface=surf_ds)

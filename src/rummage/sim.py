@@ -49,14 +49,22 @@ from .planner import (
     PlanningContext,
     ReachTable,
 )
-from .semantics import SemanticCloud, SensorModel, voxel_downsample
+from .semantics import R_FREE, SemanticCloud, SensorModel, voxel_downsample
 
 METHODS = ("full", "info-only", "reach-only", "slide")
 
-MAX_RESOLVE = 8            # penetration resolutions per pushing sub-step
-PENETRATION_TOL = 1e-5     # depth below which a body point does not push
-CONTACT_MARGIN = 0.003     # clearance that still reports contact
-PRIOR_POSITION_STD = 0.05  # per-axis spread of the "gaussian" prior positions
+SUBSTEPS = 8                 # pushing sub-steps per action
+MAX_RESOLVE = 8              # penetration resolutions per pushing sub-step
+PENETRATION_TOL = 1e-5       # depth below which a body point does not push
+CONTACT_MARGIN = 0.003       # clearance that still reports contact
+TACTILE_TOL = 0.003          # contact shell within which a sensing point reads surface
+CAMERA_FREE_FRACTION = 0.95  # share of a camera ray's depth observed as free
+CAMERA_SPACING = 0.01        # spacing of the free points along a camera ray
+CAMERA_HIT_TOL = 1e-5        # distance at which a camera ray hits
+SURFACE_SHELL = 0.005        # shell about the surface that surface sampling draws from
+CALIBRATION_SHIFT = 0.005    # meters the success bar's calibration moves the true pose
+CALIBRATION_TURN = math.radians(5.0)  # and radians it turns it
+PRIOR_POSITION_STD = 0.05    # per-axis spread of the "gaussian" prior positions
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +105,6 @@ class CameraModel:
     fov: float = math.radians(70.0)
     n_rays: int = 81
     max_range: float = 1.0
-    free_fraction: float = 0.95
-    sample_spacing: float = 0.01
-    surface_tol: float = 1e-5
-
-
-@dataclass(frozen=True)
-class SimParams:
-    substeps: int = 8
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,6 @@ class Scenario:
     disc: DiscrepancyParams = field(default_factory=DiscrepancyParams)
     belief: BeliefParams = field(default_factory=BeliefParams)
     planner: PlannerParams = field(default_factory=PlannerParams)
-    sim: SimParams = field(default_factory=SimParams)
     prior_mode: str = "surface_centroid"   # or "gaussian"
     prior_center: tuple[float, float, float] = (0.45, 0.0, 0.0)
     prior_count: int | None = None         # None: one prior per particle
@@ -231,13 +230,13 @@ def camera_observe(world: World, camera: CameraModel) -> SemanticCloud:
         angles = camera.look_angle + np.linspace(-camera.fov / 2, camera.fov / 2, camera.n_rays)
     directions = np.array([[math.cos(a), math.sin(a), 0.0] for a in angles])
     hit_ts, hits = _sphere_trace(
-        origin, directions, lambda p: world.shape.sdf(T.transform(p)), camera.max_range, camera.surface_tol
+        origin, directions, lambda p: world.shape.sdf(T.transform(p)), camera.max_range, CAMERA_HIT_TOL
     )
 
     frees, surfaces = [], []
     for direction, hit_t, hit in zip(directions, hit_ts, hits):
-        free_to = camera.free_fraction * hit_t if hit else camera.max_range
-        ts = np.arange(camera.sample_spacing, free_to, camera.sample_spacing)
+        free_to = CAMERA_FREE_FRACTION * hit_t if hit else camera.max_range
+        ts = np.arange(CAMERA_SPACING, free_to, CAMERA_SPACING)
         if len(ts):
             frees.append(origin[None, :] + ts[:, None] * direction[None, :])
         if hit:
@@ -248,27 +247,27 @@ def camera_observe(world: World, camera: CameraModel) -> SemanticCloud:
     )
 
 
-def classify_tactile(v: np.ndarray, info_mask: np.ndarray, tol: float = 0.003):
+def classify_tactile(v: np.ndarray, info_mask: np.ndarray):
     """Split robot interior points into (surface, free) index masks.
 
     Sensing points within the contact shell report surface; everything else
     reports free when at or beyond the shell (strictly positive distance).
     """
-    surface = info_mask & (np.abs(v) < tol)
-    free = ~surface & (v >= tol)
+    surface = info_mask & (np.abs(v) < TACTILE_TOL)
+    free = ~surface & (v >= TACTILE_TOL)
     return surface, free
 
 
-def tactile_observe(world: World, q, robot: PaddleRobot, tol: float = 0.003) -> SemanticCloud:
+def tactile_observe(world: World, q, robot: PaddleRobot) -> SemanticCloud:
     q = np.asarray(q, dtype=np.float64)
     pts = robot.points_world(q)
     v = world.shape.sdf(world.true_pose.transform(pts))
-    surface, free = classify_tactile(v, robot.info_mask, tol)
+    surface, free = classify_tactile(v, robot.info_mask)
     surf_pts = [pts[surface]] if surface.any() else []
     # the dense pad reads the contact patch at sensor pitch
     pad = robot.pad_points_world(q)
     pv = world.shape.sdf(world.true_pose.transform(pad))
-    pad_hit = np.abs(pv) < tol
+    pad_hit = np.abs(pv) < TACTILE_TOL
     if pad_hit.any():
         surf_pts.append(pad[pad_hit])
     return SemanticCloud.from_parts(
@@ -299,15 +298,14 @@ def world_step(
     u,
     robot: PaddleRobot,
     action_scale: ActionScale,
-    params: SimParams = SimParams(),
 ) -> tuple[Pose, bool]:
-    """Advance the world by one clamped action.
+    """Advance the world by one clamped action, in :data:`SUBSTEPS` sub-steps.
 
     Returns ``(dT_true, contact)`` where ``dT_true`` left-composes onto the
     previous true pose.  Mutates ``world`` in place.
     """
     u = np.clip(np.asarray(u, dtype=np.float64), -1.0, 1.0)
-    phys = action_scale.to_physical(u) / params.substeps
+    phys = action_scale.to_physical(u) / SUBSTEPS
     T_old = world.true_pose
     T = T_old
     q = np.asarray(world.q, dtype=np.float64).copy()
@@ -315,7 +313,7 @@ def world_step(
     cos_thresh = math.cos(PUSH_ANGLE)
     rho = world.shape.characteristic_length / 4.0  # torque radius
 
-    for _ in range(params.substeps):
+    for _ in range(SUBSTEPS):
         q_new = q + phys
         pts_prev = robot.points_world(q)
         pts = robot.points_world(q_new)
@@ -376,19 +374,19 @@ def world_step(
 # ---------------------------------------------------------------------------
 
 
-def sample_surface(shape: Shape, n: int, rng: np.random.Generator, shell: float = 0.005) -> np.ndarray:
-    """Near-uniform object-frame surface samples via shell rejection plus
-    Newton projection onto the zero level set."""
+def sample_surface(shape: Shape, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Near-uniform object-frame surface samples via rejection to the
+    :data:`SURFACE_SHELL` plus Newton projection onto the zero level set."""
     lo, hi = shape.bounding_box()
-    lo = lo - shell
-    hi = hi + shell
+    lo = lo - SURFACE_SHELL
+    hi = hi + SURFACE_SHELL
     out = []
     attempts = 0
     while sum(len(o) for o in out) < n and attempts < 200:
         attempts += 1
         cand = rng.uniform(lo, hi, size=(max(4 * n, 256), 3))
         v = shape.sdf(cand)
-        cand = cand[np.abs(v) < shell]
+        cand = cand[np.abs(v) < SURFACE_SHELL]
         if len(cand) == 0:
             continue
         for _ in range(4):
@@ -466,19 +464,17 @@ def calibrate_nll_threshold(
     true_pose: Pose,
     surface_samples: np.ndarray,
     sensor: SensorModel,
-    trans: float = 0.005,
-    rot: float = math.radians(5.0),
 ) -> float:
     """Success bar: mean NLL of a single-particle belief at the true pose
-    perturbed by ``trans``/``rot`` over the four cardinal directions and
-    both yaw signs."""
+    perturbed by :data:`CALIBRATION_SHIFT` and :data:`CALIBRATION_TURN`
+    over the four cardinal directions and both yaw signs."""
     center = true_pose.object_center_world()
     yaw = true_pose.placement_yaw()
     vals = []
     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         for sy in (1, -1):
-            pert_center = center + trans * np.array([dx, dy, 0.0])
-            pert = Pose.from_placement(pert_center, yaw + sy * rot)
+            pert_center = center + CALIBRATION_SHIFT * np.array([dx, dy, 0.0])
+            pert = Pose.from_placement(pert_center, yaw + sy * CALIBRATION_TURN)
             vals.append(nll(ParticleSet.from_poses([pert]), shape, true_pose, surface_samples, sensor))
     return float(np.mean(vals))
 
@@ -586,11 +582,11 @@ def _sample_priors(scenario: Scenario, cloud: SemanticCloud, rng: np.random.Gene
 
 @dataclass
 class EpisodeArtifacts:
-    """Optional extra outputs for export (field snapshots, particles, trace)."""
+    """Outputs an episode fills for export (field snapshots, particles, trace)."""
 
-    fields: list[tuple[int, InfoFields, ScalarField]] = field(default_factory=list)
-    particle_snapshots: list[tuple[int, ParticleSet]] = field(default_factory=list)
-    planner_trace: list[dict] = field(default_factory=list)
+    fields: list[tuple[int, InfoFields, ScalarField]] = field(init=False, default_factory=list)
+    particle_snapshots: list[tuple[int, ParticleSet]] = field(init=False, default_factory=list)
+    planner_trace: list[dict] = field(init=False, default_factory=list)
 
 
 def run_episode(
@@ -634,9 +630,7 @@ def run_episode(
     elif method == "reach-only":
         pparams = replace(pparams, info_weight=0.0)
 
-    cloud0 = voxel_downsample(
-        camera_observe(world, scenario.camera), scenario.belief.r_free
-    )
+    cloud0 = voxel_downsample(camera_observe(world, scenario.camera), R_FREE)
     priors = _sample_priors(scenario, cloud0, rng)
     state = initialize_particles(priors, cloud0, shape, scenario.disc, scenario.belief, rng)
 
@@ -685,7 +679,7 @@ def run_episode(
             action = planner.get_action(world.q, ctx, rng, contact=in_contact)
 
         q_before = world.q.copy()
-        dT_true, contact = world_step(world, action, robot, pparams.action_scale, scenario.sim)
+        dT_true, contact = world_step(world, action, robot, pparams.action_scale)
         obs = tactile_observe(world, world.q, robot)
         if scenario.camera_every_step:
             obs = obs.extend(camera_observe(world, scenario.camera))

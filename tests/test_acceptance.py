@@ -20,7 +20,7 @@ from rummage.discrepancy import DiscrepancyParams, total_discrepancy
 from rummage.geometry import Box, Cylinder, Pose, Sphere, Workspace, mug_shape
 from rummage.infogain import build_info_fields
 from rummage.planner import PlannerParams, control_times, kernel_interpolate, mppi_update
-from rummage.semantics import SemanticCloud, Semantics, SensorModel, voxel_downsample
+from rummage.semantics import R_FREE, SemanticCloud, Semantics, SensorModel, voxel_downsample
 from rummage.sim import Scenario, World, camera_observe, pairwise_chamfer, run_episode, sample_surface
 from rummage import cli, export
 
@@ -214,7 +214,7 @@ def test_c06_info_field_handle_band():
     shape = scenario.build_shape()
     workspace = scenario.build_workspace()
     world = World(shape=shape, true_pose=scenario.true_pose(), q=np.asarray(scenario.robot_start, float))
-    cloud = voxel_downsample(camera_observe(world, scenario.camera), scenario.belief.r_free)
+    cloud = voxel_downsample(camera_observe(world, scenario.camera), R_FREE)
 
     center = cloud.surface.mean(axis=0)
     center[2] = 0.0

@@ -263,7 +263,8 @@ class TestRunCommand:
         "section, key",
         [
             ("planner", "kernel"), ("robot", "max_range"), ("robot", "base"), ("belief", "planar"), ("sim", "torque_radius"),
-            ("sim", "tactile_tol"), ("planner", "kernel_scale"), ("robot", "info_depth"),
+            ("sim", "tactile_tol"), ("planner", "kernel_scale"), ("robot", "info_depth"), ("camera", "sample_spacing"),
+            ("belief", "r_free"), ("sim", "substeps"),
         ],
     )
     def test_unknown_setting_is_config_error(self, tmp_path, tiny_scenario_file, capsys, section, key):
@@ -271,11 +272,13 @@ class TestRunCommand:
         cfg = json.loads(tiny_scenario_file.read_text())
         value = {
             "kernel": "bspline", "max_range": 0.5, "base": [0.0, 0.0], "planar": False, "torque_radius": 0.02,
-            "tactile_tol": 0.003, "kernel_scale": 2.0, "info_depth": 1,
+            "tactile_tol": 0.003, "kernel_scale": 2.0, "info_depth": 1, "sample_spacing": 0.01, "r_free": 0.01,
+            "substeps": 8,
         }[key]
         rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, **{section: {**cfg.get(section, {}), key: value}})
         assert rc == 1
-        assert err.startswith("config error:") and key in err
+        # the sim section itself is gone, so its error names the section
+        assert err.startswith("config error:") and repr("sim" if section == "sim" else key) in err
 
     def test_nested_settings_are_built(self, tmp_path, tiny_scenario_file, capsys):
         """A setting inside a setting is built into its own type at any
@@ -393,6 +396,26 @@ class TestCorrelateCommand:
         rc = main(["correlate", "--inputs", str(p)])
         assert rc == 1
         assert capsys.readouterr().err == f"config error: metrics CSV {p} {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "correlate", "export-field"])
+def test_bad_output_path_is_config_error(tmp_path, tiny_scenario_file, capsys, command):
+    """An output path that cannot be made, a directory under a file or a
+    file in a directory that does not exist, is a config error."""
+    (tmp_path / "afile").write_text("")
+    metrics = tmp_path / "m.csv"
+    metrics.write_text("step,nll,chamfer,contact,ax,ay,ayaw,reach_true\n0,1.0,2.0,0,0,0,0,1\n1,2.0,4.0,0,0,0,0,1\n")
+    snapshot = tmp_path / "f.csv"
+    ws = Workspace(bounds=((0, 0.05), (0, 0.05), (0, 0)), resolution=0.01)
+    export.write_field_csv(ws.make_field(np.ones(36)), snapshot)
+    argv = {
+        "run": ["run", "--scenario", str(tiny_scenario_file), "--method", "slide", "--steps", "0",
+                "--out", str(tmp_path / "afile" / "sub")],
+        "correlate": ["correlate", "--inputs", str(metrics), "--out", str(tmp_path / "nodir" / "x.csv")],
+        "export-field": ["export-field", "--snapshot", str(snapshot), "--out", str(tmp_path / "nodir" / "x.svg")],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestModuleEntry:

@@ -184,7 +184,7 @@ class TestKernelsMatchPerParticleLoops:
         )
         new = SemanticCloud.from_parts(free=CENTER + rng.uniform(-0.15, 0.15, (300, 3)) * [1, 1, 0.2])
         dT_w = Pose(np.array([0.004, -0.002, 0.0]), 0.03)
-        got = merge_observations(prev, new, particles, dT_w, shape, 0.01, 0.002)
+        got = merge_observations(prev, new, particles, dT_w, shape)
         # every particle in turn: a free point stays only if all place it outside
         keep_prev = np.ones(len(prev.free), dtype=bool)
         for T in particles.poses:

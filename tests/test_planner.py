@@ -35,11 +35,11 @@ from test_semantics import unique_cell_centers
 SENSOR = SensorModel()
 
 
-def interpolate_at(theta, H, times, scale=2.0):
+def interpolate_at(theta, H, times):
     """Reference: control points ``(H_c, dim)`` kernel-interpolated at
     arbitrary times of a horizon ``H``."""
     theta = np.asarray(theta, dtype=np.float64)
-    return interpolation_weights(np.asarray(times, dtype=np.float64), H, theta.shape[0], scale) @ theta
+    return interpolation_weights(np.asarray(times, dtype=np.float64), H, theta.shape[0]) @ theta
 
 
 def make_context(particle_poses, shape=None, bounds=((0.0, 0.6), (-0.3, 0.3), (0, 0)), res=0.01, with_table=False):

@@ -163,8 +163,8 @@ class TestCheckTestOnly:
         assert load("check_test_only").unused(root) == []
 
     def test_reports_settings_nothing_sets(self, tmp_path):
-        """Of the dataclass fields with a default, only the one that nothing
-        sets and only its own module reads is reported."""
+        """Of the dataclass fields with a default, those that nothing sets
+        are reported, also one that a test reads."""
         package = (
             "from dataclasses import dataclass, field, replace\n"
             "@dataclass\n"
@@ -187,7 +187,46 @@ class TestCheckTestOnly:
         (root / "scenarios/s.json").write_text('{"outer": [{"by_scenario": 6}]}')
         (root / "tests/test_params.py").write_text("from rummage.core import build\nassert build().read_by_test == 0.5\n")
         check = load("check_test_only")
-        assert check.unset(root) == ["src/rummage/core.py:10: Params.lonely"]
+        assert check.unset(root) == ["src/rummage/core.py:9: Params.read_by_test", "src/rummage/core.py:10: Params.lonely"]
         # a test that sets it through a config dict's key
         (root / "tests/test_params.py").write_text("cfg = {}\ncfg['lonely'] = 0.2\n")
         assert check.unset(root) == ["src/rummage/core.py:9: Params.read_by_test"]
+
+    @pytest.mark.parametrize(
+        "package, script, report",
+        [
+            ("def f(x, scale=2.0):\n    return x * scale\n", "f(1, scale=3.0)\n", []),
+            (
+                "def f(x, scale=2.0):\n    return x * scale\ndef g(scale):\n    return scale\n",
+                "f(1)\ng(scale=3.0)\n",
+                ["src/rummage/core.py:1: f(scale)"],
+            ),
+            ("def f(x, scale=2.0):\n    return x * scale\n", "f(1, 3.0)\n", []),
+            (
+                "class K:\n    def f(self, x, scale=2.0):\n        return x * scale\n"
+                "    @staticmethod\n    def s(x, shift=0.0):\n        return x + shift\n"
+                "    def t(self, x, turn=0.0):\n        return x + turn\n",
+                "K().f(1, 3.0)\nK.s(1, 2.0)\nK().t(1)\n",
+                ["src/rummage/core.py:7: K.t(turn)"],
+            ),
+            (
+                "def f(x, scale=2.0):\n    return x * scale\ndef g(x, *, shift=0.0):\n    return x + shift\n",
+                "args = (1, 2.0)\nf(*args)\nkw = {}\ng(1, **kw)\n",
+                [],
+            ),
+            (
+                "from dataclasses import dataclass\n@dataclass\nclass P:\n    a: int\n    b: int = 2\n    c: int = 3\n",
+                "kw = {}\nP(0, 4)\nP(**kw)\n",
+                ["src/rummage/core.py:6: P.c"],
+            ),
+        ],
+        ids=["keyword", "keyword to another function", "position", "method", "splat", "field by position"],
+    )
+    def test_reports_defaults_no_call_passes(self, tmp_path, package, script, report):
+        """A function default counts as set only when a call to that
+        function passes it: by its keyword, by position (a method's self
+        takes none), or through a splat.  A dataclass field is also set by
+        position; a splat into a dataclass sets only the keys it was built
+        with."""
+        root = self.tree(tmp_path, package, script)
+        assert load("check_test_only").unset(root) == report

@@ -251,7 +251,7 @@ class TestMergeObservations:
             SemanticCloud.from_parts(free=[[0.2, 0.0, 0.0], [0.3, 0.1, 0.0]], surface=[[0.05, 0.0, 0.0]]),
             0.01,
         )
-        out = merge_observations(prev, SemanticCloud(), self.particles, Pose.identity(), self.shape, 0.01, 0.002)
+        out = merge_observations(prev, SemanticCloud(), self.particles, Pose.identity(), self.shape)
         assert len(out) == len(prev)
         npt.assert_allclose(np.sort(out.positions, axis=0), np.sort(prev.positions, axis=0), atol=1e-12)
 
@@ -264,7 +264,7 @@ class TestMergeObservations:
     def test_surface_points_ride_displacement(self):
         prev = SemanticCloud.from_parts(surface=[[0.05, 0.0, 0.0]])
         shift = Pose(np.array([0.05, 0.0, 0.0]))
-        out = merge_observations(prev, SemanticCloud(), self.particles, shift, self.shape, 0.01, 0.002)
+        out = merge_observations(prev, SemanticCloud(), self.particles, shift, self.shape)
         assert len(out.surface) == 1
         npt.assert_allclose(out.surface[0], (0.10, 0.0, 0.0), atol=1e-9)
 
@@ -319,7 +319,7 @@ class TestMergeCull:
             )
             new = SemanticCloud.from_parts(free=center + rng.uniform(-0.2, 0.2, (200, 3)) * [1, 1, 0.2])
             dT_w = Pose(np.array([0.01, -0.005, 0.0]), 0.05)
-            got = merge_observations(prev, new, ParticleSet.from_poses(poses), dT_w, mug, 0.01, 0.002)
+            got = merge_observations(prev, new, ParticleSet.from_poses(poses), dT_w, mug)
             want = reference_merge(prev, new, poses, dT_w, mug, 0.01, 0.002)
             npt.assert_array_equal(got.positions, want.positions)
             npt.assert_array_equal(got.labels, want.labels)

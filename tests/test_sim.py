@@ -10,14 +10,13 @@ import pytest
 from rummage import sim
 from rummage.belief import ParticleSet
 from rummage.geometry import Pose, Sphere, mug_shape
-from rummage.planner import ActionScale, PaddleRobot, PlannerParams
+from rummage.planner import YAW_SCALE, ActionScale, PaddleRobot, PlannerParams
 from rummage.semantics import SensorModel
 from rummage.sim import (
     CameraModel,
     EpisodeArtifacts,
     Metrics,
     Scenario,
-    SimParams,
     World,
     calibrate_nll_threshold,
     camera_observe,
@@ -95,9 +94,9 @@ class TestCamera:
             t = 0.0
             for _ in range(256):
                 d = float(mug.sdf(T.transform(origin + t * direction)))
-                if d < cam.surface_tol:
+                if d < sim.CAMERA_HIT_TOL:
                     return t, True
-                t += max(d, cam.surface_tol)
+                t += max(d, sim.CAMERA_HIT_TOL)
                 if t > max_range:
                     break
             return max_range, False
@@ -108,8 +107,8 @@ class TestCamera:
             t, hit = march(direction, cam.max_range)
             hits.add(hit)
             short += not hit and march(direction, 1.0)[1]
-            free_to = cam.free_fraction * t if hit else cam.max_range
-            ts = np.arange(cam.sample_spacing, free_to, cam.sample_spacing)
+            free_to = sim.CAMERA_FREE_FRACTION * t if hit else cam.max_range
+            ts = np.arange(sim.CAMERA_SPACING, free_to, sim.CAMERA_SPACING)
             if len(ts):
                 frees.append(origin[None, :] + ts[:, None] * direction[None, :])
             if hit:
@@ -141,7 +140,7 @@ class TestTactile:
     def test_boundary_exactly_at_tolerance_is_free(self):
         info_mask = np.array([True, True, False])
         v = np.array([0.003, 0.0029, 0.003])
-        surface, free = classify_tactile(v, info_mask, tol=0.003)
+        surface, free = classify_tactile(v, info_mask)
         npt.assert_array_equal(surface, [False, True, False])
         npt.assert_array_equal(free, [True, False, True])
 
@@ -189,13 +188,12 @@ class TestWorldStep:
         T0 = Pose.from_placement((0.3, 0.0, 0.0), 0.4)
         world = World(shape=mug, true_pose=T0, q=np.array([0.2, 0.0, 0.0]))
         robot = PaddleRobot()
-        params = SimParams()
         for _ in range(30):
             u = rng.uniform(-1, 1, 3)
-            world_step(world, u, robot, self.SCALE, params)
+            world_step(world, u, robot, self.SCALE)
             v = mug.sdf(world.true_pose.transform(robot.points_world(world.q)))
             # at most one sub-step of travel deep
-            assert v.min() > -(self.SCALE.translation + 0.05 * self.SCALE.rotation) / params.substeps
+            assert v.min() > -(self.SCALE.translation + 0.05 * YAW_SCALE) / sim.SUBSTEPS
 
     def test_push_delta_composes_correctly(self):
         T0 = Pose.from_placement((0.3, 0.0, 0.0), 0.0)
