@@ -34,6 +34,10 @@ class BeliefParams:
     n_particles: int = 100
     schedule: DescentSchedule = field(default_factory=DescentSchedule)
 
+    def __post_init__(self):
+        if not self.n_particles >= 1:
+            raise ValueError(f"belief n_particles must be at least 1, got {self.n_particles!r}")
+
 
 def weigh(
     particles: ParticleSet,

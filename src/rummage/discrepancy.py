@@ -44,7 +44,6 @@ from .geometry import (
     Shape,
     object_origins,
     pairs_within,
-    planar_rotations,
     pose_groups,
     rigid_transform,
     support_radius,
@@ -108,8 +107,8 @@ class _CloudKernel:
         self._pairs = None
         self._runs = None
 
-    def _live(self, rotations: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        origins = object_origins(rotations, translations)
+    def _live(self, c: np.ndarray, s: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        origins = object_origins(c, s, translations)
         if self._origins is None or np.any(np.sum((origins - self._origins) ** 2, axis=1) > self.travel**2):
             self._origins = origins
             self._pairs = pairs_within(self.points, origins, self.radius + self.travel, self.always)
@@ -127,20 +126,21 @@ class _CloudKernel:
             ii, pp = ii[keep], pp[keep]
         return ii, pp
 
-    def passes(self, rotations: np.ndarray, translations: np.ndarray):
+    def passes(self, c: np.ndarray, s: np.ndarray, translations: np.ndarray):
         """Yield ``(lo, hi, pose_idx, x_obj, labels, v, costs)`` for runs of
-        whole poses ``[lo, hi)``; ``pose_idx`` counts from ``lo``."""
-        ii, pp = self._live(rotations, translations)
-        for lo, hi, start, end in pose_groups(ii, len(rotations)):
+        whole poses ``[lo, hi)`` of a stack (:func:`rigid_transform`'s
+        ``c, s, translations``); ``pose_idx`` counts from ``lo``."""
+        ii, pp = self._live(c, s, translations)
+        for lo, hi, start, end in pose_groups(ii, len(translations)):
             i, p = ii[start:end], pp[start:end]
-            x_obj = rigid_transform(rotations, translations, self.points[p], i)
+            x_obj = rigid_transform(c, s, translations, self.points[p], i)
             labels = self.labels[p]
             v = self.shape.sdf(x_obj)
             yield lo, hi, i - lo, x_obj, labels, v, _costs(self.params, v, labels)
 
-    def totals(self, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(rotations))
-        for lo, hi, ii, _, _, _, costs in self.passes(rotations, translations):
+    def totals(self, c: np.ndarray, s: np.ndarray, translations: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(translations))
+        for lo, hi, ii, _, _, _, costs in self.passes(c, s, translations):
             out[lo:hi] = np.bincount(ii, weights=costs, minlength=hi - lo)
         return out
 
@@ -155,7 +155,7 @@ class _CloudKernel:
         dir_sum = np.zeros((n, 2))
         torque_sum = np.zeros(n)
         lever_sq = np.zeros(n)
-        for lo, hi, ii, x_obj, labels, v, costs in self.passes(planar_rotations(yaws), translations):
+        for lo, hi, ii, x_obj, labels, v, costs in self.passes(np.cos(yaws), np.sin(yaws), translations):
             m = hi - lo
             cost[lo:hi] = np.bincount(ii, weights=costs, minlength=m)
             # aggregate over active points only: satisfied points carry no
@@ -253,7 +253,7 @@ def _step_poses(t: np.ndarray, yaws: np.ndarray, g_mean: np.ndarray, torque: np.
     turn = np.clip(torque, -step_r, step_r)
     moved = t.copy()
     moved[:, :2] -= _clamp_norms(g_mean, step_t)
-    return rigid_transform(planar_rotations(-turn), None, moved, np.arange(len(moved))), yaws - turn
+    return rigid_transform(np.cos(-turn), np.sin(-turn), None, moved, np.arange(len(moved))), yaws - turn
 
 
 def refine_pose(
@@ -295,7 +295,7 @@ def refine_pose(
         t, yaw = next_t, next_yaw
         st *= schedule.decay
         sr *= schedule.decay
-    cost_here = kernel.totals(planar_rotations(yaw), t)
+    cost_here = kernel.totals(np.cos(yaw), np.sin(yaw), t)
     better = cost_here < best_cost
     best_t[better], best_yaw[better], best_cost[better] = t[better], yaw[better], cost_here[better]
     return ParticleSet(best_t, best_yaw, T.weights), best_cost

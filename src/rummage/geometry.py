@@ -1,17 +1,16 @@
-"""Rigid transforms, signed distance shapes, and interpolated scalar fields.
+"""Planar rigid transforms, signed distance shapes, and interpolated scalar fields.
 
 Conventions used throughout the package:
 
-- A :class:`Pose` maps world coordinates into the object frame,
-  ``x_obj = R @ x_world + t``, for an object lying on the table: it is
-  held as the translation ``t`` and a yaw, ``R = Rz(yaw)``.  The inverse
-  maps object points back to the world.
+- A :class:`Pose` maps world coordinates into the object frame of an
+  object lying on the table.  It is held as a translation ``t`` and a yaw,
+  with ``c`` and ``s`` the yaw's ``cos`` and ``sin``:
+  ``x' = c*x - s*y + tx``, ``y' = s*x + c*y + ty``, ``z' = z + tz``.  The
+  inverse maps object points back to the world; its turn is the map by
+  ``c`` and ``-s``.
 - Every pose-by-point map goes through :func:`rigid_transform`, for one
-  pose or a stack of them, with one rule: each coordinate is summed left
-  to right, a term whose coefficient is exactly 0 for every pose is
-  skipped and a factor of exactly 1 for every pose is not multiplied.
-  That changes at most the sign of a zero coordinate, which no ``sdf``
-  reads.
+  pose or a stack of them: the same operations for every pose, each
+  coordinate summed left to right.
 - Signed distances are negative strictly inside a shape, positive
   strictly outside, zero on the surface, in meters.
 - Unions take the min of child distances.  Off the surface this is only
@@ -42,80 +41,50 @@ def _as_points(p) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def planar_rotations(yaws) -> np.ndarray:
-    """``Rz(yaw)`` for one yaw ``()`` or a stack ``(N,)``: ``(3, 3)`` or
-    ``(N, 3, 3)``, ``[[c, -s, 0], [s, c, 0], [0, 0, 1]]`` with ``c, s`` the
-    yaw's ``cos`` and ``sin``.  The z row and column are exact 0 and 1, so
-    :func:`rigid_transform` maps by them with 4 products."""
-    yaws = np.asarray(yaws, dtype=np.float64)
-    c, s = np.cos(yaws), np.sin(yaws)
-    R = np.zeros(yaws.shape + (3, 3))
-    R[..., 0, 0] = R[..., 1, 1] = c
-    R[..., 0, 1] = -s
-    R[..., 1, 0] = s
-    R[..., 2, 2] = 1.0
-    return R
+def rigid_transform(c, s, translations, points, pose_idx=None) -> np.ndarray:
+    """The planar map ``x' = c*x - s*y + tx``, ``y' = s*x + c*y + ty``,
+    ``z' = z + tz`` of points by one pose or by a stack of poses, ``c`` and
+    ``s`` the ``cos`` and ``sin`` of each pose's yaw.
 
-
-def rigid_transform(rotations, translations, points, pose_idx=None) -> np.ndarray:
-    """``R x + t``: points mapped by one pose or by a stack of poses.
-
-    - One pose ``(3, 3), (3,)`` on points ``(..., 3)``, or on a point ``(3,)``.
-    - A stack ``(N, 3, 3), (N, 3)`` on points ``(M, 3)`` shared by every
+    - One pose ``c, s`` ``()`` and ``translations`` ``(3,)`` on points
+      ``(..., 3)``, or on a point ``(3,)``.
+    - A stack ``(N,), (N,), (N, 3)`` on points ``(M, 3)`` shared by every
       pose, or ``(N, M, 3)`` one set per pose: ``(N, M, 3)``.
     - A stack and ``pose_idx`` ``(K,)``: points ``(K, 3)``, each mapped by
       its own pose.
 
-    ``translations=None`` applies the rotation only.  Each output
-    coordinate is ``R[i,0]*x + R[i,1]*y + R[i,2]*z + t[i]`` summed left to
-    right, into an ``(..., 3)`` view of a ``(3, ...)`` buffer: each output
-    coordinate is contiguous, which is what the shapes' ``sdf`` reads.
-    One skip rule, decided on the poses and never per point: a term whose
-    coefficient is exactly 0 for every pose is skipped, and a factor of
-    exactly 1 for every pose is not multiplied, so a planar pose costs 4
-    products.  For finite points this changes only the sign of a zero
-    coordinate (``a + 0*y`` is ``a`` unless ``a`` is a zero), which no
-    ``sdf`` reads (they use ``abs``, squares and ``>= 0`` tests); a
-    ``gradient`` at most passes it on as the sign of a zero component.
+    ``translations=None`` turns only, with no sum.  The inverse turn
+    ``R^T`` is the map by the same ``c`` and ``-s``.  Each output coordinate
+    is summed left to right, the same operations for every pose, into an
+    ``(..., 3)`` view of a ``(3, ...)`` buffer: each output coordinate is
+    contiguous, which is what the shapes' ``sdf`` reads.
     """
-    R = np.asarray(rotations, dtype=np.float64)
+    c, s = np.asarray(c, dtype=np.float64), np.asarray(s, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
     single = p.ndim == 1
     p = p[None] if single else p
-    if R.ndim == 2:  # one pose: each coefficient is its own bounds
-        lo = hi = R.tolist()
-        t_lo = t_hi = [0.0] * 3 if translations is None else np.asarray(translations, dtype=np.float64).tolist()
-        shape, coef, shift = p.shape[:-1], lambda i, k: lo[i][k], lambda i: t_lo[i]
-    else:  # a stack: each coefficient's bounds over its poses
-        t = np.zeros((len(R), 3)) if translations is None else translations
-        lo, hi = R.min(axis=0).tolist(), R.max(axis=0).tolist()
-        t_lo, t_hi = t.min(axis=0).tolist(), t.max(axis=0).tolist()
-        if pose_idx is None:
-            shape, coef, shift = (len(R),) + p.shape[-2:-1], lambda i, k: R[:, i, k, None], lambda i: t[:, i, None]
-        else:
-            shape, coef, shift = p.shape[:-1], lambda i, k: R[pose_idx, i, k], lambda i: t[pose_idx, i]
-    buf = np.empty((3,) + shape, dtype=np.float64)
-    term = None  # scratch for products after the first
-    for i, acc in enumerate(buf):
-        started = False
-        for k, (a, b) in enumerate(zip(lo[i], hi[i])):
-            if a == b == 0.0:
-                continue
-            if a == b == 1.0:  # the coordinate is added as it is
-                if started:
-                    acc += p[..., k]
-                else:
-                    np.copyto(acc, p[..., k])
-            elif started:
-                term = np.multiply(p[..., k], coef(i, k), out=term)
-                acc += term
-            else:
-                np.multiply(p[..., k], coef(i, k), out=acc)
-            started = True
-        if not started:
-            acc.fill(0.0)
-        if not t_lo[i] == t_hi[i] == 0.0:
-            acc += shift(i)
+    one = c.ndim == 0
+
+    def pick(a):  # per-pose values as they broadcast against the points
+        return a if one else a[:, None] if pose_idx is None else a[pose_idx]
+
+    # one gathered factor alive at a time, and each translation coordinate
+    # gathered as it is added
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    f = pick(s)
+    buf = np.empty((3,) + np.broadcast_shapes(y.shape, f.shape), dtype=np.float64)
+    term = np.multiply(y, f)
+    np.multiply(x, f, out=buf[1])
+    del f
+    f = pick(c)
+    np.multiply(x, f, out=buf[0])
+    buf[0] -= term
+    buf[1] += np.multiply(y, f, out=term)
+    del f
+    np.copyto(buf[2], z)
+    if translations is not None:
+        for i, acc in enumerate(buf):
+            acc += pick(translations[..., i])
     out = buf.transpose(*range(1, buf.ndim), 0)
     return out[..., 0, :] if single else out
 
@@ -128,19 +97,24 @@ def _read_only(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid world-to-object transform of an object lying on the table,
-    ``x_obj = rotation @ x_world + translation`` with ``rotation`` the yaw's
-    :func:`planar_rotations` matrix ``Rz(yaw)``.  The translation ``(3,)``
-    carries the height offset in z; ``rotation`` is derived once, read-only."""
+    """Rigid world-to-object transform of an object lying on the table: a
+    turn by ``yaw`` about z, then ``translation`` ``(3,)``, which carries
+    the height offset in z (:func:`rigid_transform`)."""
 
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
-    rotation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
         object.__setattr__(self, "yaw", float(self.yaw))
-        object.__setattr__(self, "rotation", _read_only(planar_rotations(self.yaw)))
+
+    @property
+    def rotation(self) -> np.ndarray:
+        """``Rz(yaw)`` as a read-only ``(3, 3)`` matrix.  The package does
+        not read it; it stays because ``loopbench/checks.py`` maps points by
+        it for its reference, apart from :func:`rigid_transform`."""
+        c, s = np.cos(self.yaw), np.sin(self.yaw)
+        return _read_only([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
     @staticmethod
     def identity() -> "Pose":
@@ -153,8 +127,8 @@ class Pose:
         Returns the world-to-object map of that placement, ``Rz(-yaw)`` and
         ``-Rz(-yaw) center``.
         """
-        turn = Pose(np.zeros(3), -yaw)
-        return Pose(-turn.transform(center), turn.yaw)
+        turn = -float(yaw)
+        return Pose(-rigid_transform(np.cos(turn), np.sin(turn), None, center), turn)
 
     def compose(self, other: "Pose") -> "Pose":
         """``self`` after ``other``: ``(self * other)(x) = self(other(x))``."""
@@ -165,11 +139,11 @@ class Pose:
 
     def transform(self, points):
         """Apply the map to one point ``(3,)`` or a batch ``(..., 3)``: :func:`rigid_transform`."""
-        return rigid_transform(self.rotation, self.translation, points)
+        return rigid_transform(np.cos(self.yaw), np.sin(self.yaw), self.translation, points)
 
     def object_center_world(self) -> np.ndarray:
         """World position of the object-frame origin, ``-R^T t``."""
-        return object_origins(self.rotation[None], self.translation[None])[0]
+        return -rigid_transform(np.cos(self.yaw), -np.sin(self.yaw), None, self.translation)
 
     def placement_yaw(self) -> float:
         """Yaw of the object placement (rotation of the object frame in the
@@ -198,8 +172,7 @@ _TEST_BUDGET = 1 << 18
 class ParticleSet:
     """Pose hypotheses with normalized weights, held as C-ordered read-only
     copies of the arrays passed: ``translations`` (N, 3), ``yaws`` (N,) and
-    ``weights`` (N,), uniform by default.  ``rotations`` (N, 3, 3) is
-    derived from the yaws once, by :func:`planar_rotations`.
+    ``weights`` (N,), uniform by default.
 
     The distinct-pose index is built once per set: ``first`` holds the
     first row of each distinct pose (equal translation and yaw bytes), in
@@ -210,7 +183,6 @@ class ParticleSet:
     translations: np.ndarray
     yaws: np.ndarray
     weights: np.ndarray | None = None
-    rotations: np.ndarray = field(init=False, repr=False)
     first: np.ndarray = field(init=False, repr=False)
     inverse: np.ndarray = field(init=False, repr=False)
 
@@ -226,15 +198,14 @@ class ParticleSet:
         _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
         for name, value in (("translations", t), ("yaws", yaws), ("weights", w),
-                            ("rotations", _read_only(planar_rotations(yaws))),
                             ("first", first[order]), ("inverse", np.argsort(order)[inverse.ravel()])):
             object.__setattr__(self, name, value)
 
     @staticmethod
-    def from_poses(poses, weights=None) -> "ParticleSet":
-        """A set of :class:`Pose` objects (uniform weights by default)."""
+    def from_poses(poses) -> "ParticleSet":
+        """A set of :class:`Pose` objects, uniform weights."""
         poses = list(poses)
-        return ParticleSet(np.stack([p.translation for p in poses]), np.array([p.yaw for p in poses]), weights)
+        return ParticleSet(np.stack([p.translation for p in poses]), np.array([p.yaw for p in poses]))
 
     @staticmethod
     def from_placements(centers, yaws) -> "ParticleSet":
@@ -242,7 +213,7 @@ class ParticleSet:
         ``yaws`` (N,), uniform weights: each row is
         :meth:`Pose.from_placement` of its center and yaw, bit for bit."""
         turns = -np.asarray(yaws, dtype=np.float64)
-        return ParticleSet(-rigid_transform(planar_rotations(turns), None, centers, np.arange(len(turns))), turns)
+        return ParticleSet(-rigid_transform(np.cos(turns), np.sin(turns), None, centers, np.arange(len(turns))), turns)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -254,9 +225,11 @@ class ParticleSet:
     def poses(self) -> list[Pose]:
         return [Pose(t, yaw) for t, yaw in zip(self.translations, self.yaws)]
 
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rotations and translations of the distinct poses."""
-        return self.rotations[self.first], self.translations[self.first]
+    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct poses as :func:`rigid_transform` reads a stack: the
+        ``cos`` and ``sin`` of their yaws and their translations."""
+        yaws = self.yaws[self.first]
+        return np.cos(yaws), np.sin(yaws), self.translations[self.first]
 
     def weighted_sum(self, rows: np.ndarray) -> np.ndarray:
         """``sum_i weights[i] * rows[inverse[i]]`` for ``rows`` of one value
@@ -281,25 +254,26 @@ class ParticleSet:
 
 def compose_poses(t1, yaw1, t2, yaw2) -> tuple[np.ndarray, np.ndarray]:
     """``(t1, yaw1)`` after ``(t2, yaw2)``, as :meth:`Pose.compose`: the
-    yaws add, and ``t2`` turns by ``yaw1`` (:func:`rigid_transform`'s
-    ``c*x - s*y`` products) before ``t1`` is added.  The left side is one
-    pose ``(3,), ()``, or ``t1`` a stack ``(N, 3)``; the right side one pose
-    or a stack ``(N, 3), (N,)``."""
-    return rigid_transform(planar_rotations(yaw1), None, t2) + t1, yaw1 + yaw2
+    yaws add, and ``t2`` turns by ``yaw1`` (:func:`rigid_transform` with no
+    translation) before ``t1`` is added.  The left side is one pose
+    ``(3,), ()``, or ``t1`` a stack ``(N, 3)``; the right side one pose or a
+    stack ``(N, 3), (N,)``."""
+    return rigid_transform(np.cos(yaw1), np.sin(yaw1), None, t2) + t1, yaw1 + yaw2
 
 
-def world_gradients(shape, rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """World-frame distance gradients (N, M, 3) of ``shape`` placed by each
-    pose of a stack, at world ``points`` (M, 3): ``R^T grad(R x + t)``."""
-    obj = rigid_transform(rotations, translations, points)
+def world_gradients(shape, c, s, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """World-frame distance gradients ``R^T grad(R x + t)`` of ``shape`` at
+    world ``points`` (M, 3), placed by one pose, (M, 3), or by each pose
+    of a stack, (N, M, 3); the inverse turn is the map by ``c`` and ``-s``."""
+    obj = rigid_transform(c, s, translations, points)
     g = shape.gradient(obj.reshape(-1, 3)).reshape(obj.shape)
-    return rigid_transform(rotations.transpose(0, 2, 1), None, g)
+    return rigid_transform(c, -s, None, g)
 
 
-def object_origins(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+def object_origins(c: np.ndarray, s: np.ndarray, translations: np.ndarray) -> np.ndarray:
     """World positions (N, 3) of the object-frame origins of a pose stack,
     ``-R^T t``, each row as :meth:`Pose.object_center_world` makes it."""
-    return -rigid_transform(rotations.transpose(0, 2, 1), None, translations, np.arange(len(translations)))
+    return -rigid_transform(c, -s, None, translations, np.arange(len(translations)))
 
 
 def pairs_within(points: np.ndarray, origins: np.ndarray, radius: float, always=None) -> tuple[np.ndarray, np.ndarray]:
@@ -665,30 +639,35 @@ class Union(Shape):
 
 @dataclass(frozen=True)
 class Transformed(Shape):
-    """Child shape placed in the parent frame: sdf(p) = child.sdf(T p)."""
+    """Child shape moved by ``offset`` in the parent frame:
+    ``sdf(p) = child.sdf(p - offset)``, the gradient the child's there."""
 
     child: Shape
-    pose: Pose  # parent-to-child-frame map
+    offset: tuple[float, float, float]
+
+    def _shifted(self, points) -> tuple[np.ndarray, bool]:
+        """``points - offset``, coordinate-major as the children read it."""
+        p, single = self._pts(points)
+        buf = np.empty((3,) + p.shape[:-1], dtype=np.float64)
+        for i, acc in enumerate(buf):
+            np.subtract(p[..., i], self.offset[i], out=acc)
+        return np.moveaxis(buf, 0, -1), single
 
     def sdf(self, points):
-        p, single = self._pts(points)
-        return self._ret(self.child.sdf(self.pose.transform(p)), single)
+        q, single = self._shifted(points)
+        return self._ret(self.child.sdf(q), single)
 
     def gradient(self, points):
-        p, single = self._pts(points)
-        g = self.child.gradient(self.pose.transform(p))
-        return self._retg(rigid_transform(self.pose.rotation.T, None, g), single)
+        q, single = self._shifted(points)
+        return self._retg(self.child.gradient(q), single)
 
     def bounding_box(self):
         lo, hi = self.child.bounding_box()
-        corners = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
-        world = self.pose.inverse().transform(corners)
-        return world.min(axis=0), world.max(axis=0)
+        return lo + self.offset, hi + self.offset
 
 
 def translated(child: Shape, offset) -> Transformed:
-    off = np.asarray(offset, dtype=np.float64)
-    return Transformed(child, Pose(-off))
+    return Transformed(child, offset)
 
 
 def mug_shape(

@@ -139,12 +139,12 @@ def _accumulate(
     all particles by :meth:`~rummage.geometry.ParticleSet.weighted_sum`,
     sequentially in particle order (no BLAS call).  Apart from the output,
     memory is bounded by one block, whatever the number of points."""
-    R, t = particles.distinct()
+    poses = particles.distinct()
     out = np.empty((6, len(points)))
-    block = max(1, PAIR_BUDGET // len(R))
+    block = max(1, PAIR_BUDGET // len(particles.first))
     for lo in range(0, len(points), block):
-        v = shape.sdf(rigid_transform(R, t, points[lo:lo + block]))
-        rows = np.empty((len(R), 6, v.shape[1]))
+        v = shape.sdf(rigid_transform(*poses, points[lo:lo + block]))
+        rows = np.empty((len(v), 6, v.shape[1]))
         rows[:, 0], rows[:, 1], rows[:, 2] = sensor.probabilities(v)
         for sem in Semantics:
             rows[:, 3 + sem] = _class_costs(disc, v, int(sem))

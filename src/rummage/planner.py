@@ -138,6 +138,11 @@ class PlannerParams:
     action_scale: ActionScale = field(default_factory=ActionScale)
 
     def __post_init__(self):
+        for name in ("horizon", "control_points", "samples", "rollouts", "mini_steps", "replan_interval"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"planner {name} must be at least 1, got {getattr(self, name)!r}")
+        if not self.temperature > 0:
+            raise ValueError(f"planner temperature must be positive, got {self.temperature!r}")
         if self.control_points > self.horizon:
             raise ValueError("control_points must not exceed horizon")
 
@@ -235,16 +240,16 @@ class PlanningContext:
         self._cell = self.fields.info.resolution / 2.0
         self._codes = np.empty(0, dtype=np.int64)
         self._normals = np.empty((0, 3))
-        self._rotations, self._translations = self.particles.distinct()
+        self._poses = self.particles.distinct()
         # particle rows among the distinct poses; None when all are distinct
-        self._inverse = self.particles.inverse if len(self._rotations) < len(self.particles) else None
+        self._inverse = self.particles.inverse if len(self.particles.first) < len(self.particles) else None
 
     def _exact_normals(self, points: np.ndarray) -> np.ndarray:
         """Weighted world-frame distance gradients at world points, the
         gradients evaluated once per distinct particle pose; the weighted
         sum runs over every particle in order, the rows gathered through the
         distinct-pose index."""
-        world = world_gradients(self.shape, self._rotations, self._translations, points)
+        world = world_gradients(self.shape, *self._poses, points)
         if self._inverse is not None:
             world = world[self._inverse]
         return np.einsum("n,nmi->mi", self.particles.weights, world)

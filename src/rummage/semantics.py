@@ -197,8 +197,8 @@ def merge_observations(
     moved_surf = dT_w.transform(prev.surface)
 
     # whether every pose places a point outside needs each distinct pose once
-    R, t = particles.distinct()
-    origins = object_origins(R, t)
+    c, s, t = particles.distinct()
+    origins = object_origins(c, s, t)
     radius = support_radius(shape)
 
     def consistent_free(pts: np.ndarray) -> np.ndarray:
@@ -206,9 +206,9 @@ def merge_observations(
         # strictly outside under that pose: only nearer pairs are evaluated
         keep = np.ones(len(pts), dtype=bool)
         ii, pp = pairs_within(pts, origins, radius)
-        for _, _, start, end in pose_groups(ii, len(R)):
+        for _, _, start, end in pose_groups(ii, len(t)):
             p = pp[start:end]
-            outside = shape.sdf(rigid_transform(R, t, pts[p], ii[start:end])) > 0.0
+            outside = shape.sdf(rigid_transform(c, s, t, pts[p], ii[start:end])) > 0.0
             keep[p[~outside]] = False
         return pts[keep]
 

@@ -52,6 +52,7 @@ from .planner import (
 from .semantics import R_FREE, SemanticCloud, SensorModel, voxel_downsample
 
 METHODS = ("full", "info-only", "reach-only", "slide")
+PRIOR_MODES = ("surface_centroid", "gaussian")
 
 SUBSTEPS = 8                 # pushing sub-steps per action
 MAX_RESOLVE = 8              # penetration resolutions per pushing sub-step
@@ -65,6 +66,7 @@ SURFACE_SHELL = 0.005        # shell about the surface that surface sampling dra
 CALIBRATION_SHIFT = 0.005    # meters the success bar's calibration moves the true pose
 CALIBRATION_TURN = math.radians(5.0)  # and radians it turns it
 PRIOR_POSITION_STD = 0.05    # per-axis spread of the "gaussian" prior positions
+SLIDE_SPEED = 0.5            # slide baseline's action magnitude, in normalized units
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,10 @@ class CameraModel:
     n_rays: int = 81
     max_range: float = 1.0
 
+    def __post_init__(self):
+        if not self.n_rays >= 1:
+            raise ValueError(f"camera n_rays must be at least 1, got {self.n_rays!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -123,7 +129,7 @@ class Scenario:
     disc: DiscrepancyParams = field(default_factory=DiscrepancyParams)
     belief: BeliefParams = field(default_factory=BeliefParams)
     planner: PlannerParams = field(default_factory=PlannerParams)
-    prior_mode: str = "surface_centroid"   # or "gaussian"
+    prior_mode: str = "surface_centroid"   # one of PRIOR_MODES
     prior_center: tuple[float, float, float] = (0.45, 0.0, 0.0)
     prior_count: int | None = None         # None: one prior per particle
     n_steps: int = 40
@@ -134,6 +140,10 @@ class Scenario:
     nll_threshold: float | None = None     # None: calibrated per scenario
 
     def __post_init__(self):
+        if self.prior_mode not in PRIOR_MODES:
+            raise ValueError(f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}")
+        if not self.surface_samples >= 1:
+            raise ValueError(f"surface_samples must be at least 1, got {self.surface_samples!r}")
         # built once, so a bad shape or workspace fails when the scenario is
         # loaded rather than at an episode's first step (frozen: they cannot
         # go stale)
@@ -327,7 +337,7 @@ def world_step(
             x = pts[i]
             motion = pts[i] - pts_prev[i]
             m_norm = float(np.linalg.norm(motion))
-            n = rigid_transform(T.rotation.T, None, world.shape.gradient(T.transform(x)))
+            n = world_gradients(world.shape, np.cos(T.yaw), np.sin(T.yaw), T.translation, x)
             n_norm = float(np.linalg.norm(n))
             if m_norm < 1e-12 or n_norm < 1e-12:
                 blocked = True
@@ -433,13 +443,13 @@ def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.n
     adds the values of the scalar loop in its order."""
     n = len(particles)
     p_count = len(surface_samples)
-    R, t = particles.distinct()
+    c, s, t = particles.distinct()
     inverse = particles.inverse
-    repeated = len(R) < n
+    repeated = len(t) < n
     # every distinct pose's samples in the world, by the inverse poses
-    # (R^T, -R^T t): (3, distinct * P) in memory, so every block of rows
-    # reads contiguous coordinates
-    flat = rigid_transform(R.transpose(0, 2, 1), object_origins(R, t), surface_samples).reshape(-1, 3)
+    # (c, -s and -R^T t): (3, distinct * P) in memory, so every block of
+    # rows reads contiguous coordinates
+    flat = rigid_transform(c, -s, object_origins(c, s, t), surface_samples).reshape(-1, 3)
     last = {k: j for j, k in enumerate(inverse.tolist())}
     kept: dict[int, np.ndarray] = {}
     # one particle's row at a time: adding the running total to the row's
@@ -448,12 +458,12 @@ def pairwise_chamfer(particles: ParticleSet, shape: Shape, surface_samples: np.n
     for j, k in enumerate(inverse.tolist()):
         row = kept.pop(k, None)
         if row is None:
-            row = blockwise(lambda x: shape.sdf(rigid_transform(R[k], t[k], x)), flat)
+            row = blockwise(lambda x: shape.sdf(rigid_transform(c[k], s[k], t[k], x)), flat)
             np.abs(row, out=row)
         if repeated:
             if last[k] > j:
                 kept[k] = row
-            row = row.reshape(len(R), p_count)[inverse].ravel()
+            row = row.reshape(len(t), p_count)[inverse].ravel()
         row[0] += total
         total = float(np.cumsum(row)[-1])
     return total / (n * n * p_count)
@@ -532,10 +542,10 @@ def slide_policy(
     contact_point,
     tangent_sign: float,
     action_scale: ActionScale,
-    speed: float = 0.5,
 ) -> np.ndarray:
     """Contact-sliding heuristic: head toward the estimated object center
-    until contact, then move tangent to the estimated surface normal (each
+    until contact, then move tangent to the estimated surface normal, at
+    :data:`SLIDE_SPEED` (each
     distinct particle pose's normal evaluated once, the weighted sum over
     every particle in order)."""
     q = np.asarray(q, dtype=np.float64)
@@ -547,15 +557,15 @@ def slide_policy(
         nn = float(np.linalg.norm(n2))
         if nn > 1e-12:
             tangent = np.array([-n2[1], n2[0]]) * tangent_sign / nn
-            return np.array([tangent[0] * speed, tangent[1] * speed, 0.0])
+            return np.array([tangent[0] * SLIDE_SPEED, tangent[1] * SLIDE_SPEED, 0.0])
     center = particles.weighted_center()
     dvec = (center - q[:3])[:2]
     dvec[:] = dvec / action_scale.translation
     dist = float(np.linalg.norm(dvec))
     if dist < 1e-12:
         return np.zeros(3)
-    if dist > speed:
-        dvec *= speed / dist
+    if dist > SLIDE_SPEED:
+        dvec *= SLIDE_SPEED / dist
     return np.array([dvec[0], dvec[1], 0.0])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rummage.geometry import Box, Cylinder, Pose, Sphere, mug_shape
+from rummage.geometry import Box, Cylinder, ParticleSet, Pose, Sphere, mug_shape
 
 
 @pytest.fixture
@@ -28,6 +28,11 @@ def rodrigues(axis, angle) -> np.ndarray:
     kx, ky, kz = np.asarray(axis, dtype=np.float64) / np.linalg.norm(axis)
     K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def weighted_set(poses, weights) -> ParticleSet:
+    """``ParticleSet(translations, yaws, weights)`` of a list of poses."""
+    return ParticleSet(np.stack([T.translation for T in poses]), np.array([T.yaw for T in poses]), weights)
 
 
 def random_pose(rng, planar=False, trans_scale=0.3):

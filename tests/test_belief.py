@@ -24,6 +24,8 @@ from rummage.geometry import Pose, Sphere, mug_shape
 from rummage.semantics import SemanticCloud
 from rummage.sim import sample_surface
 
+from conftest import weighted_set
+
 
 DISC = DiscrepancyParams()
 
@@ -112,7 +114,7 @@ class TestResample:
         shape = Sphere(0.05)
         poses = [Pose.from_placement((0.1 * i, 0.0, 0.0), 0.0) for i in range(4)]
         w = np.array([0.0, 0.0, 1.0, 0.0])
-        particles = ParticleSet.from_poses(poses, w)
+        particles = weighted_set(poses, w)
         params = BeliefParams(sigma_t=0.0, k_opt=0)
         out, _ = resample(particles, SemanticCloud(), shape, DISC, params, rng)
         for T in out.poses:
@@ -427,7 +429,8 @@ class TestSerialization:
         translations = np.concatenate([planar.translations, rng.normal(size=(len(yaws), 3))])
         particles = ParticleSet(translations, np.concatenate([planar.yaws, yaws]), rng.dirichlet(np.ones(5 + len(yaws))))
         rows = particles_to_rows(particles)
-        for r, R, t, w in zip(rows, particles.rotations, particles.translations, particles.weights):
+        for r, T, w in zip(rows, particles.poses, particles.weights):
+            R, t = T.rotation, T.translation
             q = np.array([r["qw"], r["qx"], r["qy"], r["qz"]])
             assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
             assert r["qw"] >= 0.0 and r["qx"] == r["qy"] == 0.0

@@ -280,6 +280,26 @@ class TestRunCommand:
         # the sim section itself is gone, so its error names the section
         assert err.startswith("config error:") and repr("sim" if section == "sim" else key) in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "prior_mode", "surfce_centroid"), (None, "surface_samples", 0), ("camera", "n_rays", -1),
+            ("belief", "n_particles", 0), ("planner", "samples", 0), ("planner", "rollouts", 0),
+            ("planner", "mini_steps", 0), ("planner", "horizon", 0), ("planner", "replan_interval", 0),
+            ("planner", "control_points", 0), ("planner", "temperature", 0.0),
+        ],
+    )
+    def test_bad_setting_value_is_config_error(self, tmp_path, tiny_scenario_file, capsys, section, key, value):
+        """A value the loop cannot run with fails when the scenario loads,
+        naming the setting and the value, rather than falling back, writing
+        NaN records or failing at run time."""
+        cfg = json.loads(tiny_scenario_file.read_text())
+        override = {key: value} if section is None else {section: {**cfg.get(section, {}), key: value}}
+        rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, **override)
+        assert rc == 1
+        assert err.startswith("config error:") and key in err and repr(value) in err
+        assert not (tmp_path / "o").exists()
+
     def test_nested_settings_are_built(self, tmp_path, tiny_scenario_file, capsys):
         """A setting inside a setting is built into its own type at any
         depth, lists become tuples, and a key it lacks is a config error."""

@@ -540,7 +540,7 @@ class TestPassCull:
                     yaws = start.yaws + rng.uniform(-0.5, 0.5, len(start))
                     moved = ParticleSet.from_placements(object_origins(*start.distinct())[start.inverse] + shift, -yaws)
                 listing = kernel._pairs
-                ii, pp = kernel._live(moved.rotations, moved.translations)
+                ii, pp = kernel._live(np.cos(moved.yaws), np.sin(moved.yaws), moved.translations)
                 if listing is not None:
                     assert kernel._pairs is listing  # no second listing
                 want_ii, want_pp = reference_live(kernel, cloud, moved.poses)

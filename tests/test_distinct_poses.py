@@ -20,8 +20,9 @@ from rummage.geometry import PAIR_BUDGET, Pose, Workspace, mug_shape
 from rummage.infogain import _accumulate, build_info_fields
 from rummage.planner import ActionScale, PlanningContext
 from rummage.semantics import SemanticCloud, SensorModel, _downsample_positions, merge_observations
-from rummage.sim import nll, pairwise_chamfer, sample_surface, slide_policy
+from rummage.sim import SLIDE_SPEED, nll, pairwise_chamfer, sample_surface, slide_policy
 
+from conftest import weighted_set
 from test_discrepancy import cost_array
 
 CENTER = np.array([0.45, 0.0, 0.0])
@@ -48,7 +49,7 @@ def particle_sets():
     out = []
     for name, poses in (("repeated", repeated), ("distinct", distinct)):
         w = rng.uniform(0.1, 1.0, len(poses))
-        out.append((name, ParticleSet.from_poses(poses, w / w.sum())))
+        out.append((name, weighted_set(poses, w / w.sum())))
     return out
 
 
@@ -209,12 +210,12 @@ class TestKernelsMatchPerParticleLoops:
                 normal += w * nine_term(T.rotation.T, np.zeros(3), g)[0]
             n2 = normal[:2]
             tangent = np.array([-n2[1], n2[0]]) * -1.0 / float(np.linalg.norm(n2))
-            want = np.array([tangent[0] * 0.5, tangent[1] * 0.5, 0.0])
-            got = slide_policy(particles, shape, [0.3, 0.0, 0.0], True, cp, -1.0, scale, 0.5)
+            want = np.array([tangent[0] * SLIDE_SPEED, tangent[1] * SLIDE_SPEED, 0.0])
+            got = slide_policy(particles, shape, [0.3, 0.0, 0.0], True, cp, -1.0, scale)
             npt.assert_array_equal(got, want)
 
 
-ONE = ParticleSet.from_poses([Pose.from_placement(CENTER, 0.7)] * 4, [0.1, 0.4, 0.3, 0.2])
+ONE = weighted_set([Pose.from_placement(CENTER, 0.7)] * 4, [0.1, 0.4, 0.3, 0.2])
 
 
 @pytest.mark.parametrize("particles", [ONE, *PARTICLES], ids=["one", *IDS])

@@ -26,7 +26,7 @@ from rummage.geometry import (
     translated,
 )
 
-from conftest import PRIMITIVES, random_pose, rodrigues
+from conftest import PRIMITIVES, random_pose
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +68,9 @@ class TestPose:
         npt.assert_allclose(T.transform(center), np.zeros(3), atol=1e-12)
 
     def test_results_do_not_depend_on_rotation_layout(self, rng):
-        """A pose derives its rotation C-ordered and read-only, and the map
-        by a transposed (F-ordered) view of a rotation, as the inverse and
-        the gradients read it, rounds as the map by a C-ordered copy; a
-        strided translation gives the bits of a contiguous one."""
+        """A pose's rotation reads C-ordered and read-only; a strided
+        translation gives the bits of a contiguous one, and column-major
+        points those of C-ordered ones, in the map and its inverse turn."""
         assert Pose.from_placement((0.4, -0.1, 0.0), 2.0).rotation.flags["C_CONTIGUOUS"]
         for k in range(200):
             T = random_pose(rng, planar=k % 2 == 0)
@@ -87,8 +86,8 @@ class TestPose:
                 assert a.translation.tobytes() == b.translation.tobytes()
                 assert a.yaw == b.yaw
             assert T.transform(x).tobytes() == F.transform(x).tobytes()
-            Rt = T.rotation.T
-            assert _bits(rigid_transform(Rt, None, x)) == _bits(rigid_transform(np.ascontiguousarray(Rt), None, x))
+            c, s = np.cos(T.yaw), np.sin(T.yaw)
+            assert _bits(rigid_transform(c, -s, None, np.asfortranarray(x))) == _bits(rigid_transform(c, -s, None, x))
 
     def test_batch_matches_single(self, rng):
         T = random_pose(rng)
@@ -348,7 +347,7 @@ def _old_support_radius(shape) -> float:
     if isinstance(shape, Union):
         return max(geometry._box_radius(shape.bounding_box()), *map(_old_support_radius, shape.children))
     if isinstance(shape, Transformed):
-        return _old_support_radius(shape.child) + float(np.linalg.norm(shape.pose.translation))
+        return _old_support_radius(shape.child) + float(np.linalg.norm(shape.offset))
     return geometry._box_radius(shape.bounding_box())
 
 
@@ -368,15 +367,11 @@ class TestSupportRadius:
         # a whole union moved off the origin
         translated(mug_shape(), (0.1, -0.05, 0.02)),
     ]
-    # turned and offset (in z too): its box is the box of the turned child
-    # box, so its radius can exceed the child's plus the offset
-    ROTATED = Transformed(Box((0.04, 0.015, 0.025)), Pose(np.array([0.03, -0.05, 0.02]), 0.7))
-    SHAPES = BUILDABLE + [ROTATED]
 
     def test_distance_at_least_excess_beyond_radius(self, rng):
         """Beyond the radius the distance is at least the excess, so free
         points there cost nothing for any epsilon below the excess."""
-        for shape in self.SHAPES:
+        for shape in self.BUILDABLE:
             R = support_radius(shape)
             pts, r = _beyond(rng, R)
             assert np.all(shape.sdf(pts) >= r - R - 1e-12), shape
@@ -422,7 +417,7 @@ class TestManyPoses:
         poses = [random_pose(rng, trans_scale=0.2) for _ in range(9)]
         pts = rng.uniform(-0.4, 0.4, (50, 3))
         always = rng.random(50) < 0.1
-        origins = object_origins(*_stack([(T.rotation, T.translation) for T in poses]))
+        origins = object_origins(*_stack(poses))
         for radius in (0.1, 0.3, math.inf):
             ii, pp = pairs_within(pts, origins, radius, always)
             expect = [
@@ -436,19 +431,18 @@ class TestManyPoses:
     def test_planar_rotations_do_not_depend_on_position(self, rng):
         """A yaw's cos and sin are the same bits alone and wherever it sits
         in a stack (the refinement's stack, a set's distinct rows and a
-        prior made alone all read one rotation per yaw); NumPy's vector
+        pose made alone each take them of their own yaws); NumPy's vector
         loops could differ from their scalar tails, so this is tested."""
-        from rummage.geometry import planar_rotations
-
         edges = [0.0, -0.0, 1e-9, -1e-300, math.pi / 2, math.pi, -math.pi]
         yaws = np.concatenate([rng.uniform(-math.pi, math.pi, 20000), rng.uniform(-40.0, 40.0, 500), edges])
-        whole = planar_rotations(yaws)
-        for k in range(1, 17):
-            assert _bits(planar_rotations(yaws[k:])) == _bits(whole[k:])
-        assert _bits(planar_rotations(yaws[::-1])) == _bits(whole[::-1])
-        assert _bits(planar_rotations(yaws[1::3])) == _bits(whole[1::3])
-        for y, R in zip(yaws.tolist(), whole):
-            assert _bits(planar_rotations(y)) == _bits(R)
+        for f in (np.cos, np.sin):
+            whole = f(yaws)
+            for k in range(1, 17):
+                assert _bits(f(yaws[k:])) == _bits(whole[k:])
+            assert _bits(f(yaws[::-1])) == _bits(whole[::-1])
+            assert _bits(f(yaws[1::3])) == _bits(whole[1::3])
+            for y, v in zip(yaws.tolist(), whole):
+                assert _bits(f(y)) == _bits(v)
 
     def test_pose_groups_cover_pairs(self, monkeypatch):
         from rummage import geometry
@@ -473,116 +467,109 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-def _nine_term(R: np.ndarray, t: np.ndarray | None, p: np.ndarray) -> np.ndarray:
-    """``R x + t`` with all nine products, each coordinate summed left to
-    right; ``R`` (..., 3, 3) and ``t`` (..., 3) broadcast against the points
-    ``p`` (..., 3), ``t=None`` adds nothing."""
+def _planar(c, s, t, p: np.ndarray) -> np.ndarray:
+    """``x' = c*x - s*y + tx``, ``y' = s*x + c*y + ty``, ``z' = z + tz``
+    written out; ``c``, ``s`` (...) and ``t`` (..., 3) broadcast against the
+    points ``p`` (..., 3), ``t=None`` adds nothing."""
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    rows = []
-    for i in range(3):
-        v = R[..., i, 0] * x + R[..., i, 1] * y + R[..., i, 2] * z
-        rows.append(v if t is None else v + t[..., i])
+    rows = [c * x - s * y, s * x + c * y, np.broadcast_to(z, np.broadcast(x, c).shape)]
+    if t is not None:
+        rows = [v + t[..., i] for i, v in enumerate(rows)]
     return np.stack(rows, axis=-1)
 
 
-def _pose(T: Pose):
-    return T.rotation, T.translation
+def _nine_term(R: np.ndarray, t: np.ndarray | None, p: np.ndarray) -> np.ndarray:
+    """``R x + t`` with all nine products of a ``(3, 3)`` matrix, each
+    coordinate summed left to right; ``t=None`` adds nothing."""
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    rows = []
+    for i in range(3):
+        v = R[i, 0] * x + R[i, 1] * y + R[i, 2] * z
+        rows.append(v if t is None else v + t[i])
+    return np.stack(rows, axis=-1)
 
 
-class TestPoseTransformKernel:
-    # (rotation, translation): the 3-D rotations are built here, since the
-    # package holds planar poses only
-    POSES = {
-        "general": (rodrigues((0.3, -0.5, 0.8), 1.1), np.array([0.2, -0.1, 0.05])),
-        "planar": _pose(Pose.from_placement((0.4, -0.2, 0.0), 0.7)),
-        "near-planar": (rodrigues((1e-4, -2e-5, 1.0), 0.7), np.array([0.1, 0.3, 1e-6])),
-        "translation": _pose(Pose(np.array([-0.06, -0.0, 0.0]))),
-        "identity": _pose(Pose.identity()),
-    }
-
-    @pytest.mark.parametrize("name", list(POSES))
-    def test_equals_nine_term_formula(self, rng, name):
-        """Skipping zero terms and unit factors leaves every value (up to
-        the sign of a zero) as the full formula gives it, and each output
-        coordinate is contiguous."""
-        R, t = self.POSES[name]
-        pts = rng.uniform(-0.5, 0.5, (4, 37, 3))
-        pts[0, :5] = 0.0
-        got = rigid_transform(R, t, pts)
-        npt.assert_array_equal(got, _nine_term(R, t, pts))
-        assert got.shape == pts.shape
-        assert np.moveaxis(got, -1, 0).flags.c_contiguous
-
-    @pytest.mark.parametrize("name", list(POSES))
-    def test_batch_equals_single_bit_for_bit(self, rng, name):
-        R, t = self.POSES[name]
-        pts = rng.uniform(-0.5, 0.5, (30, 3))
-        pts[:3, 2] = 0.0
-        batch = rigid_transform(R, t, pts)
-        for i in range(len(pts)):
-            single = rigid_transform(R, t, pts[i])
-            assert single.shape == (3,)
-            assert _bits(batch[i]) == _bits(single)
-        # a column-major input gives the same bits
-        assert _bits(rigid_transform(R, t, np.asfortranarray(pts))) == _bits(batch)
-
-    def test_planar_pose_skips_zero_terms(self, rng, monkeypatch):
-        """A planar pose's z row is a copy of z: finite values exactly z.
-        Every rotation a pose or a particle set derives has exact 0.0 and
-        1.0 in its z row and column, so a set's stack always takes the
-        4-product path."""
-        R, t = self.POSES["planar"]
-        pts = rng.uniform(-0.5, 0.5, (20, 3))
-        assert _bits(rigid_transform(R, t, pts)[:, 2]) == _bits(pts[:, 2])
-        yaws = np.concatenate([rng.uniform(-4 * math.pi, 4 * math.pi, 300), [0.0, -0.0, math.pi, -math.pi, 1e-300, 2 * math.pi]])
-        particles = geometry.ParticleSet(rng.normal(0.0, 0.3, (len(yaws), 3)), yaws)
-        stacks = [particles.rotations, *(T.rotation for T in particles.poses[:20])]
-        for R in stacks:
-            assert _bits(R[..., 2, :]) == _bits(np.broadcast_to([0.0, 0.0, 1.0], R.shape[:-2] + (3,)))
-            assert _bits(R[..., :2, 2]) == _bits(np.zeros(R.shape[:-2] + (2,)))
-        calls = _count_products(monkeypatch)
-        got = rigid_transform(*particles.distinct(), pts)
-        assert len(calls) == 4
-        assert _bits(got[..., 2]) == _bits(np.broadcast_to(pts[:, 2] + particles.translations[:, 2, None], got.shape[:-1]))
+def _turn(T: Pose):
+    """One pose as :func:`rigid_transform` reads it: ``c, s, t``."""
+    return np.cos(T.yaw), np.sin(T.yaw), T.translation
 
 
 def _stack(poses):
-    """Rotations and translations of ``(rotation, translation)`` pairs."""
-    return np.stack([R for R, _ in poses]), np.stack([t for _, t in poses])
+    """``c, s, t`` of a stack of poses, the trig taken over the stack."""
+    yaws = np.array([T.yaw for T in poses])
+    return np.cos(yaws), np.sin(yaws), np.stack([T.translation for T in poses])
 
 
 def _coordinate_contiguous(a) -> bool:
     return np.moveaxis(a, -1, 0).flags.c_contiguous
 
 
-def _count_products(monkeypatch) -> list:
-    """Calls of ``np.multiply`` from now to the end of the test."""
-    calls = []
-    multiply = np.multiply
+class TestPoseTransformKernel:
+    POSES = {
+        # a turn past a quarter and a translation on every axis
+        "general": Pose(np.array([0.2, -0.1, 0.05]), 2.1),
+        "planar": Pose.from_placement((0.4, -0.2, 0.0), 0.7),
+        "translation": Pose(np.array([-0.06, -0.0, 0.0])),
+        "identity": Pose.identity(),
+    }
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return multiply(*args, **kwargs)
+    @pytest.mark.parametrize("name", list(POSES))
+    def test_equals_nine_term_formula(self, rng, name):
+        """The planar formula bit for bit; the nine products of the pose's
+        rotation matrix up to the sign of a zero; each output coordinate
+        contiguous."""
+        T = self.POSES[name]
+        c, s, t = _turn(T)
+        pts = rng.uniform(-0.5, 0.5, (4, 37, 3))
+        pts[0, :5] = 0.0
+        got = rigid_transform(c, s, t, pts)
+        assert _bits(got) == _bits(_planar(c, s, t, pts))
+        npt.assert_array_equal(got, _nine_term(T.rotation, t, pts))
+        assert got.shape == pts.shape
+        assert _coordinate_contiguous(got)
 
-    monkeypatch.setattr(np, "multiply", counting)
-    return calls
+    @pytest.mark.parametrize("name", list(POSES))
+    def test_batch_equals_single_bit_for_bit(self, rng, name):
+        c, s, t = _turn(self.POSES[name])
+        pts = rng.uniform(-0.5, 0.5, (30, 3))
+        pts[:3, 2] = 0.0
+        batch = rigid_transform(c, s, t, pts)
+        for i in range(len(pts)):
+            single = rigid_transform(c, s, t, pts[i])
+            assert single.shape == (3,)
+            assert _bits(batch[i]) == _bits(single)
+        # a column-major input gives the same bits
+        assert _bits(rigid_transform(c, s, t, np.asfortranarray(pts))) == _bits(batch)
 
-
-_KERNEL_POSES = TestPoseTransformKernel.POSES
-# each stack's poses; "mixed" has coefficients that are 0 or 1 for some
-# poses only, so no term of a rotation may be skipped for the whole stack
-STACKS = {
-    "planar": [_pose(Pose.from_placement((0.4, -0.2, 0.0), a)) for a in (0.7, -2.1, 0.0, 3.0)],
-    "mixed": [_KERNEL_POSES[k] for k in ("planar", "general", "identity", "near-planar", "translation")],
-    "translations": [_pose(Pose(np.array(t))) for t in ((-0.06, 0.0, 0.0), (0.0, 0.0, 0.0), (0.02, 0.0, 0.0))],
-    "identity": [_pose(Pose.identity())] * 3,
-}
+    def test_planar_pose_skips_zero_terms(self, rng):
+        """The map multiplies no zero or unit entry of ``Rz``: z comes out
+        as ``z + tz`` (``z`` itself when only turned), and x and y do not
+        read z, for one pose and for a set's stack."""
+        c, s, t = _turn(self.POSES["planar"])
+        pts = rng.uniform(-0.5, 0.5, (20, 3))
+        lifted = pts.copy()
+        lifted[:, 2] = rng.uniform(-0.5, 0.5, 20)
+        assert _bits(rigid_transform(c, s, t, pts)[:, 2]) == _bits(pts[:, 2] + t[2])
+        assert _bits(rigid_transform(c, s, None, pts)[:, 2]) == _bits(pts[:, 2])
+        assert _bits(rigid_transform(c, s, t, lifted)[:, :2]) == _bits(rigid_transform(c, s, t, pts)[:, :2])
+        yaws = np.concatenate([rng.uniform(-4 * math.pi, 4 * math.pi, 300), [0.0, -0.0, math.pi, -math.pi, 1e-300]])
+        particles = geometry.ParticleSet(rng.normal(0.0, 0.3, (len(yaws), 3)), yaws)
+        got = rigid_transform(*particles.distinct(), pts)
+        assert _bits(got[..., 2]) == _bits(pts[:, 2] + particles.translations[:, 2, None])
 
 
 class TestRigidTransform:
-    """The one pose-by-point kernel in each of its uses, against the
-    nine-term formula: equal values (up to the sign of a zero), each output
-    coordinate contiguous, and the skip rule decided on the whole stack."""
+    """The one pose-by-point kernel in each of its uses, against the planar
+    formula written out: equal bits, each output coordinate contiguous."""
+
+    # each stack's poses; "mixed" has a cosine of 1 or a sine of 0 for some
+    # poses only
+    STACKS = {
+        "planar": [Pose.from_placement((0.4, -0.2, 0.0), a) for a in (0.7, -2.1, 0.0, 3.0)],
+        "mixed": [*TestPoseTransformKernel.POSES.values(), Pose(np.array([0.0, 0.1, -0.02]), math.pi)],
+        "translations": [Pose(np.array(t)) for t in ((-0.06, 0.0, 0.0), (0.0, 0.0, 0.0), (0.02, 0.0, 0.0))],
+        "identity": [Pose.identity()] * 3,
+    }
 
     @staticmethod
     def _points(rng, shape):
@@ -597,82 +584,104 @@ class TestRigidTransform:
     def test_stack(self, rng, name, translate, per_pose):
         """Every pose on the shared points ``(M, 3)``, or each on its own
         set ``(N, M, 3)``."""
-        R, t = _stack(STACKS[name])
+        c, s, t = _stack(self.STACKS[name])
         t = t if translate else None
-        pts = self._points(rng, (len(R), 23, 3) if per_pose else (23, 3))
-        got = geometry.rigid_transform(R, t, pts)
-        assert got.shape == (len(R), 23, 3) and _coordinate_contiguous(got)
-        npt.assert_array_equal(got, _nine_term(R[:, None], None if t is None else t[:, None], pts))
+        pts = self._points(rng, (len(c), 23, 3) if per_pose else (23, 3))
+        got = geometry.rigid_transform(c, s, t, pts)
+        assert got.shape == (len(c), 23, 3) and _coordinate_contiguous(got)
+        want = _planar(c[:, None], s[:, None], None if t is None else t[:, None], pts)
+        assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize("name", list(STACKS))
     def test_pairs(self, rng, name):
-        """Each point mapped by its own pose of the stack, as that pose maps
-        it alone: values up to the sign of a zero."""
-        poses = STACKS[name]
-        R, t = _stack(poses)
+        """Each point mapped by its own pose of the stack, bit for bit as
+        that pose maps it alone."""
+        c, s, t = _stack(self.STACKS[name])
         pts = self._points(rng, (300, 3))
-        idx = rng.integers(0, len(R), 300)
-        got = geometry.rigid_transform(R, t, pts, idx)
+        idx = rng.integers(0, len(c), 300)
+        got = geometry.rigid_transform(c, s, t, pts, idx)
         assert got.shape == (300, 3) and _coordinate_contiguous(got)
-        npt.assert_array_equal(got, _nine_term(R[idx], t[idx], pts))
+        assert _bits(got) == _bits(_planar(c[idx], s[idx], t[idx], pts))
         for k in range(0, 300, 7):
-            npt.assert_array_equal(got[k], rigid_transform(*poses[idx[k]], pts[k]))
+            i = idx[k]
+            assert _bits(got[k]) == _bits(rigid_transform(c[i], s[i], t[i], pts[k]))
 
     def test_one_pose_rotation_only(self, rng):
-        R, _ = _KERNEL_POSES["general"]
+        c, s, _ = _turn(TestPoseTransformKernel.POSES["general"])
         pts = self._points(rng, (4, 9, 3))
-        got = geometry.rigid_transform(R, None, pts)
+        got = geometry.rigid_transform(c, s, None, pts)
         assert got.shape == pts.shape and _coordinate_contiguous(got)
-        npt.assert_array_equal(got, _nine_term(R, None, pts))
-
-    @pytest.mark.parametrize(
-        "name, products",
-        [("planar", 4), ("mixed", 9), ("translations", 0), ("identity", 0)],
-    )
-    def test_skip_rule_decided_on_the_stack(self, rng, monkeypatch, name, products):
-        """A term is skipped, or a factor not multiplied, only when its
-        coefficient is 0, or 1, for every pose of the stack: a planar stack
-        costs 4 products in every use and its z row is z itself."""
-        R, t = _stack(STACKS[name])
-        pts = self._points(rng, (17, 3))
-        idx = rng.integers(0, len(R), 17)
-        calls = _count_products(monkeypatch)
-        uses = [
-            geometry.rigid_transform(R, t, pts),
-            geometry.rigid_transform(R, t, np.broadcast_to(pts, (len(R), 17, 3))),
-            geometry.rigid_transform(R, t, pts, idx),
-        ]
-        assert len(calls) == 3 * products
-        if name == "planar":
-            for got in uses:
-                assert _bits(got[..., 2]) == _bits(np.broadcast_to(pts[:, 2], got.shape[:-1]))
+        assert _bits(got) == _bits(_planar(c, s, None, pts))
 
     def test_one_pose_products(self, rng, monkeypatch):
+        """Every pose costs the same 4 products, those of its turn: no
+        pose takes a path of its own."""
         pts = self._points(rng, (11, 3))
-        calls = _count_products(monkeypatch)
-        for name, products in (("planar", 4), ("general", 9), ("translation", 0), ("identity", 0)):
+        calls = []
+        multiply = np.multiply
+        monkeypatch.setattr(np, "multiply", lambda *a, **k: calls.append(a) or multiply(*a, **k))
+        for name, T in TestPoseTransformKernel.POSES.items():
             del calls[:]
-            rigid_transform(*_KERNEL_POSES[name], pts)
-            assert len(calls) == products, name
+            rigid_transform(*_turn(T), pts)
+            assert len(calls) == 4, name
+
+    def test_inverse_turn(self, rng):
+        """The inverse turn ``R^T`` is the map by ``c`` and ``-s``: the
+        written-out formula bit for bit, the transposed matrix's nine
+        products up to the sign of a zero, and the undoing of the forward
+        turn; the origins and world gradients take it."""
+        poses = self.STACKS["mixed"]
+        c, s, t = _stack(poses)
+        pts = self._points(rng, (23, 3))
+        for k, T in enumerate(poses):
+            back = rigid_transform(c[k], -s[k], None, pts)
+            assert _bits(back) == _bits(_planar(c[k], -s[k], None, pts))
+            npt.assert_array_equal(back, _nine_term(T.rotation.T, None, pts))
+            npt.assert_allclose(rigid_transform(c[k], -s[k], None, rigid_transform(c[k], s[k], None, pts)), pts, atol=1e-15)
+            npt.assert_allclose(T.object_center_world(), -T.rotation.T @ T.translation, atol=1e-15)
+        origins = geometry.object_origins(c, s, t)
+        assert _bits(origins) == _bits(-_planar(c, -s, None, t))
+        mug = mug_shape()
+        world = geometry.world_gradients(mug, c, s, t, pts)
+        for k, T in enumerate(poses):
+            g = mug.gradient(T.transform(pts))
+            assert _bits(world[k]) == _bits(_planar(c[k], -s[k], None, g))
 
     def test_single_point(self, rng):
-        R, t = _stack(STACKS["mixed"])
+        c, s, t = _stack(self.STACKS["mixed"])
         x = rng.uniform(-0.5, 0.5, 3)
-        one = geometry.rigid_transform(R[1], t[1], x)
+        one = geometry.rigid_transform(c[1], s[1], t[1], x)
         assert one.shape == (3,)
-        assert _bits(one) == _bits(geometry.rigid_transform(R[1], t[1], x[None])[0])
-        many = geometry.rigid_transform(R, t, x)
-        assert many.shape == (len(R), 3)
-        assert _bits(many) == _bits(geometry.rigid_transform(R, t, x[None])[:, 0])
+        assert _bits(one) == _bits(geometry.rigid_transform(c[1], s[1], t[1], x[None])[0])
+        many = geometry.rigid_transform(c, s, t, x)
+        assert many.shape == (len(c), 3)
+        assert _bits(many) == _bits(geometry.rigid_transform(c, s, t, x[None])[:, 0])
 
     def test_empty_point_sets(self):
-        R, t = _stack(STACKS["mixed"])
-        n = len(R)
+        c, s, t = _stack(self.STACKS["mixed"])
+        n = len(c)
         none = np.zeros((0, 3))
-        assert geometry.rigid_transform(R[0], t[0], none).shape == (0, 3)
-        assert geometry.rigid_transform(R, t, none).shape == (n, 0, 3)
-        assert geometry.rigid_transform(R, None, np.zeros((n, 0, 3))).shape == (n, 0, 3)
-        assert geometry.rigid_transform(R, t, none, np.zeros(0, dtype=np.intp)).shape == (0, 3)
+        assert geometry.rigid_transform(c[0], s[0], t[0], none).shape == (0, 3)
+        assert geometry.rigid_transform(c, s, t, none).shape == (n, 0, 3)
+        assert geometry.rigid_transform(c, s, None, np.zeros((n, 0, 3))).shape == (n, 0, 3)
+        assert geometry.rigid_transform(c, s, t, none, np.zeros(0, dtype=np.intp)).shape == (0, 3)
+
+
+def test_translated_shape_is_its_child_at_p_minus_offset(rng):
+    """A translated shape's distances and gradients are its child's at
+    ``p - offset``, bit for bit, and its box is the child's moved by the
+    offset."""
+    offset = np.array([0.06, -0.02, 0.01])
+    for child in (*PRIMITIVES, mug_shape()):
+        shape = translated(child, offset)
+        p = rng.uniform(-0.15, 0.15, (500, 3))
+        p[:5] = offset
+        assert _bits(shape.sdf(p)) == _bits(child.sdf(p - offset))
+        assert _bits(shape.gradient(p)) == _bits(child.gradient(p - offset))
+        assert shape.sdf(p[7]) == child.sdf(p[7] - offset)
+        assert _bits(shape.gradient(p[7])) == _bits(child.gradient(p[7] - offset))
+        for got, want in zip(shape.bounding_box(), child.bounding_box()):
+            assert _bits(got) == _bits(want + offset)
 
 
 # every shape type a scenario can name, as shape_from_config builds it
@@ -691,7 +700,7 @@ SCENARIO_SHAPES = {
 
 @pytest.mark.parametrize("name", list(SCENARIO_SHAPES))
 def test_shapes_ignore_the_sign_of_zero(rng, name):
-    """What the transform's skip rule rests on: negating the zero
+    """No shape reads the sign of a zero coordinate: negating the zero
     coordinates of points leaves every shape's sdf bit for bit, and its
     gradient up to the sign of a zero component."""
     from rummage.sim import shape_from_config
@@ -756,7 +765,7 @@ def _every_child_sdf(shape, p):
             v = np.minimum(v, _every_child_sdf(c, p))
         return v
     if isinstance(shape, geometry.Transformed):
-        return _every_child_sdf(shape.child, shape.pose.transform(p))
+        return _every_child_sdf(shape.child, p - shape.offset)
     if isinstance(shape, _Flipped):
         return _every_child_sdf(shape.child, p)
     return shape.sdf(p)
@@ -778,12 +787,12 @@ def _first_minimum_gradient(shape, p):
 
 
 def _union_children():
-    rotated = geometry.Transformed(Box((0.015, 0.01, 0.03)), Pose(np.array([0.02, -0.05, 0.01]), 0.9))
+    lifted = translated(Cylinder(0.015, 0.03), (0.02, -0.05, 0.01))
     nested = Union(Sphere(0.02), translated(Box((0.01, 0.02, 0.015)), (-0.06, 0.01, 0.0)))
     return [
         Extrusion(Annulus2D(0.05, 0.042), 0.04),
         translated(Box((0.01, 0.0075, 0.025)), (0.06, 0.0, 0.0)),
-        rotated,
+        lifted,
         nested,
     ]
 

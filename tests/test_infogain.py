@@ -17,6 +17,7 @@ from rummage.infogain import (
 )
 from rummage.semantics import SensorModel
 
+from conftest import weighted_set
 from test_semantics import sensor_probabilities
 
 
@@ -57,7 +58,7 @@ class TestSemanticsProbability:
         # particle A puts x on the surface (p_surf 1), B far away (p_surf ~ 0)
         A = Pose.identity()
         B = Pose(np.array([10.0, 0.0, 0.0]))
-        particles = ParticleSet.from_poses([A, B], np.array([0.5, 0.5]))
+        particles = weighted_set([A, B], np.array([0.5, 0.5]))
         _, _, ps = semantics_probability(particles, shape, np.array([0.05, 0.0, 0.0]), SENSOR)
         assert ps == pytest.approx(0.5, abs=1e-4)
 
@@ -73,7 +74,7 @@ class TestSemanticsProbability:
         shape = Sphere(0.05)
         poses = [Pose.from_placement(rng.uniform(-0.1, 0.1, 3) * [1, 1, 0], 0.0) for _ in range(5)]
         w = rng.uniform(0.1, 1.0, 5)
-        particles = ParticleSet.from_poses(poses, w / w.sum())
+        particles = weighted_set(poses, w / w.sum())
         x = rng.uniform(-0.2, 0.2, 3)
         per = np.array([sensor_probabilities(SENSOR, float(shape.sdf(T.transform(x)))) for T in poses])
         got = np.array(semantics_probability(particles, shape, x, SENSOR))
@@ -94,7 +95,7 @@ class TestInfoGain:
         shape = Sphere(0.05)
         A = Pose.identity()                                # sdf at x: 0
         B = Pose(np.array([0.1, 0.0, 0.0]))     # sdf at x: +0.1
-        particles = ParticleSet.from_poses([A, B], np.array([0.5, 0.5]))
+        particles = weighted_set([A, B], np.array([0.5, 0.5]))
         x = np.array([0.05, 0.0, 0.0])
         assert float(shape.sdf(A.transform(x))) == pytest.approx(0.0, abs=1e-15)
         assert float(shape.sdf(B.transform(x))) == pytest.approx(0.1, abs=1e-15)
@@ -121,8 +122,8 @@ class TestInfoGain:
         B_agree = Pose.identity()
         B_disagree = Pose(np.array([-0.04, 0.0, 0.0]))  # sdf at x: 0.07-0.04-0.05 = -0.02
         x = np.array([0.07, 0.0, 0.0])
-        agree = ParticleSet.from_poses([A, B_agree], np.array([0.5, 0.5]))
-        disagree = ParticleSet.from_poses([A, B_disagree], np.array([0.5, 0.5]))
+        agree = weighted_set([A, B_agree], np.array([0.5, 0.5]))
+        disagree = weighted_set([A, B_disagree], np.array([0.5, 0.5]))
         assert float(shape.sdf(B_disagree.transform(x))) == pytest.approx(-0.02, abs=1e-12)
         v_agree = info_gain(agree, shape, x, 2.0, SENSOR)
         v_disagree = info_gain(disagree, shape, x, 2.0, SENSOR)

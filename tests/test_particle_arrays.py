@@ -19,7 +19,7 @@ from rummage.discrepancy import DescentSchedule, DiscrepancyParams, _step_poses,
 from rummage.geometry import ParticleSet, Pose
 from rummage.semantics import SemanticCloud
 
-from conftest import random_pose, rodrigues
+from conftest import random_pose, rodrigues, weighted_set
 from test_discrepancy import pose_descent_step, scene_cloud
 
 # (planar, value): particle origins on the table or with z offsets; the
@@ -71,13 +71,13 @@ def step_one(T: Pose, g_mean, torque: float, step_t: float, step_r: float) -> Po
 def particle_set(rng, n: int, planar: bool) -> ParticleSet:
     poses = [random_pose(rng, planar=planar, trans_scale=0.1) for _ in range(n)]
     w = rng.uniform(0.1, 1.0, n)
-    return ParticleSet.from_poses(poses, w / w.sum())
+    return weighted_set(poses, w / w.sum())
 
 
 @pytest.mark.parametrize("planar, yaw", NOISE)
 def test_update_step_motion(planar, yaw, mug):
-    """Every particle becomes (noise dT) T, its noise drawn in turn; a
-    motion without a turn takes the skip path of the 0 and 1 factors."""
+    """Every particle becomes (noise dT) T, its noise drawn in turn, with
+    and without a turn."""
     particles = particle_set(np.random.default_rng(3), 200, planar)
     dT = Pose(np.array([0.01, -0.004, 0.0 if planar else 0.002]), yaw)
     sigma_t = 0.01
@@ -220,7 +220,7 @@ def test_refine_best_iterate_ties(rng, monkeypatch):
             self.k += 1
             return t + 1.0, yaws, costs[self.k - 1].copy()
 
-        def totals(self, R, t):
+        def totals(self, c, s, t):
             return costs[steps].copy()
 
     monkeypatch.setattr(discrepancy, "_CloudKernel", Scripted)
@@ -253,11 +253,10 @@ def test_arrays_are_read_only_copies(rng):
     w = np.full(4, 0.25)
     particles = ParticleSet(t, yaws, w)
     assert particles.translations.flags["C_CONTIGUOUS"] and particles.yaws.flags["C_CONTIGUOUS"]
-    assert particles.rotations.flags["C_CONTIGUOUS"]
     t[0], yaws[0], w[0] = 0.0, 0.0, 0.0
     assert particles.translations[0].any() and particles.yaws[0] != 0.0 and particles.weights[0] == 0.25
     pose = particles.pose(1)
-    arrays = (particles.rotations, particles.translations, particles.yaws, particles.weights, pose.rotation, pose.translation)
+    arrays = (particles.translations, particles.yaws, particles.weights, pose.rotation, pose.translation)
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
