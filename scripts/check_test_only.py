@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fail when package code is named only at its definition, or a setting
-is set nowhere.
+"""Fail when package code is named only at its definition, a setting is
+set nowhere, or a test file imports a name it never uses.
 
 Lists every function, class and method defined in ``src/rummage`` and
 looks for its name in the Python files under ``src/``, ``scripts/`` and
@@ -31,12 +31,16 @@ the Python files under ``src/``, ``scripts/``, ``loopbench/`` and
   splat into a dataclass sets the keys its dict was built with, which
   those rules already see, so it sets nothing more.
 
+A name a module under ``tests/`` imports is used when the module reads
+it as a name anywhere (an attribute chain starts with one); ``__future__``
+imports bind nothing to read.
+
     python scripts/check_test_only.py
 
 Exits 1 and prints ``path:line: name`` for each unused definition,
-``path:line: Class.field`` for each unset field and
-``path:line: function(parameter)`` for each unset default, 0 when there is
-none.
+``path:line: Class.field`` for each unset field,
+``path:line: function(parameter)`` for each unset default and
+``path:line: name`` for each unused test import, 0 when there is none.
 """
 
 from __future__ import annotations
@@ -216,15 +220,35 @@ def unset(root: Path = ROOT) -> list[str]:
     return out
 
 
+def unused_imports(root: Path = ROOT) -> list[str]:
+    """``path:line: name`` of every name a test module imports and never
+    reads."""
+    out = []
+    for path, tree in _parse(root, ("tests",)):
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        ]
+        for node in sorted(imports, key=lambda n: n.lineno):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in read:
+                    out.append(f"{path.relative_to(root)}:{node.lineno}: {bound}")
+    return out
+
+
 def main() -> int:
-    found, loose = unused(), unset()
-    for line in found + loose:
+    found, loose, imported = unused(), unset(), unused_imports()
+    for line in found + loose + imported:
         print(line)
     if found:
         print(f"{len(found)} definition(s) in src/rummage named nowhere in {', '.join(SEARCHED)}", file=sys.stderr)
     if loose:
         print(f"{len(loose)} setting(s) in src/rummage set nowhere in {', '.join(SETTERS)} or scenarios", file=sys.stderr)
-    return 1 if found or loose else 0
+    if imported:
+        print(f"{len(imported)} name(s) imported in tests and never used", file=sys.stderr)
+    return 1 if found or loose or imported else 0
 
 
 if __name__ == "__main__":

@@ -10,12 +10,11 @@ from .belief import BeliefParams, BeliefState
 from .discrepancy import DiscrepancyParams
 from .geometry import ParticleSet, Pose, ScalarField, Shape, Workspace, mug_shape
 from .infogain import InfoFields, ReachabilityModel, build_info_fields, build_reachability
-from .planner import ActionScale, PaddleRobot, Planner, PlannerParams, PlanningContext
+from .planner import PaddleRobot, Planner, PlannerParams, PlanningContext
 from .semantics import SemanticCloud, Semantics, SensorModel
 from .sim import Metrics, Scenario, World, run_episode
 
 __all__ = [
-    "ActionScale",
     "BeliefParams",
     "BeliefState",
     "DiscrepancyParams",

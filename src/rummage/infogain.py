@@ -188,6 +188,10 @@ class ReachabilityModel:
     slope: float = 2.0
     psi: float = 0.4
 
+    def __post_init__(self):
+        if not self.psi > 0:
+            raise ValueError(f"reachability psi must be positive, got {self.psi!r}")
+
     def error(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64)
         d = np.sqrt(np.sum((p - np.asarray(self.base)) ** 2, axis=-1))

@@ -12,11 +12,11 @@ trajectories that push informative regions out of the robot's reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PAIR_BUDGET, POINT_BLOCK, ParticleSet, ScalarField, Shape, Workspace, world_gradients
+from .geometry import PAIR_BUDGET, POINT_BLOCK, ParticleSet, ScalarField, Shape, Workspace, rigid_transform, world_gradients
 from .infogain import InfoFields
 from .semantics import grid_cells
 
@@ -24,48 +24,53 @@ POINT_PITCH = 0.01   # interior grid pitch of the paddle body
 PAD_PITCH = 0.002    # pitch of the dense tactile pad on the +x face
 SWEEP_CELL = 0.01    # side of the cells that de-duplicate a rollout's sweep
 PUSH_ANGLE = math.radians(45.0)  # half-angle of the pushing cone about the contact normal
+TRANSLATION_SCALE = 0.08  # meters of paddle travel at a translation control of 1
 YAW_SCALE = 0.5      # radians of paddle turn at a yaw control of 1
 KERNEL_SCALE = 2.0   # RBF length scale of the control-point interpolation, in steps
 
 
-@dataclass(frozen=True)
-class ActionScale:
-    """Map of unit control values to physical units."""
+def to_physical(u: np.ndarray) -> np.ndarray:
+    """Unit control values ``(..., 3)`` to a physical ``(dx, dy, dyaw)``."""
+    return np.asarray(u, dtype=np.float64) * (TRANSLATION_SCALE, TRANSLATION_SCALE, YAW_SCALE)
 
-    translation: float = 0.08  # meters at |u| = 1
 
-    def to_physical(self, u: np.ndarray) -> np.ndarray:
-        out = np.asarray(u, dtype=np.float64).copy()
-        out[..., :2] *= self.translation
-        out[..., 2] *= YAW_SCALE
-        return out
+def _placement(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Configurations ``(3,)`` or ``(n, 3)`` as the ``cos``, ``sin`` and
+    ``(x, y, 0)`` translations of :func:`rigid_transform`."""
+    q = np.asarray(q, dtype=np.float64)
+    t = q.copy()
+    t[..., 2] = 0.0
+    return np.cos(q[..., 2]), np.sin(q[..., 2]), t
 
 
 @dataclass(frozen=True)
 class PaddleRobot:
     """Planar paddle end effector.
 
-    Interior points are a fixed-order grid over the body rectangle; the
-    sensing subset is its column on the +x face.  Configurations are
-    ``(x, y, yaw)`` in the table plane, z = 0.
+    Interior points are a fixed-order grid over the body rectangle, in
+    z = 0; the sensing subset is its column on the +x face.  A
+    configuration ``(x, y, yaw)`` places them by the planar map
+    :func:`~rummage.geometry.rigid_transform` of its yaw and ``(x, y, 0)``.
     """
 
     half_extents: tuple[float, float] = (0.01, 0.03)
 
     def __post_init__(self):
+        if np.shape(self.half_extents) != (2,) or not all(h > 0 for h in self.half_extents):
+            raise ValueError(f"robot half_extents must be two positive lengths, got {self.half_extents!r}")
         hx, hy = self.half_extents
         nx = max(2, int(round(2 * hx / POINT_PITCH)) + 1)
         ny = max(2, int(round(2 * hy / POINT_PITCH)) + 1)
         xs = np.linspace(-hx, hx, nx)
         ys = np.linspace(-hy, hy, ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
+        grid = np.stack([X.ravel(), Y.ravel(), np.zeros(X.size)], axis=-1)
         object.__setattr__(self, "_body", grid)
         object.__setattr__(self, "_info", grid[:, 0] == xs[-1])
         # dense tactile pad on the +x face (observation only; the planner's
         # point sets stay at the coarse resolution)
         ns = max(2, int(round(2 * hy / PAD_PITCH)) + 1)
-        pad = np.stack([np.full(ns, hx), np.linspace(-hy, hy, ns)], axis=-1)
+        pad = np.stack([np.full(ns, hx), np.linspace(-hy, hy, ns), np.zeros(ns)], axis=-1)
         object.__setattr__(self, "_pad", pad)
 
     @property
@@ -85,40 +90,23 @@ class PaddleRobot:
         """Largest planar distance of a body point from the paddle origin."""
         return float(np.max(np.hypot(self._body[:, 0], self._body[:, 1])))
 
-    def _transform_body(self, q, body: np.ndarray) -> np.ndarray:
-        """Body-frame points ``(M, 2)``, or ``(n, M, 2)`` with points of
-        their own for each of ``n`` configurations, to world points."""
-        q = np.asarray(q, dtype=np.float64)
-        single = q.shape == (3,)
-        qb = q.reshape(-1, 3)
-        c, s = np.cos(qb[:, 2])[:, None], np.sin(qb[:, 2])[:, None]
-        bx, by = body[..., 0], body[..., 1]
-        out = np.empty((len(qb), body.shape[-2], 3))
-        out[..., 0] = c * bx - s * by + qb[:, 0:1]
-        out[..., 1] = s * bx + c * by + qb[:, 1:2]
-        out[..., 2] = 0.0
-        return out[0] if single else out
-
     def points_world(self, q) -> np.ndarray:
-        """Interior points for configurations ``(..., 3)`` -> ``(..., M, 3)``."""
-        return self._transform_body(q, self.body_points)
+        """Interior points for a configuration ``(3,)`` -> ``(M, 3)``, or
+        for a stack ``(n, 3)`` -> ``(n, M, 3)``."""
+        return rigid_transform(*_placement(q), self.body_points)
 
     def body_point_world(self, q: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Interior point ``i[k]`` of configuration ``q[k]``, ``(n, 3)`` ->
         ``(n, 3)``: ``points_world(q)[arange(n), i]`` with one point
-        transformed per row, by the same per-element arithmetic."""
-        return self._transform_body(q, self.body_points[i][:, None, :])[:, 0]
+        placed per row."""
+        return rigid_transform(*_placement(q), self.body_points[i], np.arange(len(i)))
 
     def info_points_world(self, q) -> np.ndarray:
-        return self._transform_body(q, self.body_points[self.info_mask])
+        return rigid_transform(*_placement(q), self.body_points[self.info_mask])
 
     def pad_points_world(self, q) -> np.ndarray:
         """Dense sensing-pad points used by tactile observation."""
-        return self._transform_body(q, self.pad_points)
-
-    def free_dynamics(self, q, u_phys):
-        """Free-space motion: configuration-space addition."""
-        return np.asarray(q, dtype=np.float64) + np.asarray(u_phys, dtype=np.float64)
+        return rigid_transform(*_placement(q), self.pad_points)
 
 
 @dataclass(frozen=True)
@@ -135,7 +123,6 @@ class PlannerParams:
     reach_weight: float = 200.0
     warm_start_iters: int = 5
     opt_iters: int = 1              # optimization iterations per replan
-    action_scale: ActionScale = field(default_factory=ActionScale)
 
     def __post_init__(self):
         for name in ("horizon", "control_points", "samples", "rollouts", "mini_steps", "replan_interval"):
@@ -330,17 +317,17 @@ def _rollout_batch(
     direction transforms only its chosen body point.
     """
     B, H, _ = actions.shape
-    q = np.array(q0, dtype=np.float64).reshape(1, 3).repeat(B, axis=0) if np.asarray(q0).ndim == 1 else np.array(q0, dtype=np.float64)
-    d = np.array(d0, dtype=np.float64).reshape(1, 3).repeat(B, axis=0) if np.asarray(d0).ndim == 1 else np.array(d0, dtype=np.float64)
+    q = np.tile(np.asarray(q0, dtype=np.float64), (B, 1))
+    d = np.tile(np.asarray(d0, dtype=np.float64), (B, 1))
     q_traj = np.empty((B, H, 3))
     d_traj = np.empty((B, H, 3))
     cos_thresh = math.cos(PUSH_ANGLE)
     floor = ctx.fields.free_floor(robot.body_radius)
 
     for t in range(H):
-        u_phys = params.action_scale.to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
+        u_phys = to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
         for _ in range(params.mini_steps):
-            q_c = robot.free_dynamics(q, u_phys)
+            q_c = q + u_phys  # free-space motion
             draw = rng.random(B)
             cand = np.flatnonzero(draw >= floor.at(q_c[:, :2] - d[:, :2]))
             i_star, x_i, p_star, pf_raw = _contact_points(q_c[cand], d[cand], ctx, robot)
@@ -538,7 +525,7 @@ class Planner:
     def __init__(self, params: PlannerParams, robot: PaddleRobot):
         self.params = params
         self.robot = robot
-        self.theta = np.zeros((params.control_points, 3))  # (x, y, yaw), as ActionScale reads it
+        self.theta = np.zeros((params.control_points, 3))  # (x, y, yaw), as to_physical reads it
         self._queue: list[np.ndarray] = []
         self._executed_since_plan = 0
         self._planned_once = False

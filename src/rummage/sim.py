@@ -41,13 +41,14 @@ from .geometry import (
 )
 from .infogain import InfoFields, ReachabilityModel, build_info_fields, build_reachability
 from .planner import (
-    ActionScale,
     PUSH_ANGLE,
+    TRANSLATION_SCALE,
     PaddleRobot,
     Planner,
     PlannerParams,
     PlanningContext,
     ReachTable,
+    to_physical,
 )
 from .semantics import R_FREE, SemanticCloud, SensorModel, voxel_downsample
 
@@ -111,6 +112,8 @@ class CameraModel:
     def __post_init__(self):
         if not self.n_rays >= 1:
             raise ValueError(f"camera n_rays must be at least 1, got {self.n_rays!r}")
+        if not self.max_range > 0:
+            raise ValueError(f"camera max_range must be positive, got {self.max_range!r}")
 
 
 @dataclass(frozen=True)
@@ -303,19 +306,14 @@ def _world_motion(delta: np.ndarray, pivot: np.ndarray, angle: float) -> Pose:
     return rot.compose(trans)
 
 
-def world_step(
-    world: World,
-    u,
-    robot: PaddleRobot,
-    action_scale: ActionScale,
-) -> tuple[Pose, bool]:
+def world_step(world: World, u, robot: PaddleRobot) -> tuple[Pose, bool]:
     """Advance the world by one clamped action, in :data:`SUBSTEPS` sub-steps.
 
     Returns ``(dT_true, contact)`` where ``dT_true`` left-composes onto the
     previous true pose.  Mutates ``world`` in place.
     """
     u = np.clip(np.asarray(u, dtype=np.float64), -1.0, 1.0)
-    phys = action_scale.to_physical(u) / SUBSTEPS
+    phys = to_physical(u) / SUBSTEPS
     T_old = world.true_pose
     T = T_old
     q = np.asarray(world.q, dtype=np.float64).copy()
@@ -541,7 +539,6 @@ def slide_policy(
     in_contact: bool,
     contact_point,
     tangent_sign: float,
-    action_scale: ActionScale,
 ) -> np.ndarray:
     """Contact-sliding heuristic: head toward the estimated object center
     until contact, then move tangent to the estimated surface normal, at
@@ -560,7 +557,7 @@ def slide_policy(
             return np.array([tangent[0] * SLIDE_SPEED, tangent[1] * SLIDE_SPEED, 0.0])
     center = particles.weighted_center()
     dvec = (center - q[:3])[:2]
-    dvec[:] = dvec / action_scale.translation
+    dvec[:] = dvec / TRANSLATION_SCALE
     dist = float(np.linalg.norm(dvec))
     if dist < 1e-12:
         return np.zeros(3)
@@ -674,10 +671,7 @@ def run_episode(
 
     for t in range(1, n_steps + 1):
         if method == "slide":
-            action = slide_policy(
-                state.particles, shape, world.q, in_contact, contact_point,
-                tangent_sign, pparams.action_scale,
-            )
+            action = slide_policy(state.particles, shape, world.q, in_contact, contact_point, tangent_sign)
         else:
             fields = build_info_fields(
                 state.particles, shape, workspace, scenario.belief.gamma, sensor, scenario.disc
@@ -689,7 +683,7 @@ def run_episode(
             action = planner.get_action(world.q, ctx, rng, contact=in_contact)
 
         q_before = world.q.copy()
-        dT_true, contact = world_step(world, action, robot, pparams.action_scale)
+        dT_true, contact = world_step(world, action, robot)
         obs = tactile_observe(world, world.q, robot)
         if scenario.camera_every_step:
             obs = obs.extend(camera_observe(world, scenario.camera))

@@ -5,7 +5,6 @@ pytest shows them on failure regardless).  The end-to-end criteria share a
 module-scoped batch of seeded episodes of the planar mug scenario.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -17,7 +16,7 @@ import pytest
 
 from rummage.belief import ParticleSet, weigh
 from rummage.discrepancy import DiscrepancyParams, total_discrepancy
-from rummage.geometry import Box, Cylinder, Pose, Sphere, Workspace, mug_shape
+from rummage.geometry import Box, Cylinder, Pose, Sphere
 from rummage.infogain import build_info_fields
 from rummage.planner import PlannerParams, control_times, kernel_interpolate, mppi_update
 from rummage.semantics import R_FREE, SemanticCloud, Semantics, SensorModel, voxel_downsample

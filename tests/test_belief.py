@@ -20,7 +20,7 @@ from rummage.belief import (
 )
 from rummage.discrepancy import DiscrepancyParams, discrepancies, total_discrepancy
 from rummage.export import particles_to_rows
-from rummage.geometry import Pose, Sphere, mug_shape
+from rummage.geometry import Pose, Sphere
 from rummage.semantics import SemanticCloud
 from rummage.sim import sample_surface
 

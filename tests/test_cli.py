@@ -1,9 +1,7 @@
 """CLI subcommands, CSV schemas, SVG export, correlation report."""
 
 import csv
-import dataclasses
 import json
-import math
 import subprocess
 import sys
 
@@ -12,12 +10,11 @@ import numpy.testing as npt
 import pytest
 
 from rummage import export
-from rummage.belief import ParticleSet
 from rummage.cli import main
-from rummage.geometry import Pose, ScalarField, Workspace
+from rummage.geometry import ScalarField, Workspace
+from rummage.infogain import ReachabilityModel
 from rummage.semantics import SemanticCloud, Semantics
-from rummage.sim import Scenario, run_episode
-from rummage.planner import PlannerParams
+from rummage.sim import Scenario
 
 
 @pytest.fixture
@@ -264,7 +261,7 @@ class TestRunCommand:
         [
             ("planner", "kernel"), ("robot", "max_range"), ("robot", "base"), ("belief", "planar"), ("sim", "torque_radius"),
             ("sim", "tactile_tol"), ("planner", "kernel_scale"), ("robot", "info_depth"), ("camera", "sample_spacing"),
-            ("belief", "r_free"), ("sim", "substeps"),
+            ("belief", "r_free"), ("sim", "substeps"), ("planner", "action_scale"),
         ],
     )
     def test_unknown_setting_is_config_error(self, tmp_path, tiny_scenario_file, capsys, section, key):
@@ -273,7 +270,7 @@ class TestRunCommand:
         value = {
             "kernel": "bspline", "max_range": 0.5, "base": [0.0, 0.0], "planar": False, "torque_radius": 0.02,
             "tactile_tol": 0.003, "kernel_scale": 2.0, "info_depth": 1, "sample_spacing": 0.01, "r_free": 0.01,
-            "substeps": 8,
+            "substeps": 8, "action_scale": {"translation": 0.05},
         }[key]
         rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, **{section: {**cfg.get(section, {}), key: value}})
         assert rc == 1
@@ -286,7 +283,12 @@ class TestRunCommand:
             (None, "prior_mode", "surfce_centroid"), (None, "surface_samples", 0), ("camera", "n_rays", -1),
             ("belief", "n_particles", 0), ("planner", "samples", 0), ("planner", "rollouts", 0),
             ("planner", "mini_steps", 0), ("planner", "horizon", 0), ("planner", "replan_interval", 0),
-            ("planner", "control_points", 0), ("planner", "temperature", 0.0),
+            ("planner", "control_points", 0), ("planner", "temperature", 0.0), ("reachability", "psi", 0.0),
+            ("reachability", "psi", -0.4), ("camera", "max_range", 0.0), ("camera", "max_range", -1.0),
+            pytest.param("robot", "half_extents", (0.0, 0.03), id="robot-half_extents-zero"),
+            pytest.param("robot", "half_extents", (0.01, -0.03), id="robot-half_extents-negative"),
+            pytest.param("robot", "half_extents", (0.01,), id="robot-half_extents-one"),
+            pytest.param("robot", "half_extents", (0.01, 0.03, 0.02), id="robot-half_extents-three"),
         ],
     )
     def test_bad_setting_value_is_config_error(self, tmp_path, tiny_scenario_file, capsys, section, key, value):
@@ -307,11 +309,11 @@ class TestRunCommand:
 
         cfg = json.loads(tiny_scenario_file.read_text())
         cfg["belief"]["schedule"] = {"step_t": 0.02, "decay": 0.8}
-        cfg["planner"]["action_scale"] = {"translation": 0.05}
+        cfg["reachability"] = {"base": [0.05, 0.0, 0.0], "psi": 0.3}
         cfg["robot"] = {"half_extents": [0.01, 0.02]}
         scenario = Scenario.from_dict(cfg)
         assert scenario.belief.schedule == DescentSchedule(step_t=0.02, decay=0.8)
-        assert scenario.planner.action_scale.translation == 0.05
+        assert scenario.reachability == ReachabilityModel(base=(0.05, 0.0, 0.0), psi=0.3)
         assert scenario.robot.half_extents == (0.01, 0.02)
         assert scenario.true_center == (0.38, 0.0, 0.0)
         rc, err = self._run_with(tmp_path, tiny_scenario_file, capsys, belief=cfg["belief"])

@@ -18,7 +18,7 @@ from rummage.belief import BeliefParams, BeliefState, ParticleSet, update_step
 from rummage.discrepancy import DiscrepancyParams, discrepancies
 from rummage.geometry import PAIR_BUDGET, Pose, Workspace, mug_shape
 from rummage.infogain import _accumulate, build_info_fields
-from rummage.planner import ActionScale, PlanningContext
+from rummage.planner import PlanningContext
 from rummage.semantics import SemanticCloud, SensorModel, _downsample_positions, merge_observations
 from rummage.sim import SLIDE_SPEED, nll, pairwise_chamfer, sample_surface, slide_policy
 
@@ -202,7 +202,6 @@ class TestKernelsMatchPerParticleLoops:
         assert 0 < len(got.free) < len(free_ds)
 
     def test_slide_contact_normal(self, particles, shape):
-        scale = ActionScale()
         for cp in ([0.50, 0.01, 0.0], [0.41, -0.05, 0.01]):
             normal = np.zeros(3)
             for T, w in zip(particles.poses, particles.weights):
@@ -211,7 +210,7 @@ class TestKernelsMatchPerParticleLoops:
             n2 = normal[:2]
             tangent = np.array([-n2[1], n2[0]]) * -1.0 / float(np.linalg.norm(n2))
             want = np.array([tangent[0] * SLIDE_SPEED, tangent[1] * SLIDE_SPEED, 0.0])
-            got = slide_policy(particles, shape, [0.3, 0.0, 0.0], True, cp, -1.0, scale)
+            got = slide_policy(particles, shape, [0.3, 0.0, 0.0], True, cp, -1.0)
             npt.assert_array_equal(got, want)
 
 

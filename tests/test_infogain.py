@@ -1,7 +1,5 @@
 """Information field, class-probability field, and reachability."""
 
-import math
-
 import numpy as np
 import numpy.testing as npt
 import pytest

@@ -14,7 +14,6 @@ from rummage.belief import ParticleSet
 from rummage.geometry import PAIR_BUDGET, Pose, ScalarField, Sphere, Workspace, mug_shape
 from rummage.infogain import InfoFields, build_info_fields, build_reachability, ReachabilityModel
 from rummage.planner import (
-    ActionScale,
     PUSH_ANGLE,
     PaddleRobot,
     Planner,
@@ -54,9 +53,7 @@ def make_context(particle_poses, shape=None, bounds=((0.0, 0.6), (-0.3, 0.3), (0
 
 def dynamics_step(q, d, u, ctx, robot, params, rng):
     """One action of the rollout dynamics: a single-row, single-step batch."""
-    q_traj, d_traj = planner_mod._rollout_batch(
-        np.reshape(q, (1, 3)), np.reshape(d, (1, 3)), np.reshape(u, (1, 1, 3)), ctx, robot, params, rng
-    )
+    q_traj, d_traj = planner_mod._rollout_batch(q, d, np.reshape(u, (1, 1, 3)), ctx, robot, params, rng)
     return q_traj[0, 0], d_traj[0, 0]
 
 
@@ -134,6 +131,54 @@ class TestKernelInterpolation:
             PlannerParams(horizon=5, control_points=8)
 
 
+def planar_placement(q, points):
+    """Reference: points ``(M, 3)`` with z = 0 placed by configurations
+    ``(n, 3)``, written out: ``(c*x - s*y + qx, s*x + c*y + qy, 0)``."""
+    c, s = np.cos(q[:, 2:]), np.sin(q[:, 2:])
+    x, y = points[:, 0], points[:, 1]
+    return np.stack([c * x - s * y + q[:, :1], s * x + c * y + q[:, 1:2], np.zeros((len(q), len(points)))], axis=-1)
+
+
+class TestPaddlePlacement:
+    """Every placement of the paddle's points is the planar map of the
+    configuration's yaw and ``(x, y, 0)``, bit for bit, with z exactly 0."""
+
+    ROBOT = PaddleRobot()
+    # yaws over a full turn, positions on both sides of both axes
+    Q = np.column_stack([
+        np.random.default_rng(3).uniform(-0.4, 0.6, 12),
+        np.random.default_rng(4).uniform(-0.4, 0.4, 12),
+        np.linspace(-math.pi, math.pi, 12),
+    ])
+    USES = {
+        "body": (ROBOT.points_world, ROBOT.body_points),
+        "info": (ROBOT.info_points_world, ROBOT.body_points[ROBOT.info_mask]),
+        "pad": (ROBOT.pad_points_world, ROBOT.pad_points),
+    }
+
+    @pytest.mark.parametrize("use", USES)
+    def test_one_configuration(self, use):
+        place, points = self.USES[use]
+        assert points.shape[1] == 3 and points[:, 2].tobytes() == np.zeros(len(points)).tobytes()
+        for q in self.Q:
+            got = place(q)
+            assert got.shape == points.shape
+            assert got.tobytes() == planar_placement(q[None], points)[0].tobytes()
+
+    @pytest.mark.parametrize("use", USES)
+    def test_stack(self, use):
+        place, points = self.USES[use]
+        got = place(self.Q)
+        assert got.shape == (len(self.Q), len(points), 3)
+        assert got.tobytes() == planar_placement(self.Q, points).tobytes()
+
+    def test_one_point_per_row(self):
+        body = self.ROBOT.body_points
+        i = np.random.default_rng(5).integers(0, len(body), len(self.Q))
+        want = np.stack([planar_placement(q[None], body[k:k + 1])[0, 0] for q, k in zip(self.Q, i)])
+        assert self.ROBOT.body_point_world(self.Q, i).tobytes() == want.tobytes()
+
+
 class TestDynamics:
     def qparams(self, **kw):
         defaults = dict(horizon=3, control_points=2, samples=8, rollouts=1, mini_steps=4)
@@ -148,7 +193,7 @@ class TestDynamics:
         q0 = np.array([0.1, 0.0, 0.0])
         u = np.array([1.0, 0.5, 0.2])
         q1, d1 = dynamics_step(q0, np.zeros(3), u, ctx, robot, params, rng)
-        phys = params.action_scale.to_physical(u)
+        phys = planner_mod.to_physical(u)
         npt.assert_allclose(q1, q0 + phys, atol=1e-12)
         npt.assert_array_equal(d1, np.zeros(3))
 
@@ -185,7 +230,7 @@ class TestDynamics:
         q1, d1 = dynamics_step(q0, np.zeros(3), u, ctx, robot, params, rng)
         assert d1[0] > 0.04  # most sub-moves push
         assert abs(d1[1]) < 1e-9
-        npt.assert_allclose(q1, q0 + params.action_scale.to_physical(u), atol=1e-12)
+        npt.assert_allclose(q1, q0 + planner_mod.to_physical(u), atol=1e-12)
 
     def test_glancing_contact_blocks(self, rng):
         """Tangential graze outside the friction cone: robot blocked, object static."""
@@ -237,9 +282,9 @@ def reference_rollouts(q0, actions, ctx, robot, params, rng):
     hi_xy = f.origin[:2] + f.resolution * (np.array(f.dims[:2]) - 1)
     counts = np.zeros(3, dtype=int)
     for t in range(H):
-        u = params.action_scale.to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
+        u = planner_mod.to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
         for _ in range(params.mini_steps):
-            q_c = robot.free_dynamics(q, u)
+            q_c = q + u
             o = q_c[:, :2] - d[:, :2]
             counts[2] += np.sum(np.any((o < lo_xy) | (o > hi_xy), axis=1))
             pts_c = robot.points_world(q_c)

@@ -192,6 +192,26 @@ class TestCheckTestOnly:
         (root / "tests/test_params.py").write_text("cfg = {}\ncfg['lonely'] = 0.2\n")
         assert check.unset(root) == ["src/rummage/core.py:9: Params.read_by_test"]
 
+    def test_reports_test_imports_never_used(self, tmp_path):
+        """A test module's imported name is used when the module reads it,
+        also at the head of an attribute chain or inside a function;
+        ``__future__`` imports bind nothing to report."""
+        root = self.tree(tmp_path, "def helper():\n    return 1\nclass Thing:\n    pass\n")
+        (root / "tests/test_more.py").write_text(
+            "from __future__ import annotations\n"
+            "import json\n"
+            "import numpy.testing\n"
+            "import os.path as osp\n"
+            "from rummage.core import helper, Thing as T\n"
+            "def test_it():\n"
+            "    from rummage import core\n"
+            "    numpy.testing.assert_equal(helper(), 1)\n"
+        )
+        assert load("check_test_only").unused_imports(root) == [
+            "tests/test_more.py:2: json", "tests/test_more.py:4: osp",
+            "tests/test_more.py:5: T", "tests/test_more.py:7: core",
+        ]
+
     @pytest.mark.parametrize(
         "package, script, report",
         [

@@ -12,7 +12,6 @@ from rummage.belief import ParticleSet
 from rummage.geometry import Pose, Sphere
 from rummage.semantics import (
     SemanticCloud,
-    Semantics,
     SensorModel,
     _downsample_positions,
     grid_cells,

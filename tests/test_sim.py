@@ -9,13 +9,12 @@ import pytest
 
 from rummage import sim
 from rummage.belief import ParticleSet
-from rummage.geometry import Pose, Sphere, mug_shape
-from rummage.planner import YAW_SCALE, ActionScale, PaddleRobot, PlannerParams
+from rummage.geometry import Pose, Sphere
+from rummage.planner import TRANSLATION_SCALE, YAW_SCALE, PaddleRobot, PlannerParams
 from rummage.semantics import SensorModel
 from rummage.sim import (
     CameraModel,
     EpisodeArtifacts,
-    Metrics,
     Scenario,
     World,
     calibrate_nll_threshold,
@@ -155,11 +154,9 @@ class TestTactile:
 
 
 class TestWorldStep:
-    SCALE = ActionScale()
-
     def test_free_space_action(self):
         world = World(shape=Sphere(0.05), true_pose=Pose.from_placement((0.5, 0.0, 0.0), 0.0), q=np.array([0.1, 0.0, 0.0]))
-        dT, contact = world_step(world, np.array([0.5, 0.0, 0.0]), PaddleRobot(), self.SCALE)
+        dT, contact = world_step(world, np.array([0.5, 0.0, 0.0]), PaddleRobot())
         assert not contact
         assert dT.is_identity()
         npt.assert_allclose(world.q, (0.14, 0.0, 0.0), atol=1e-12)
@@ -169,7 +166,7 @@ class TestWorldStep:
         T0 = Pose.from_placement((0.3, 0.0, 0.0), 0.0)
         world = World(shape=Sphere(0.05), true_pose=T0, q=np.array([0.235, 0.0, 0.0]))
         u = np.array([0.25, 0.0, 0.0])  # 20 mm
-        dT, contact = world_step(world, u, PaddleRobot(), self.SCALE)
+        dT, contact = world_step(world, u, PaddleRobot())
         assert contact
         moved = world.true_pose.object_center_world() - T0.object_center_world()
         assert moved[0] == pytest.approx(0.015, abs=0.001)
@@ -179,7 +176,7 @@ class TestWorldStep:
         T0 = Pose.from_placement((0.3, 0.0, 0.0), 0.0)
         world = World(shape=Sphere(0.05), true_pose=T0, q=np.array([0.3, -0.0585, math.pi / 2]))
         u = np.array([0.25, 0.0, 0.0])
-        dT, contact = world_step(world, u, PaddleRobot(), self.SCALE)
+        dT, contact = world_step(world, u, PaddleRobot())
         assert contact
         assert dT.is_identity()
         npt.assert_allclose(world.q, (0.3, -0.0585, math.pi / 2), atol=1e-9)
@@ -190,15 +187,15 @@ class TestWorldStep:
         robot = PaddleRobot()
         for _ in range(30):
             u = rng.uniform(-1, 1, 3)
-            world_step(world, u, robot, self.SCALE)
+            world_step(world, u, robot)
             v = mug.sdf(world.true_pose.transform(robot.points_world(world.q)))
             # at most one sub-step of travel deep
-            assert v.min() > -(self.SCALE.translation + 0.05 * YAW_SCALE) / sim.SUBSTEPS
+            assert v.min() > -(TRANSLATION_SCALE + 0.05 * YAW_SCALE) / sim.SUBSTEPS
 
     def test_push_delta_composes_correctly(self):
         T0 = Pose.from_placement((0.3, 0.0, 0.0), 0.0)
         world = World(shape=Sphere(0.05), true_pose=T0, q=np.array([0.235, 0.0, 0.0]))
-        dT, _ = world_step(world, np.array([0.25, 0.0, 0.0]), PaddleRobot(), self.SCALE)
+        dT, _ = world_step(world, np.array([0.25, 0.0, 0.0]), PaddleRobot())
         composed = dT.compose(T0)
         npt.assert_allclose(composed.rotation, world.true_pose.rotation, atol=1e-12)
         npt.assert_allclose(composed.translation, world.true_pose.translation, atol=1e-12)
@@ -324,24 +321,24 @@ class TestPairwiseChamferMemory:
 class TestSlidePolicy:
     def test_heads_toward_center_when_free(self):
         particles = ParticleSet.from_poses([Pose.from_placement((0.4, 0.0, 0.0), 0.0)])
-        a = slide_policy(particles, Sphere(0.05), np.array([0.2, 0.0, 0.0]), False, None, 1.0, ActionScale())
+        a = slide_policy(particles, Sphere(0.05), np.array([0.2, 0.0, 0.0]), False, None, 1.0)
         assert a[0] > 0
         assert a[1] == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(a[:2]) == pytest.approx(0.5)
 
     def test_zero_at_center(self):
         particles = ParticleSet.from_poses([Pose.from_placement((0.2, 0.0, 0.0), 0.0)])
-        a = slide_policy(particles, Sphere(0.05), np.array([0.2, 0.0, 0.0]), False, None, 1.0, ActionScale())
+        a = slide_policy(particles, Sphere(0.05), np.array([0.2, 0.0, 0.0]), False, None, 1.0)
         npt.assert_array_equal(a, np.zeros(3))
 
     def test_tangent_when_in_contact(self):
         particles = ParticleSet.from_poses([Pose.from_placement((0.3, 0.0, 0.0), 0.0)])
         contact = np.array([0.25, 0.0, 0.0])  # normal points -x here
-        a_ccw = slide_policy(particles, Sphere(0.05), np.array([0.24, 0.0, 0.0]), True, contact, 1.0, ActionScale())
+        a_ccw = slide_policy(particles, Sphere(0.05), np.array([0.24, 0.0, 0.0]), True, contact, 1.0)
         # normal -x, counterclockwise tangent: (-n_y, n_x) = (0, -1)
         assert abs(a_ccw[0]) < 1e-9
         assert a_ccw[1] == pytest.approx(-0.5, abs=1e-9)
-        a_cw = slide_policy(particles, Sphere(0.05), np.array([0.24, 0.0, 0.0]), True, contact, -1.0, ActionScale())
+        a_cw = slide_policy(particles, Sphere(0.05), np.array([0.24, 0.0, 0.0]), True, contact, -1.0)
         assert a_cw[1] == pytest.approx(0.5, abs=1e-9)
 
 
