@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Alternating paired benchmark runs of this checkout against another.
 
-Runs ``loopbench/run.py`` untraced on one seed (``--seed``, 0 by default),
-once in each checkout per pair, the side that goes first alternating from
-pair to pair, so the base's quartiles measure its run-to-run spread.  Then
-prints, for every end-to-end metric of ``BENCHMARK.json``, how many pairs
-this checkout won (ties count for neither side), each side's median, the
-base's interquartile range and whether the speed-claim rule holds: at
-least 10 pairs, at least nine tenths of them won, and the medians further
-apart, in the better direction, than the base's quartiles:
+Runs ``loopbench/run.py`` untraced on each seed of ``--seeds`` (a list
+as ``compare_records.py`` takes it, 0 by default), once in each checkout
+per pair, the side that goes first alternating from pair to pair, so the
+base's quartiles measure its run-to-run spread.  Then prints, per seed and
+for every end-to-end metric of ``BENCHMARK.json``, how many pairs this
+checkout won (ties count for neither side), each side's median, the base's
+interquartile range and whether the speed-claim rule holds: at least 10
+pairs, at least nine tenths of them won, and the medians further apart, in
+the better direction, than the base's quartiles:
 
-    python scripts/paired_bench.py --workload mug-mpc --base ../parent --pairs 10 --seed 1
+    python scripts/paired_bench.py --workload mug-mpc --base ../parent --pairs 10 --seeds 0,1
 
 Exits 2 on bad arguments, 1 when a run fails or reports incorrect
 outputs, and 0 otherwise (whether or not a claim holds).
@@ -26,6 +27,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from compare_records import parse_seeds  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
@@ -101,7 +105,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     ap.add_argument("--pairs", type=at_least(1), required=True, help="alternating pairs to run (at least 1)")
-    ap.add_argument("--seed", type=at_least(0), default=0, help="loopbench seed of every run (default 0)")
+    ap.add_argument("--seeds", type=parse_seeds, default="0", help="loopbench seeds, e.g. 0,1 or 0-2 (default 0)")
     args = ap.parse_args(argv)
     base = args.base.resolve()
     if not (base / "loopbench" / "run.py").is_file():
@@ -109,21 +113,25 @@ def main(argv=None) -> int:
     if base == ROOT:
         ap.error(f"{args.base} is this checkout")
 
-    pairs = []
-    for k in range(args.pairs):
-        order = (ROOT, base) if k % 2 == 0 else (base, ROOT)
-        results = {tree: run_once(tree, args.workload, args.seed, spec["run_seconds"]) for tree in order}
-        b, c = results[base], results[ROOT]
-        if not (b["correct"] and c["correct"]):
-            print(f"paired_bench: pair {k + 1}: a run failed (base correct: {b['correct']}, change correct: {c['correct']})", file=sys.stderr)
-            return 1
-        pairs.append((b, c))
-        print(f"pair {k + 1}: " + ", ".join(
-            f"{m['name']} {b['metrics'][m['name']]['value']:.4g} -> {c['metrics'][m['name']]['value']:.4g}"
-            for m in spec["end_to_end"]
-        ), flush=True)
-    print(f"{args.workload} seed {args.seed}: {len(pairs)} pairs, {ROOT} against {base}")
-    print(table(summarize(spec["end_to_end"], pairs)))
+    for seed in args.seeds:
+        pairs = []
+        for k in range(args.pairs):
+            order = (ROOT, base) if k % 2 == 0 else (base, ROOT)
+            results = {tree: run_once(tree, args.workload, seed, spec["run_seconds"]) for tree in order}
+            b, c = results[base], results[ROOT]
+            if not (b["correct"] and c["correct"]):
+                print(
+                    f"paired_bench: seed {seed} pair {k + 1}: a run failed "
+                    f"(base correct: {b['correct']}, change correct: {c['correct']})", file=sys.stderr,
+                )
+                return 1
+            pairs.append((b, c))
+            print(f"seed {seed} pair {k + 1}: " + ", ".join(
+                f"{m['name']} {b['metrics'][m['name']]['value']:.4g} -> {c['metrics'][m['name']]['value']:.4g}"
+                for m in spec["end_to_end"]
+            ), flush=True)
+        print(f"{args.workload} seed {seed}: {len(pairs)} pairs, {ROOT} against {base}")
+        print(table(summarize(spec["end_to_end"], pairs)), flush=True)
     return 0
 
 

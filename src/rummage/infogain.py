@@ -118,10 +118,10 @@ class FreeFloor:
 
     def at(self, xy: np.ndarray) -> np.ndarray:
         """Floor at planar positions ``(n, 2)`` -> ``(n,)``."""
-        u = (np.asarray(xy, dtype=np.float64) - self.origin) / self.resolution
+        xy = np.asarray(xy, dtype=np.float64)
         nx, ny = self.values.shape
-        ix = np.rint(np.clip(u[:, 0], 0, nx - 1)).astype(np.intp)
-        iy = np.rint(np.clip(u[:, 1], 0, ny - 1)).astype(np.intp)
+        ix = np.rint(np.clip((xy[:, 0] - self.origin[0]) / self.resolution, 0, nx - 1)).astype(np.intp)
+        iy = np.rint(np.clip((xy[:, 1] - self.origin[1]) / self.resolution, 0, ny - 1)).astype(np.intp)
         return self.values[ix, iy]
 
 

@@ -125,11 +125,19 @@ class PlannerParams:
     opt_iters: int = 1              # optimization iterations per replan
 
     def __post_init__(self):
-        for name in ("horizon", "control_points", "samples", "rollouts", "mini_steps", "replan_interval"):
+        for name in (
+            "horizon", "control_points", "samples", "rollouts", "mini_steps", "replan_interval",
+            "warm_start_iters", "opt_iters",
+        ):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"planner {name} must be at least 1, got {getattr(self, name)!r}")
         if not self.temperature > 0:
             raise ValueError(f"planner temperature must be positive, got {self.temperature!r}")
+        if not self.noise_cov >= 0:
+            raise ValueError(f"planner noise_cov must not be negative, got {self.noise_cov!r}")
+        for name in ("info_weight", "reach_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"planner {name} must be finite, got {getattr(self, name)!r}")
         if self.control_points > self.horizon:
             raise ValueError("control_points must not exceed horizon")
 
@@ -289,6 +297,16 @@ def _contact_points(
     return i_star, x_i, p_star, pf
 
 
+def _action_groups(actions: np.ndarray) -> np.ndarray:
+    """Leader of each row of ``(B, H, 3)`` action sequences: the first row
+    of its run of consecutive rows with bit-equal actions."""
+    B = len(actions)
+    bits = np.ascontiguousarray(actions, dtype=np.float64).reshape(B, -1).view(np.int64)
+    starts = np.ones(B, dtype=bool)
+    starts[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    return np.maximum.accumulate(np.where(starts, np.arange(B), 0))
+
+
 def _rollout_batch(
     q0: np.ndarray,
     d0: np.ndarray,
@@ -297,8 +315,10 @@ def _rollout_batch(
     robot: PaddleRobot,
     params: PlannerParams,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roll out B action sequences (B, H, 3) -> configs (B, H, 3), displacements (B, H, 3).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roll out B action sequences (B, H, 3) -> configs (B, H, 3),
+    displacements (B, H, 3) and each row's leader (B,), the lowest row of its
+    group: rows that share a leader have bit-equal rollouts.
 
     Each action is split into ``mini_steps`` sequential sub-moves.  At every
     sub-move the most contact-likely robot point (in displaced-object-frame
@@ -306,15 +326,29 @@ def _rollout_batch(
     fields; free moves pass, pushing contacts displace the object along with
     the robot, and non-pushing contacts block the robot in place.
 
-    Each sub-move draws its uniforms first, then searches for the contact
-    point only in the candidate rows, whose draw is at least the fields'
-    :class:`~rummage.infogain.FreeFloor` at the displaced paddle origin.
-    Below the floor every body point reads a larger free probability, so the
-    row moves freely whichever point the search would pick; the results are
-    those of searching every row.  The search's ``p_free`` value at the
-    chosen point is read once and renormalized by
+    Each sub-move draws its uniforms first; a row is hit only where its draw
+    is at least the fields' :class:`~rummage.infogain.FreeFloor` at the
+    displaced paddle origin and at least the free probability at its contact
+    point.  Below the floor every body point reads a larger free
+    probability, so the row moves freely whichever point the search would
+    pick; the results are those of searching every row.  The search's
+    ``p_free`` value at the chosen point is read once and renormalized by
     :meth:`~rummage.infogain.InfoFields.free_probability`; a hit row's push
     direction transforms only its chosen body point.
+
+    The search, the free probability and the push-or-block decision depend
+    only on ``(q_c, d)``, so work is shared where those are bit-equal:
+
+    - Consecutive rows with bit-equal actions that have had the same outcome
+      at every sub-move are in one state and form a group, led by its
+      lowest row.  A
+      group is searched once, and its hit rows share one decision.  When
+      its rows' outcomes differ, the rows whose outcome differs from the
+      leader's form a new group.
+    - A row blocked at a sub-move tries the same ``(q_c, d)`` at the next
+      sub-move of the same action, so it is not searched again: it keeps
+      its free probability and, if hit, is blocked again.  The wait ends at
+      every action boundary.
     """
     B, H, _ = actions.shape
     q = np.tile(np.asarray(q0, dtype=np.float64), (B, 1))
@@ -323,22 +357,41 @@ def _rollout_batch(
     d_traj = np.empty((B, H, 3))
     cos_thresh = math.cos(PUSH_ANGLE)
     floor = ctx.fields.free_floor(robot.body_radius)
+    lead = _action_groups(actions)
+    fp = np.ones(B)             # each row's free probability at its contact point
+    slot = np.empty(B, dtype=np.intp)
+    d_step = np.empty((B, 3))   # each hit group leader's push direction
+    pushes = np.zeros(B, dtype=bool)
 
     for t in range(H):
         u_phys = to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
+        waiting = np.zeros(B, dtype=bool)
         for _ in range(params.mini_steps):
             q_c = q + u_phys  # free-space motion
             draw = rng.random(B)
-            cand = np.flatnonzero(draw >= floor.at(q_c[:, :2] - d[:, :2]))
-            i_star, x_i, p_star, pf_raw = _contact_points(q_c[cand], d[cand], ctx, robot)
-            hit = draw[cand] >= ctx.fields.free_probability(pf_raw, x_i)
+            cand = draw >= floor.at((q_c - d)[:, :2])
+            fresh = np.flatnonzero(cand & ~waiting)
+            searched = np.zeros(B, dtype=bool)
+            searched[lead[fresh]] = True
+            s = np.flatnonzero(searched)
+            i_star, x_i, p_star, pf_raw = _contact_points(q_c[s], d[s], ctx, robot)
+            fp[s] = ctx.fields.free_probability(pf_raw, x_i)
+            fp[fresh] = fp[lead[fresh]]
+            hit = cand & (draw >= fp)
             if not hit.any():
+                waiting[:] = False
                 q = q_c
                 continue
-            # push direction: motion of the corresponding interior point
-            c_rows = cand[hit]
-            d_prime = p_star[hit] - robot.body_point_world(q[c_rows], i_star[hit])
-            normals = ctx.weighted_normals(x_i[hit])
+            # one push-or-block decision per group with a fresh hit; the
+            # push direction is the motion of the corresponding interior point
+            fresh_hit = hit & ~waiting
+            decide = np.zeros(B, dtype=bool)
+            decide[lead[fresh_hit]] = True
+            g = np.flatnonzero(decide)
+            slot[s] = np.arange(len(s))
+            k = slot[g]
+            d_prime = p_star[k] - robot.body_point_world(q[g], i_star[k])
+            normals = ctx.weighted_normals(x_i[k])
             n_norm = np.linalg.norm(normals, axis=1)
             m_norm = np.linalg.norm(d_prime, axis=1)
             ok = (n_norm > 1e-12) & (m_norm > 1e-12)
@@ -347,16 +400,26 @@ def _rollout_batch(
                 np.einsum("ij,ij->i", normals, -d_prime) / np.maximum(n_norm * m_norm, 1e-300),
                 -1.0,
             )
-            pushing = cos_angle > cos_thresh
-            push_rows = c_rows[pushing]
-            d[push_rows] = d[push_rows] + d_prime[pushing]
+            pushes[g] = cos_angle > cos_thresh
+            d_step[g] = d_prime
+            # waiting rows that are hit again are blocked again
+            pushing = fresh_hit & pushes[lead]
+            push_rows = np.flatnonzero(pushing)
+            d[push_rows] = d[push_rows] + d_step[lead[push_rows]]
             # blocked rows keep q and d
-            blocked = c_rows[~pushing]
+            waiting = hit & ~pushing
+            blocked = np.flatnonzero(waiting)
             q_c[blocked] = q[blocked]
             q = q_c
+            # rows whose outcome differs from their leader's form new groups
+            split = np.flatnonzero(hit != hit[lead])
+            if len(split):
+                first = np.full(B, B)
+                np.minimum.at(first, lead[split], split)
+                lead[split] = first[lead[split]]
         q_traj[:, t] = q
         d_traj[:, t] = d
-    return q_traj, d_traj
+    return q_traj, d_traj, lead
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +553,11 @@ def make_rollout_cost(
 ):
     """Average stochastic-rollout cost of sampled action sequences.
 
-    The reach cost reads ``ctx.reach_table``.  ``workspace`` is not read; it
-    stays because the wrapper that ``loopbench/tracing.py`` puts around this
-    function passes it positionally."""
+    Each distinct rollout is scored once: rows that share a leader have the
+    same trajectories, so they read its cost.  The reach cost reads
+    ``ctx.reach_table``.  ``workspace`` is not read; it stays because the
+    wrapper that ``loopbench/tracing.py`` puts around this function passes
+    it positionally."""
     if ctx.reach_table is None and params.reach_weight != 0.0:
         raise ValueError("reach cost requires a reach table")
 
@@ -500,15 +565,17 @@ def make_rollout_cost(
         S, H, dim = actions.shape
         R = params.rollouts
         rep = np.repeat(actions, R, axis=0)
-        q_traj, d_traj = _rollout_batch(
+        q_traj, d_traj, lead = _rollout_batch(
             np.asarray(q0, dtype=np.float64), np.zeros(3), rep, ctx, robot, params, rng
         )
+        rows, of_row = np.unique(lead, return_inverse=True)
+        q_traj, d_traj = q_traj[rows], d_traj[rows]
         info_c = batched_sweep_cost(q_traj, d_traj, ctx.fields.info, robot, SWEEP_CELL)
         if params.reach_weight != 0.0:
             reach_c = ctx.reach_table.reach_cost_batch(d_traj)
         else:
-            reach_c = np.zeros(S * R)
-        per_rollout = total_cost(info_c, reach_c, params)
+            reach_c = np.zeros(len(rows))
+        per_rollout = total_cost(info_c, reach_c, params)[of_row]
         return per_rollout.reshape(S, R).mean(axis=1)
 
     return cost_fn
@@ -544,7 +611,7 @@ class Planner:
         self._executed_since_plan = 0
         iters = self.params.warm_start_iters if not self._planned_once else self.params.opt_iters
         cost_fn = make_rollout_cost(np.asarray(q, dtype=np.float64), ctx, self.robot, self.params, rng)
-        for it in range(max(1, iters)):
+        for it in range(iters):
             self.theta, costs = mppi_update(self.theta, cost_fn, self.params, rng)
             actions = np.clip(kernel_interpolate(self.theta, self.params.horizon), -1.0, 1.0)
             self.trace.append(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -285,6 +286,9 @@ class TestRunCommand:
             ("planner", "mini_steps", 0), ("planner", "horizon", 0), ("planner", "replan_interval", 0),
             ("planner", "control_points", 0), ("planner", "temperature", 0.0), ("reachability", "psi", 0.0),
             ("reachability", "psi", -0.4), ("camera", "max_range", 0.0), ("camera", "max_range", -1.0),
+            ("planner", "noise_cov", -0.5), ("planner", "opt_iters", 0), ("planner", "warm_start_iters", 0),
+            ("planner", "info_weight", math.nan), ("planner", "info_weight", -math.inf),
+            ("planner", "reach_weight", math.nan), ("planner", "reach_weight", math.inf),
             pytest.param("robot", "half_extents", (0.0, 0.03), id="robot-half_extents-zero"),
             pytest.param("robot", "half_extents", (0.01, -0.03), id="robot-half_extents-negative"),
             pytest.param("robot", "half_extents", (0.01,), id="robot-half_extents-one"),

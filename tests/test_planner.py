@@ -53,7 +53,7 @@ def make_context(particle_poses, shape=None, bounds=((0.0, 0.6), (-0.3, 0.3), (0
 
 def dynamics_step(q, d, u, ctx, robot, params, rng):
     """One action of the rollout dynamics: a single-row, single-step batch."""
-    q_traj, d_traj = planner_mod._rollout_batch(q, d, np.reshape(u, (1, 1, 3)), ctx, robot, params, rng)
+    q_traj, d_traj, _ = planner_mod._rollout_batch(q, d, np.reshape(u, (1, 1, 3)), ctx, robot, params, rng)
     return q_traj[0, 0], d_traj[0, 0]
 
 
@@ -198,26 +198,30 @@ class TestDynamics:
         npt.assert_array_equal(d1, np.zeros(3))
 
     def test_rollout_blocks_give_the_same_rollouts(self, monkeypatch):
-        """The contact-point search runs a block of rollouts at a time;
-        the block size must not change any rollout."""
+        """The contact-point search runs a block of searched rows at a time;
+        the block size must not change any rollout, of distinct action rows
+        or of samples of 5 rows each, and every rollout is that of searching
+        every row."""
         poses = [Pose.from_placement((0.3, 0.01 * k, 0.0), 0.3 * k) for k in range(4)]
         ctx, _ = make_context(poses, shape=mug_shape())
+        ref_ctx, _ = make_context(poses, shape=mug_shape())
         robot = PaddleRobot()
         params = self.qparams(horizon=4, mini_steps=3)
-        actions = np.random.default_rng(7).uniform(-1.0, 1.0, (50, 4, 3))
+        rng = np.random.default_rng(7)
+        actions = np.concatenate([rng.uniform(-1.0, 1.0, (50, 4, 3)), np.repeat(rng.uniform(-1.0, 1.0, (20, 4, 3)), 5, axis=0)])
         q0 = np.array([0.2, 0.0, 0.0])
 
         def rollouts():
             rng = np.random.default_rng(11)
             return planner_mod._rollout_batch(q0, np.zeros(3), actions, ctx, robot, params, rng)
 
-        q_ref, d_ref = rollouts()
+        q_ref, d_ref, counts = reference_rollouts(q0, actions, ref_ctx, robot, params, np.random.default_rng(11))
         assert np.abs(d_ref).max() > 0  # some rollouts push the object
+        assert counts["waits"] > 0 and counts["splits"] > 0, counts
+        assert_same_rollouts(rollouts(), (q_ref, d_ref))
         for block in (len(robot.body_points), 3 * len(robot.body_points) + 1):
             monkeypatch.setattr(planner_mod, "POINT_BLOCK", block)
-            q_b, d_b = rollouts()
-            npt.assert_array_equal(q_b, q_ref)
-            npt.assert_array_equal(d_b, d_ref)
+            assert_same_rollouts(rollouts(), (q_ref, d_ref))
 
     def test_head_on_push_accumulates(self, rng):
         """Two agreeing particles; head-on approach pushes the object along."""
@@ -270,9 +274,14 @@ def class_probabilities(fields, points):
     return pf / total, po / total, ps / total
 
 
-def reference_rollouts(q0, actions, ctx, robot, params, rng):
+def reference_rollouts(q0, actions, ctx, robot, params, rng, floor=None):
     """The rollout dynamics searching the contact point of every row, with
-    counts of (pushing, blocked, off-grid) row sub-moves."""
+    counts of row sub-moves: pushes, blocks, off-grid placements and waits
+    (a row retrying the ``(q_c, d)`` it was blocked at one sub-move
+    earlier), and of splits (sub-moves where rows of bit-equal actions and
+    state take different outcomes).  ``floor(xy)``, when given, is a free
+    probability at the displaced paddle origin below which a draw is free
+    whatever the contact point reads."""
     B, H, _ = actions.shape
     q = np.tile(np.asarray(q0, dtype=np.float64), (B, 1))
     d = np.zeros((B, 3))
@@ -280,36 +289,69 @@ def reference_rollouts(q0, actions, ctx, robot, params, rng):
     f = ctx.fields.p_free
     lo_xy = f.origin[:2]
     hi_xy = f.origin[:2] + f.resolution * (np.array(f.dims[:2]) - 1)
-    counts = np.zeros(3, dtype=int)
+    counts = dict.fromkeys(("pushes", "blocks", "off_grid", "waits", "splits"), 0)
     for t in range(H):
         u = planner_mod.to_physical(np.clip(actions[:, t], -1.0, 1.0)) / params.mini_steps
+        blocked = np.zeros(B, dtype=bool)
         for _ in range(params.mini_steps):
+            states = [actions[b].tobytes() + q[b].tobytes() + d[b].tobytes() for b in range(B)]
+            counts["waits"] += int(blocked.sum())
             q_c = q + u
             o = q_c[:, :2] - d[:, :2]
-            counts[2] += np.sum(np.any((o < lo_xy) | (o > hi_xy), axis=1))
+            counts["off_grid"] += int(np.sum(np.any((o < lo_xy) | (o > hi_xy), axis=1)))
             pts_c = robot.points_world(q_c)
             disp = pts_c - d[:, None, :]
             k = np.argmin(f.query(disp), axis=1)
             rows = np.arange(B)
             x_i, p_star = disp[rows, k], pts_c[rows, k]
             pf, _, _ = class_probabilities(ctx.fields, x_i)
-            contact = rng.random(B) >= pf
+            draw = rng.random(B)
+            contact = draw >= pf
+            if floor is not None:
+                contact &= draw >= floor(o)
             c_rows = np.flatnonzero(contact)
             normals = ctx.weighted_normals(x_i[c_rows]) if len(c_rows) else np.empty((0, 3))
             q_next = q_c.copy()
+            outcome = np.zeros(B, dtype=int)  # free, push, block
             for b, n in zip(c_rows, normals):
                 d_prime = p_star[b] - robot.points_world(q[b])[k[b]]
                 nn, mn = np.linalg.norm(n), np.linalg.norm(d_prime)
                 cos = np.dot(n, -d_prime) / (nn * mn) if nn > 1e-12 and mn > 1e-12 else -1.0
                 if cos > math.cos(PUSH_ANGLE):
                     d[b] = d[b] + d_prime
-                    counts[0] += 1
+                    outcome[b] = 1
                 else:
                     q_next[b] = q[b]
-                    counts[1] += 1
+                    outcome[b] = 2
+            counts["pushes"] += int(np.sum(outcome == 1))
+            counts["blocks"] += int(np.sum(outcome == 2))
+            seen = {}
+            for key, out in zip(states, outcome):
+                seen.setdefault(key, set()).add(out)
+            counts["splits"] += sum(len(outs) > 1 for outs in seen.values())
+            blocked = outcome == 2
             q = q_next
         q_traj[:, t], d_traj[:, t] = q, d
     return q_traj, d_traj, counts
+
+
+def assert_same_rollouts(got, want):
+    """Rollouts ``(q, d, leaders)`` of the program against ``(q, d)`` of a
+    reference, bit for bit; rows that share a leader (a lower row or
+    themselves) have the same rollout."""
+    (q, d, lead), (q_ref, d_ref) = got, want
+    assert q.tobytes() == q_ref.tobytes() and d.tobytes() == d_ref.tobytes()
+    assert np.all(lead <= np.arange(len(lead))) and np.all(lead[lead] == lead)
+    assert q[lead].tobytes() == q.tobytes() and d[lead].tobytes() == d.tobytes()
+
+
+def fan_of_samples(seed, samples, horizon, repeat):
+    """Sampled action sequences, each repeated ``repeat`` times: a fan of
+    headings from just in front of the mug, so that some rollouts run into
+    it, some graze it and some leave the grid."""
+    actions = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, horizon, 3))
+    actions[: samples // 3, :, 0] = np.abs(actions[: samples // 3, :, 0])
+    return np.repeat(actions, repeat, axis=0)
 
 
 ROLLOUT_FIELDS = pytest.mark.parametrize(
@@ -340,22 +382,45 @@ class TestRolloutCull:
 
     @ROLLOUT_FIELDS
     def test_matches_searching_every_row(self, res, z):
+        """Rows of distinct actions, then samples of 5 rows of one action
+        sequence each: every rollout equals the every-row search bit for bit,
+        while blocked rows wait and the samples' rows share searches until
+        their draws split them."""
         ctx = mug_context(res, z)
         ref_ctx = mug_context(res, z)
         robot = PaddleRobot()
         params = PlannerParams(horizon=6, control_points=3, mini_steps=3)
-        # a fan of headings from just in front of the mug: some rollouts run
-        # into it, some graze it, some leave the grid
-        actions = np.random.default_rng(2).uniform(-1.0, 1.0, (120, 6, 3))
-        actions[:40, :, 0] = np.abs(actions[:40, :, 0])
+        actions = np.concatenate([fan_of_samples(2, 120, 6, 1), fan_of_samples(3, 30, 6, 5)])
         q0 = np.array([0.2, 0.0, 0.0])
-        q, d = planner_mod._rollout_batch(q0, np.zeros(3), actions, ctx, robot, params, np.random.default_rng(4))
-        q_ref, d_ref, (pushes, blocks, off_grid) = reference_rollouts(
-            q0, actions, ref_ctx, robot, params, np.random.default_rng(4)
+        got = planner_mod._rollout_batch(q0, np.zeros(3), actions, ctx, robot, params, np.random.default_rng(4))
+        q_ref, d_ref, counts = reference_rollouts(q0, actions, ref_ctx, robot, params, np.random.default_rng(4))
+        assert all(n > 0 for n in counts.values()), counts
+        assert_same_rollouts(got, (q_ref, d_ref))
+        # the samples' rows split, and not all of them
+        assert 30 < len(np.unique(got[2][120:])) < 150
+
+    def test_waiting_rows_keep_the_floor_test(self, monkeypatch):
+        """With a floor that is no bound (0.5 everywhere), a row is hit only
+        where its draw reaches both the floor and the free probability at its
+        contact point, a waiting row too: the rollouts equal the every-row
+        search under that rule."""
+        from rummage.infogain import InfoFields
+
+        class HalfFloor:
+            def at(self, xy):
+                return np.full(len(xy), 0.5)
+
+        monkeypatch.setattr(InfoFields, "free_floor", lambda self, radius: HalfFloor())
+        ctx, ref_ctx, robot = mug_context(0.01, (0.0, 0.0)), mug_context(0.01, (0.0, 0.0)), PaddleRobot()
+        params = PlannerParams(horizon=6, control_points=3, mini_steps=4)
+        actions = fan_of_samples(5, 40, 6, 5)
+        q0 = np.array([0.2, 0.0, 0.0])
+        got = planner_mod._rollout_batch(q0, np.zeros(3), actions, ctx, robot, params, np.random.default_rng(6))
+        q_ref, d_ref, counts = reference_rollouts(
+            q0, actions, ref_ctx, robot, params, np.random.default_rng(6), floor=HalfFloor().at
         )
-        assert pushes > 0 and blocks > 0 and off_grid > 0
-        npt.assert_array_equal(q, q_ref)
-        npt.assert_array_equal(d, d_ref)
+        assert counts["waits"] > 0 and counts["blocks"] > 0 and counts["splits"] > 0, counts
+        assert_same_rollouts(got, (q_ref, d_ref))
 
     @ROLLOUT_FIELDS
     def test_search_returns_the_raw_free_value(self, res, z):
@@ -549,6 +614,29 @@ class TestBatchedSweepCost:
             center = np.round(p / 0.005).astype(np.int64) * 0.005
             npt.assert_array_equal(n, exact_ctx._exact_normals(center[None])[0])
 
+    def test_normal_cache_batch_invariance(self, rng):
+        """At a belief's size (100 weighted particles, 40 distinct mug
+        poses, so the weighted sum runs over many particles), a cell's cached
+        normal equals its normal evaluated alone, whichever cells are
+        evaluated together."""
+        from conftest import weighted_set
+
+        distinct = [
+            Pose.from_placement((0.3 + rng.normal(0.0, 0.01), rng.normal(0.0, 0.01), 0.0), yaw)
+            for yaw in rng.uniform(-math.pi, math.pi, 40)
+        ]
+        rows = rng.permutation(np.concatenate([np.arange(40), rng.integers(0, 40, 60)]))
+        particles = weighted_set([distinct[k] for k in rows], rng.uniform(0.5, 1.5, 100))
+        assert len(particles.first) >= 34
+        ws = Workspace(bounds=((0.2, 0.4), (-0.1, 0.1), (0.0, 0.0)), resolution=0.01)
+        shape = mug_shape()
+        ctx = PlanningContext(build_info_fields(particles, shape, ws, 2.0, SENSOR), particles, shape)
+        pts = rng.uniform(-0.08, 0.08, (300, 3)) * [1, 1, 0] + [0.3, 0.0, 0.0]
+        got = np.concatenate([ctx.weighted_normals(pts[:7]), ctx.weighted_normals(pts[7:])])
+        for p, n in zip(pts, got):
+            center = np.round(p / 0.005).astype(np.int64) * 0.005
+            assert n.tobytes() == ctx._exact_normals(center[None])[0].tobytes()
+
     def test_normal_cache_matches_row_loop(self, rng):
         """The cache hands out, row by row, the normal of the row's cell;
         cells first met in one call are evaluated together in order of
@@ -578,6 +666,31 @@ class TestBatchedSweepCost:
         for far in ([2.0**20, 0.0, 0.0], [0.0, -2.0**20 - 1, 0.0], [0.0, 0.0, np.nan]):
             with pytest.raises(ValueError, match="cell keys"):
                 ctx.weighted_normals(np.array([far]) * q)
+
+
+class TestRolloutCost:
+    def test_scores_every_row(self):
+        """Each distinct rollout is scored once; every sample's cost still
+        equals, bit for bit, the mean sweep and reach cost over its rows of
+        the every-row reference rollouts."""
+        from rummage.planner import SWEEP_CELL, batched_sweep_cost, make_rollout_cost
+
+        poses = [Pose.from_placement((0.3 + 0.005 * k, 0.004 * k, 0.0), 0.4 + 0.5 * k) for k in range(5)]
+        bounds = ((0.1, 0.5), (-0.2, 0.2), (0.0, 0.0))
+        ctx, _ = make_context(poses, shape=mug_shape(), bounds=bounds, with_table=True)
+        ref_ctx, _ = make_context(poses, shape=mug_shape(), bounds=bounds, with_table=True)
+        robot = PaddleRobot()
+        params = PlannerParams(horizon=6, control_points=3, samples=40, mini_steps=3)
+        actions = fan_of_samples(8, 40, 6, 1)
+        q0 = np.array([0.2, 0.0, 0.0])
+        got = make_rollout_cost(q0, ctx, robot, params, np.random.default_rng(9))(actions)
+        rows = np.repeat(actions, params.rollouts, axis=0)
+        q, d, counts = reference_rollouts(q0, rows, ref_ctx, robot, params, np.random.default_rng(9))
+        assert all(n > 0 for n in counts.values()), counts
+        info = batched_sweep_cost(q, d, ref_ctx.fields.info, robot, SWEEP_CELL)
+        reach = ref_ctx.reach_table.reach_cost_batch(d)
+        want = total_cost(info, reach, params).reshape(40, params.rollouts).mean(axis=1)
+        assert got.tobytes() == want.tobytes()
 
 
 def direct_correlation(info, reach, k):

@@ -49,6 +49,7 @@ def result_line(**values):
 
 
 SPEED = [{"name": "step_p50_s", "better": "lower"}, {"name": "steps_per_s", "better": "higher"}]
+METRICS = ("steps_per_s", "step_p50_s", "setup_s", "initial_nll", "peak_rss_mb")
 
 
 def canned_pairs(base_p50, change_p50):
@@ -106,30 +107,60 @@ class TestPairedBench:
         assert "loopbench/run.py" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("seed, message", [("-1", "not at least 0"), ("x", "invalid integer value")])
-    def test_bad_seed_rejected(self, seed, message, capsys):
+    @pytest.mark.parametrize("seeds, message", [("-1", "is not a seed"), ("x", "is not a seed"), ("2-1", "is reversed")])
+    def test_bad_seeds_rejected(self, seeds, message, capsys):
         with pytest.raises(SystemExit) as exc:
-            load("paired_bench").main(["--workload", "mug-mpc", "--base", str(SCRIPTS.parent), "--pairs", "1", "--seed", seed])
+            load("paired_bench").main(["--workload", "mug-mpc", "--base", str(SCRIPTS.parent), "--pairs", "1", "--seeds", seeds])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "2"], 2)])
-    def test_seed_reaches_every_run(self, argv, seed, tmp_path, capsys):
-        """Every run gets the seed (0 by default); the summary names it."""
-        bench = load("paired_bench")
+    def fake_runs(self, bench, tmp_path, values):
+        """A base checkout in ``tmp_path`` and a ``run_once`` that records
+        its calls and returns ``values(tree, seed)`` as every metric's
+        value."""
         (tmp_path / "loopbench").mkdir()
         (tmp_path / "loopbench" / "run.py").write_text("")
         calls = []
 
         def run_once(tree, workload, seed, seconds):
             calls.append((tree, workload, seed))
-            return result_line(steps_per_s=1.0, step_p50_s=1.0, setup_s=0.1, initial_nll=120.0, peak_rss_mb=60.0)
+            v = values(tree, seed)
+            return result_line(steps_per_s=v, step_p50_s=v, setup_s=v, initial_nll=v, peak_rss_mb=v)
 
         bench.run_once = run_once
+        return calls
+
+    @pytest.mark.parametrize("argv, seed", [([], 0), (["--seeds", "2"], 2)])
+    def test_seed_reaches_every_run(self, argv, seed, tmp_path, capsys):
+        """Every run gets the seed (0 by default); the summary names it."""
+        bench = load("paired_bench")
+        calls = self.fake_runs(bench, tmp_path, lambda tree, seed: 1.0)
         assert bench.main(["--workload", "mug-mpc", "--base", str(tmp_path), "--pairs", "2", *argv]) == 0
         assert [c[1:] for c in calls] == [("mug-mpc", seed)] * 4
         assert {c[0] for c in calls} == {SCRIPTS.parent.resolve(), tmp_path.resolve()}
         assert f"mug-mpc seed {seed}: 2 pairs" in capsys.readouterr().out
+
+    def test_verdict_per_seed(self, tmp_path, capsys):
+        """Two seeds: each runs its own pairs and gets its own verdict.  The
+        change reads higher than the base on seed 0 only, so only seed 0's
+        higher-is-better metric is claimed."""
+        bench = load("paired_bench")
+        change = SCRIPTS.parent.resolve()
+        noise = iter(np.linspace(0.0, 0.01, 40))
+        calls = self.fake_runs(
+            bench, tmp_path, lambda tree, seed: (2.0 if tree == change and seed == 0 else 1.0) + next(noise)
+        )
+        assert bench.main(["--workload", "mug-mpc", "--base", str(tmp_path), "--pairs", "10", "--seeds", "0,1"]) == 0
+        assert [c[2] for c in calls] == [0] * 20 + [1] * 20
+        out = capsys.readouterr().out
+        verdicts = {}
+        for block in out.split("mug-mpc seed ")[1:]:
+            seed = int(block.split(":")[0])
+            assert block.split(":")[1].startswith(" 10 pairs")
+            rows = [line.split() for line in block.splitlines()]
+            verdicts[seed] = {r[0]: r[-1] for r in rows if r and r[0] in METRICS}
+        assert verdicts[0] == {**dict.fromkeys(METRICS, "no"), "steps_per_s": "yes"}
+        assert verdicts[1] == dict.fromkeys(METRICS, "no")
 
 
 class TestCheckTestOnly:
