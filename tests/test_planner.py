@@ -404,7 +404,6 @@ class TestRolloutCull:
         where its draw reaches both the floor and the free probability at its
         contact point, a waiting row too: the rollouts equal the every-row
         search under that rule."""
-        from rummage.infogain import InfoFields
 
         class HalfFloor:
             def at(self, xy):
